@@ -1,7 +1,7 @@
 """Command-line surface: ``wsadist dist|normalize|detect``.
 
 Exit codes: 0 success, 2 bad flags or bad cost-model document,
-3 unreadable input, 4 distance size limit exceeded.
+3 unreadable input, 4 a distance exceeds its size limit (``dist``).
 """
 
 from __future__ import annotations
@@ -9,15 +9,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import zip_longest
 
 from .cost_model import CostModel, ModelError, appendix_model, load_model_file, unit_model
-from .distance import (
-    Algorithm,
-    SizeLimitError,
-    levenshtein_standard,
-    levenshtein_ws_agnostic,
-    ws_agnostic_naive,
-)
+from .distance import _DISPATCH, Algorithm, SizeLimitError
 from .normalizer import NormalizationMode, normalize_line
 from .table_detect import DetectConfig, detect_tables
 
@@ -25,13 +20,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INPUT = 3
 EXIT_SIZE = 4
-
-_MODES = {
-    "standard": levenshtein_standard,
-    "ws-agnostic": levenshtein_ws_agnostic,
-    "naive-oracle": ws_agnostic_naive,
-}
-
 
 def _resolve_model(spec: str) -> CostModel:
     if spec == "unit":
@@ -46,6 +34,13 @@ def _read_text(operand: str) -> str:
         return sys.stdin.read()
     with open(operand, "r", encoding="utf-8") as fh:
         return fh.read()
+
+
+def tab_width(text: str) -> int:
+    width = int(text)
+    if width < 1:
+        raise argparse.ArgumentTypeError(f"tab width must be >= 1, got {width}")
+    return width
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -75,13 +70,14 @@ def build_parser() -> argparse.ArgumentParser:
             )
 
     p_dist = sub.add_parser("dist", help="edit distance between two strings or files")
-    p_dist.add_argument("--mode", choices=sorted(_MODES), default="ws-agnostic")
+    modes = sorted(a.value for a in Algorithm)
+    p_dist.add_argument("--mode", choices=modes, default="ws-agnostic")
     p_dist.add_argument(
         "--files", action="store_true",
         help="treat the operands as files compared line-by-line "
         "('-' reads standard input)",
     )
-    p_dist.add_argument("--tab-width", type=int, default=8)
+    p_dist.add_argument("--tab-width", type=tab_width, default=8)
     add_common(p_dist)
     p_dist.add_argument("left")
     p_dist.add_argument("right")
@@ -93,41 +89,42 @@ def build_parser() -> argparse.ArgumentParser:
     p_det = sub.add_parser("detect", help="detect table regions in a text stream")
     p_det.add_argument("--threshold", type=float, default=0.5)
     p_det.add_argument("--min-rows", type=int, default=3)
-    p_det.add_argument("--tab-width", type=int, default=8)
+    p_det.add_argument("--tab-width", type=tab_width, default=8)
     add_common(p_det)
     p_det.add_argument("input", nargs="?", default="-")
     return parser
 
 
 def _run_dist(args) -> int:
-    compute = _MODES[args.mode]
+    # looked up on each call, so a function swapped into the table is used
+    compute = _DISPATCH[Algorithm(args.mode)]
     model = _resolve_model(args.model)
     mode = NormalizationMode(args.normalize)
 
     def prepare(s: str) -> str:
         return normalize_line(s.expandtabs(args.tab_width), mode)
 
-    if args.files:
+    if not args.files:
+        lines1, lines2 = [args.left], [args.right]
+    elif args.left == args.right == "-":
+        raise ValueError("--files can read standard input ('-') for one operand only")
+    else:
         lines1 = _read_text(args.left).splitlines()
         lines2 = _read_text(args.right).splitlines()
-        pairs = []
-        for k in range(max(len(lines1), len(lines2))):
-            a = lines1[k] if k < len(lines1) else ""
-            b = lines2[k] if k < len(lines2) else ""
-            pairs.append({"line": k, "cost": compute(prepare(a), prepare(b), model)})
-        total = sum(p["cost"] for p in pairs)
-        if args.format == "json":
-            print(json.dumps({"pairs": pairs, "total": total}))
-        else:
-            for p in pairs:
-                print(f"{p['line']}\t{p['cost']}")
-            print(f"total\t{total}")
+    costs = [
+        compute(prepare(a), prepare(b), model)
+        for a, b in zip_longest(lines1, lines2, fillvalue="")
+    ]
+    total = sum(costs)
+    if args.format == "json":
+        pairs = [{"line": k, "cost": cost} for k, cost in enumerate(costs)]
+        print(json.dumps({"pairs": pairs, "total": total}))
+    elif args.files:
+        for k, cost in enumerate(costs):
+            print(f"{k}\t{cost}")
+        print(f"total\t{total}")
     else:
-        cost = compute(prepare(args.left), prepare(args.right), model)
-        if args.format == "json":
-            print(json.dumps({"pairs": [{"line": 0, "cost": cost}], "total": cost}))
-        else:
-            print(cost)
+        print(total)
     return EXIT_OK
 
 
@@ -177,6 +174,9 @@ def main(argv=None) -> int:
     except ModelError as exc:
         print(f"wsadist: bad cost model: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except UnicodeDecodeError as exc:  # a ValueError, but unreadable input
+        print(f"wsadist: cannot read input: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     except ValueError as exc:
         print(f"wsadist: {exc}", file=sys.stderr)
         return EXIT_USAGE if not isinstance(exc, SizeLimitError) else EXIT_SIZE

@@ -16,7 +16,8 @@ testing:
 * ``ws_agnostic_naive`` -- minimum of the classical distance over all
   trailing-space paddings of both inputs (pure Python, full matrix).
 * ``ws_agnostic_recursive_unit`` -- memoized transcription of the
-  four-case recurrence under unit costs (pure Python).
+  four-case recurrence under unit costs (pure Python).  It ignores any
+  cost model, so it is not an ``Algorithm``: call it directly.
 
 Both production paths run the DP kernel of ``wsadist.kernel``: C,
 compiled on first use with the system C compiler into a per-user cache
@@ -47,7 +48,6 @@ class Algorithm(Enum):
     STANDARD = "standard"
     WS_AGNOSTIC = "ws-agnostic"
     NAIVE_ORACLE = "naive-oracle"
-    RECURSIVE_REFERENCE = "recursive-reference"
 
 
 @dataclass(frozen=True)
@@ -187,6 +187,8 @@ def ws_agnostic_recursive_unit(
     return lev(0, 0)
 
 
+# The one table from an algorithm to its function: ``distance()`` and
+# ``wsadist dist --mode`` both look it up on each call.
 _DISPATCH = {
     Algorithm.STANDARD: levenshtein_standard,
     Algorithm.WS_AGNOSTIC: levenshtein_ws_agnostic,
@@ -201,8 +203,5 @@ def distance(
     algorithm: Algorithm = Algorithm.WS_AGNOSTIC,
 ) -> DistanceResult:
     """Convenience wrapper returning the cost together with provenance."""
-    if algorithm is Algorithm.RECURSIVE_REFERENCE:
-        cost = ws_agnostic_recursive_unit(s1, s2)
-    else:
-        cost = _DISPATCH[algorithm](s1, s2, model)
+    cost = _DISPATCH[algorithm](s1, s2, model)
     return DistanceResult(cost=cost, algorithm=algorithm, len1=len(s1), len2=len(s2))

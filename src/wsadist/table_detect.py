@@ -11,9 +11,10 @@ are hard separators.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import pairwise
 
 from .cost_model import CostModel, appendix_model
-from .distance import levenshtein_ws_agnostic
+from .distance import SizeLimitError, levenshtein_ws_agnostic
 from .normalizer import NormalizationMode, normalize_line
 
 
@@ -62,16 +63,14 @@ def row_similarity(line1: str, line2: str, model: CostModel | None = None) -> fl
     return max(0.0, 1.0 - d / heavier)
 
 
-def _is_blank(line: str) -> bool:
-    return not line.strip()
-
-
 def detect_tables(lines, config: DetectConfig | None = None) -> list[TableRegion]:
     """Locate table regions in a document given as a sequence of lines.
 
-    Lines are tab-expanded and normalized before comparison.  Returned
-    regions are disjoint, sorted by start line, and each spans at least
-    ``config.min_rows`` lines.
+    Lines are tab-expanded and normalized before comparison.  Adjacent
+    lines join when neither is blank and their similarity reaches the
+    threshold; a pair too long for the distance's cell limit is scored
+    0.0.  Returned regions are disjoint, sorted by start line, and each
+    spans at least ``config.min_rows`` lines.
     """
     config = config if config is not None else DetectConfig()
     prepared = [
@@ -80,42 +79,18 @@ def detect_tables(lines, config: DetectConfig | None = None) -> list[TableRegion
     ]
 
     regions: list[TableRegion] = []
-    block_start = None
-    for idx in range(len(prepared) + 1):
-        at_end = idx == len(prepared)
-        if not at_end and not _is_blank(prepared[idx]):
-            if block_start is None:
-                block_start = idx
-            continue
-        if block_start is not None:
-            regions.extend(
-                _regions_in_block(prepared, block_start, idx - 1, config)
-            )
-            block_start = None
-    return regions
-
-
-def _regions_in_block(prepared, first, last, config) -> list[TableRegion]:
-    """Threshold the adjacent similarities of one blank-free block."""
-    sims = [
-        row_similarity(prepared[i], prepared[i + 1], config.model)
-        for i in range(first, last)
-    ]
-    regions = []
-    run_start = None
-    run_sims: list[float] = []
-    for k in range(len(sims) + 1):
-        if k < len(sims) and sims[k] >= config.threshold:
-            if run_start is None:
-                run_start = first + k
-            run_sims.append(sims[k])
-            continue
-        if run_start is not None:
-            end = first + k  # run covers lines run_start .. first+k
-            if end - run_start + 1 >= config.min_rows:
-                regions.append(
-                    TableRegion(run_start, end, sum(run_sims) / len(run_sims))
-                )
-            run_start = None
-            run_sims = []
+    sims: list[float] = []  # the joined pairs of the run ending at line i - 1
+    # the blank sentinel after the last line closes the final run
+    for i, (above, line) in enumerate(pairwise(prepared + [""]), 1):
+        if above.strip() and line.strip():  # blank lines never join
+            try:
+                sim = row_similarity(above, line, config.model)
+            except SizeLimitError:
+                sim = 0.0
+            if sim >= config.threshold:
+                sims.append(sim)
+                continue
+        if len(sims) + 1 >= config.min_rows:
+            regions.append(TableRegion(i - 1 - len(sims), i - 1, sum(sims) / len(sims)))
+        sims = []
     return regions

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from wsadist import Algorithm, appendix_model, distance
 from wsadist.cli import main
 
 THREE_ROW_TABLE = (
@@ -43,17 +44,19 @@ class TestDist:
 
     def test_json_schema(self, capsys):
         code, out, _ = run(capsys, "dist", "--format", "json", "aaaaA  99  99", "aaaaA")
-        doc = json.loads(out)
-        assert doc == {"pairs": [{"line": 0, "cost": 4}], "total": 4}
+        assert (code, out) == (0, '{"pairs": [{"line": 0, "cost": 4}], "total": 4}\n')
 
     def test_file_mode_pairs_positionally(self, capsys, tmp_path):
         f1 = tmp_path / "a.txt"
         f2 = tmp_path / "b.txt"
         f1.write_text("aa\nbb\ncc\n")
         f2.write_text("aa\nbd\n")
-        code, out, _ = run(capsys, "dist", "--files", "--model", "unit", "--normalize", "none", str(f1), str(f2))
-        assert code == 0
-        assert out == "0\t0\n1\t1\n2\t2\ntotal\t3\n"
+        argv = ["dist", "--files", "--model", "unit", "--normalize", "none", str(f1), str(f2)]
+        assert run(capsys, *argv) == (0, "0\t0\n1\t1\n2\t2\ntotal\t3\n", "")
+        assert run(capsys, *argv, "--format", "json") == (0, (
+            '{"pairs": [{"line": 0, "cost": 0}, {"line": 1, "cost": 1}, '
+            '{"line": 2, "cost": 2}], "total": 3}\n'
+        ), "")
 
     def test_file_mode_json_roundtrip(self, capsys, tmp_path):
         f1 = tmp_path / "a.txt"
@@ -72,6 +75,21 @@ class TestDist:
         f2.write_text("aa\n")
         code, out, _ = run(capsys, "dist", "--files", "-", str(f2))
         assert (code, out.strip().splitlines()[-1]) == (0, "total\t0")
+
+    @pytest.mark.parametrize("mode", [a.value for a in Algorithm])
+    def test_mode_matches_library(self, capsys, mode):
+        left, right = "aaaaA  99  99", "aaaaA"
+        cost = distance(left, right, appendix_model(), Algorithm(mode)).cost
+        argv = ["dist", "--mode", mode, "--normalize", "none", left, right]
+        assert run(capsys, *argv) == (0, f"{cost}\n", "")
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert (code, json.loads(out)["total"]) == (0, cost)
+
+    def test_empty_files(self, capsys, tmp_path):
+        empty = tmp_path / "e.txt"
+        empty.write_text("")
+        code, out, _ = run(capsys, "dist", "--files", "--format", "json", str(empty), str(empty))
+        assert (code, out) == (0, '{"pairs": [], "total": 0}\n')
 
     def test_custom_model_file(self, capsys, tmp_path):
         model = tmp_path / "m.json"
@@ -131,6 +149,14 @@ class TestDetect:
         code, out, _ = run(capsys, "detect", "--format", "json")
         assert (code, json.loads(out)) == (0, {"regions": []})
 
+    def test_long_pair_does_not_abort(self, capsys, tmp_path):
+        # two adjacent 9000-char lines exceed the distance's cell limit
+        doc = tmp_path / "doc.txt"
+        doc.write_text(THREE_ROW_TABLE + "\n" + ("aaaa 99 " * 1125 + "\n") * 2)
+        code, out, _ = run(capsys, "detect", str(doc))
+        assert code == 0
+        assert [line.split()[:2] for line in out.splitlines()] == [["0", "2"]]
+
     def test_prose_no_regions_exit_zero(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("one line of text\nand a different shape 99\n"))
         code, out, _ = run(capsys, "detect")
@@ -161,6 +187,31 @@ class TestExitCodes:
     def test_unreadable_file_mode_exits_3(self, capsys, tmp_path):
         code, _, _ = run(capsys, "dist", "--files", str(tmp_path / "nope"), str(tmp_path / "nada"))
         assert code == 3
+
+    @pytest.mark.parametrize("subcommand", ["detect", "dist"])
+    def test_non_utf8_input_exits_3(self, capsys, tmp_path, subcommand):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"a\n\xff\xfe\n")
+        files = [str(bad)] if subcommand == "detect" else ["--files", str(bad), str(bad)]
+        code, out, err = run(capsys, subcommand, *files)
+        assert (code, out) == (3, "")
+        assert "cannot read" in err
+
+    def test_stdin_for_both_files_exits_2(self, capsys, monkeypatch):
+        stdin = io.StringIO("aa\n")
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, out, err = run(capsys, "dist", "--files", "-", "-")
+        assert (code, out) == (2, "")
+        assert "standard input" in err
+        assert stdin.tell() == 0
+
+    @pytest.mark.parametrize("width", ["0", "-3"])
+    @pytest.mark.parametrize("argv", [["dist", "a", "b"], ["detect"]], ids=["dist", "detect"])
+    def test_tab_width_below_one_exits_2(self, capsys, argv, width):
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], "--tab-width", width, *argv[1:]])
+        assert exc.value.code == 2
+        assert "tab width must be >= 1" in capsys.readouterr().err
 
     def test_size_limit_exits_4(self, capsys):
         code, _, err = run(capsys, "dist", "--mode", "naive-oracle", "a" * 300, "b" * 300)

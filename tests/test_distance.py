@@ -137,3 +137,8 @@ class TestDistanceWrapper:
     @pytest.mark.parametrize("algo", list(Algorithm))
     def test_all_algorithms_dispatch(self, unit, algo):
         assert distance("ab", "ab", unit, algo).cost == 0
+
+    def test_model_is_honoured(self, appendix):
+        # replace('(', ')') = 999, so two indels at 1 each are cheaper
+        for algo in Algorithm:
+            assert distance("(", ")", appendix, algo).cost == 2

@@ -3,6 +3,7 @@ import pytest
 from wsadist import (
     DetectConfig,
     NormalizationMode,
+    TableRegion,
     detect_tables,
     row_similarity,
     unit_model,
@@ -90,6 +91,21 @@ class TestDetectTables:
     def test_tab_width_changes_layout(self):
         wide = detect_tables(THREE_ROW_TABLE, DetectConfig(tab_width=16))
         assert [(r.start_line, r.end_line) for r in wide] == [(0, 2)]
+
+    def test_pair_over_cell_limit_is_dissimilar(self):
+        # 9000 x 9000 cells exceed the distance's default limit; the pair
+        # scores 0.0 and the scan goes on past it
+        long = ["aaaa 99 " * 1125] * 2
+        doc = THREE_ROW_TABLE + [""] + long + THREE_ROW_TABLE
+        regions = detect_tables(doc)
+        assert [(r.start_line, r.end_line) for r in regions] == [(0, 2), (6, 8)]
+        assert detect_tables(long, DetectConfig(threshold=0.0, min_rows=2))[0].score == 0.0
+
+    def test_score_is_mean_of_joined_pairs(self, unit):
+        doc = ["aa 99", "aa 99", "aa 9", "", "x"]
+        config = DetectConfig(model=unit)
+        sims = [row_similarity(doc[i], doc[i + 1], unit) for i in (0, 1)]
+        assert detect_tables(doc, config) == [TableRegion(0, 2, sum(sims) / 2)]
 
 
 class TestDetectConfigValidation:
