@@ -130,12 +130,8 @@ def _run_dist(args) -> int:
 
 def _run_normalize(args) -> int:
     mode = NormalizationMode(args.normalize)
-    text = _read_text(args.input)
-    out = []
-    for raw in text.splitlines(keepends=True):
-        body = raw.rstrip("\r\n")
-        out.append(normalize_line(body, mode) + raw[len(body):])
-    sys.stdout.write("".join(out))
+    # line breaks map to themselves, so the text normalizes as a whole
+    sys.stdout.write(normalize_line(_read_text(args.input), mode))
     return EXIT_OK
 
 

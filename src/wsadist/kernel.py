@@ -30,6 +30,7 @@ import shlex
 import sys
 import threading
 from array import array
+from itertools import chain
 from pathlib import Path
 
 from .cost_model import CostModel
@@ -127,7 +128,7 @@ def kernel_backend() -> str:
     return "interpreted" if _compiled_kernel() is None else "compiled"
 
 
-class _Alphabet(dict):
+class Alphabet(dict):
     """Code point -> index, in order of first appearance.  Used as the
     ``str.translate`` table, it collects the alphabet in the same pass."""
 
@@ -136,36 +137,77 @@ class _Alphabet(dict):
         return index
 
 
-def _symbols(s: str, model: CostModel):
-    """``s`` as codes into its own alphabet, with that alphabet's indel and
-    whitespace costs."""
-    alphabet = _Alphabet()
+def encode(s: str, alphabet: Alphabet) -> array:
+    """``s`` as codes into ``alphabet``, which gains the characters it
+    lacked."""
     # str.translate swaps each character for the one whose code point is
     # its index, at C speed; UTF-32 then gives the codes as uint32.
     # Indices stay below 0x110000, since no alphabet is larger, and
     # "surrogatepass" lets those in the surrogate range through.
-    codes = array("I", s.translate(alphabet).encode(_UTF32, "surrogatepass"))
+    return array("I", s.translate(alphabet).encode(_UTF32, "surrogatepass"))
+
+
+def _symbols(s: str, model: CostModel):
+    """``s`` as codes into its own alphabet, with that alphabet's indel and
+    whitespace costs."""
+    alphabet = Alphabet()
+    codes = encode(s, alphabet)
     chars = [chr(point) for point in alphabet]
     indel = [model.indel(c) for c in chars]
     ws = [model.whitespace_cost(c) for c in chars]
     return codes, indel, ws, chars
 
 
+def alphabet_costs(alphabet: Alphabet, model: CostModel):
+    """``model``'s costs over ``alphabet``, for pairs encoded in it on both
+    sides: per-symbol indel and whitespace costs, the k x k replacement
+    costs (a to b at row a, column b), and the dearest of them.  The
+    tables are array('q') when every cost fits int64, else lists."""
+    chars = [chr(point) for point in alphabet]
+    k = len(chars)
+    indel = [model.indel(c) for c in chars]
+    ws = [model.whitespace_cost(c) for c in chars]
+    # Replacements cost the default, identities nothing, and the model
+    # lists the rest, so no k*k calls of model.replace are needed.
+    rep = [model.replace_default] * (k * k)
+    rep[::k + 1] = [0] * k
+    for (a, b), cost in model.replace_costs.items():
+        i, j = alphabet.get(ord(a)), alphabet.get(ord(b))
+        if i is not None and j is not None:
+            rep[i * k + j] = cost
+    dearest = max(chain(indel, ws, rep), default=0)
+    if dearest <= _INT64_MAX:
+        indel, ws, rep = (array("q", t) for t in (indel, ws, rep))
+    return indel, ws, rep, dearest
+
+
 def dp(s1: str, s2: str, model: CostModel, ws_agnostic: bool) -> int:
     """Weighted distance between non-empty ``s1`` and ``s2`` under
     ``model``; with ``ws_agnostic``, both count as padded by imagined
-    trailing whitespace.  Runs the compiled kernel when it is available
-    and no path sum can exceed int64, else ``dp_interpreted``."""
+    trailing whitespace."""
     code1, indel1, ws1, alpha1 = _symbols(s1, model)
     code2, indel2, ws2, alpha2 = _symbols(s2, model)
     rep = [model.replace(a, b) for a in alpha1 for b in alpha2]
+    dearest = max(max(indel1), max(ws1), max(indel2), max(ws2), max(rep))
+    return dp_encoded(code1, code2, indel1, ws1, indel2, ws2, rep, dearest, ws_agnostic)
+
+
+def dp_encoded(code1, code2, indel1, ws1, indel2, ws2, rep, dearest: int,
+               ws_agnostic: bool) -> int:
+    """The distance between the non-empty code sequences ``code1`` and
+    ``code2`` (array('I')), over cost tables laid out as
+    ``dp_interpreted`` takes them, as lists of ints or array('q');
+    ``dearest`` bounds every cost in them.  Runs the compiled kernel when
+    it is available and no path sum can exceed int64, else
+    ``dp_interpreted``."""
     fn = _compiled_kernel()
     n1, n2 = len(code1), len(code2)
     # A cell is at most (i + j) steps of the dearest cost, a candidate one more.
-    dearest = max(max(indel1), max(ws1), max(indel2), max(ws2), max(rep))
     if fn is None or (n1 + n2) * dearest > _INT64_MAX:
         return dp_interpreted(code1, code2, indel1, ws1, indel2, ws2, rep, ws_agnostic)
-    tables = [array("q", t) for t in (indel1, ws1, indel2, ws2, rep)]
+    # the arrays stay referenced here until the kernel returns
+    tables = [t if isinstance(t, array) else array("q", t)
+              for t in (indel1, ws1, indel2, ws2, rep)]
     i1, w1, i2, w2, r = (t.buffer_info()[0] for t in tables)
     result = fn(
         n1, code1.buffer_info()[0], n2, code2.buffer_info()[0],

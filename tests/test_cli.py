@@ -119,6 +119,11 @@ class TestNormalize:
         code, out, _ = run(capsys, "normalize")
         assert (code, out) == (0, "A9\r\na9\naaaa")
 
+    def test_line_breaks_kept_verbatim(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("Ab1\r\nc\u2028D2\r\n\r\u0416\x0b5 z"))
+        code, out, _ = run(capsys, "normalize")
+        assert (code, out) == (0, "Aa9\r\na\u2028A9\r\n\rA\x0b9 a")
+
     def test_tabs_not_expanded(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("a\tb\n"))
         code, out, _ = run(capsys, "normalize")

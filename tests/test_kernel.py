@@ -16,6 +16,7 @@ import pytest
 import wsadist.kernel as kernel
 from wsadist import (
     CostModel,
+    detect_tables,
     kernel_backend,
     levenshtein_standard,
     levenshtein_ws_agnostic,
@@ -66,6 +67,39 @@ def test_fallback_matches_oracle_and_warns_once(fresh_kernel, monkeypatch, caplo
     warnings = [r for r in caplog.records if r.name == "wsadist"]
     assert len(warnings) == 1
     assert "/nonexistent/cc" in warnings[0].getMessage()
+
+
+MIXED_DOCUMENT = [
+    "Quarterly figures, as reported:",
+    "",
+    "Name        Q1     Q2      Total",
+    "Bill Nye    6 ft   190 lb  $1,200",
+    "Tina Fey    5 ft           $980",
+    "Mike Fox    5 ft   130 lb  $2,045",
+    "",
+    "The rest of the report is prose, with one long line " * 3,
+    "(a)  1,2   $5",
+    "(b)  3,4   $6",
+    "(c)  5,6   $7",
+]
+
+
+@pytest.fixture(scope="module")
+def compiled_regions():
+    """Detection on the process's compiled kernel, taken before any test
+    swaps it out."""
+    assert kernel_backend() == "compiled"
+    return detect_tables(MIXED_DOCUMENT)
+
+
+@needs_compiler
+def test_detection_on_fallback_matches_compiled(compiled_regions, fresh_kernel, monkeypatch, caplog):
+    monkeypatch.setenv("CC", "/nonexistent/cc")
+    with caplog.at_level(logging.WARNING, logger="wsadist"):
+        assert detect_tables(MIXED_DOCUMENT) == compiled_regions
+        assert kernel_backend() == "interpreted"
+    assert len(compiled_regions) == 2
+    assert len([r for r in caplog.records if r.name == "wsadist"]) == 1
 
 
 @needs_compiler

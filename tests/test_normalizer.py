@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wsadist import NormalizationMode, normalize_line, normalize_lines
+from wsadist.normalizer import _TABLES, _map_char_cased, _map_char_simple
 
 SIMPLE = NormalizationMode.SIMPLE
 CASED = NormalizationMode.CASED
@@ -66,3 +67,21 @@ def test_non_ascii_letters_and_digits():
 
 def test_normalize_lines_preserves_order_and_count():
     assert normalize_lines(["Ab 1", "", "c"], CASED) == ["Aa 9", "", "a"]
+
+
+# é, Ж, 漢, Arabic-Indic three, fullwidth five, a combining acute accent,
+# a lone surrogate and an astral letter (mathematical bold capital A)
+SAMPLE = "Ab 1\t\u00e9\u0416\u6f22\u0663\uff15e\u0301\ud800\U0001d400$,()\x00\x7f"
+
+
+@pytest.mark.parametrize("mode, map_char", [
+    (SIMPLE, _map_char_simple), (CASED, _map_char_cased), (NONE, lambda c: c),
+])
+def test_translate_equals_per_character_map(mode, map_char):
+    assert normalize_line(SAMPLE, mode) == "".join(map_char(c) for c in SAMPLE)
+
+
+def test_tables_do_not_grow():
+    for mode in (SIMPLE, CASED):
+        normalize_line(SAMPLE + "".join(map(chr, range(0x400, 0x4400))), mode)
+    assert [len(table) for table in _TABLES.values()] == [128, 128]

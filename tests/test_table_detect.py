@@ -1,10 +1,18 @@
+import random
+import tracemalloc
+from itertools import pairwise
+
 import pytest
 
 from wsadist import (
+    CostModel,
     DetectConfig,
     NormalizationMode,
+    SizeLimitError,
     TableRegion,
+    appendix_model,
     detect_tables,
+    normalize_line,
     row_similarity,
     unit_model,
 )
@@ -120,3 +128,134 @@ class TestDetectConfigValidation:
     def test_tab_width(self):
         with pytest.raises(ValueError):
             DetectConfig(tab_width=0)
+
+
+def reference_regions(lines, config):
+    """Detection one pair at a time through ``row_similarity``, as it was
+    before documents were encoded once."""
+    prepared = [normalize_line(line.expandtabs(config.tab_width), config.mode) for line in lines]
+    regions, sims = [], []
+    for i, (above, line) in enumerate(pairwise(prepared + [""]), 1):
+        if above.strip() and line.strip():
+            try:
+                sim = row_similarity(above, line, config.model)
+            except SizeLimitError:
+                sim = 0.0
+            if sim >= config.threshold:
+                sims.append(sim)
+                continue
+        if len(sims) + 1 >= config.min_rows:
+            regions.append(TableRegion(i - 1 - len(sims), i - 1, sum(sims) / len(sims)))
+        sims = []
+    return regions
+
+
+PIECES = ["Bill", "Nye", "6", "ft", "190", "lb", "$5", "(x)", "1,2", "aa", "A",
+          "Élan", "Жук", "漢字", "٣٤", "５", "a\u0301", "€", " ", "  ", "\t", "   "]
+
+MODELS = [
+    unit_model(),
+    appendix_model(),
+    # asymmetric, with replacements into and out of the whitespace character
+    CostModel(indel_default=2, replace_default=3, symmetric=False,
+              replace_costs={("a", "9"): 1, ("9", "a"): 4, ("a", " "): 1,
+                             (" ", "A"): 5, ("A", "a"): 0, ("$", ","): 2}),
+    # lists characters the documents never hold
+    CostModel(indel_costs={"\u263a": 5, "a": 2},
+              replace_costs={("\u263a", "a"): 1, ("a", "\u263a"): 1, ("9", "\u2603"): 0,
+                             ("\u2603", "9"): 0, ("9", "a"): 2, ("a", "9"): 2}),
+    # a zero-cost character: lines of only it and spaces weigh nothing
+    CostModel(indel_costs={"a": 0, "9": 0}, replace_default=2),
+    # path sums beyond int64 take the interpreted kernel
+    CostModel(indel_default=1 << 62, replace_default=(1 << 62) - 1, indel_costs={"a": 3}),
+]
+
+
+def random_document(rng):
+    template = [rng.choice(PIECES) for _ in range(rng.randint(1, 6))]
+    lines = []
+    for _ in range(rng.randint(0, 10)):
+        kind = rng.random()
+        if kind < 0.1:
+            lines.append("")
+        elif kind < 0.15:
+            lines.append(rng.choice([" ", "\t", "   "]))
+        elif kind < 0.7:  # a row of a table: the template with a few changes
+            row = [rng.choice(PIECES) if rng.random() < 0.25 else p for p in template]
+            lines.append(" ".join(row) + " " * rng.randint(0, 3))
+        else:
+            lines.append("".join(rng.choice(PIECES) for _ in range(rng.randint(1, 12))))
+    return lines
+
+
+def test_matches_reference_on_random_documents():
+    rng = random.Random(20261018)
+    modes = list(NormalizationMode)
+    for n in range(2400):
+        doc = random_document(rng)
+        model, mode = MODELS[n % len(MODELS)], modes[n // len(MODELS) % len(modes)]
+        tab_width = rng.choice([1, 4, 8])
+        for threshold in (0.0, 1.0):
+            for min_rows in (2, 3):
+                config = DetectConfig(threshold, min_rows, mode, model, tab_width)
+                assert detect_tables(doc, config) == reference_regions(doc, config), (doc, config)
+
+
+def test_weightless_pair_over_cell_limit_is_similar():
+    # D = 0 scores 1.0 before the cell limit is looked at
+    config = DetectConfig(threshold=0.0, min_rows=2, model=MODELS[4])
+    doc = ["aaaa 99 " * 1125] * 2
+    assert detect_tables(doc, config) == reference_regions(doc, config) == [TableRegion(0, 1, 1.0)]
+
+
+def cjk(i):
+    return chr(0x4E00 + i)
+
+
+class TestSymbolLimit:
+    """A document is encoded in spans of at most 256 symbols each."""
+
+    NONE_UNIT = DetectConfig(mode=NormalizationMode.NONE, model=unit_model())
+
+    def test_many_distinct_symbols_stay_in_bounded_memory(self):
+        doc = [f"{cjk(i)} 9 aa" for i in range(8000)]
+        config = DetectConfig(threshold=0.0, min_rows=2, mode=NormalizationMode.NONE)
+        tracemalloc.start()
+        try:
+            regions = detect_tables(doc, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert regions == reference_regions(doc, config)
+        assert (regions[0].start_line, regions[0].end_line) == (0, 7999)
+        assert peak < 5 << 20, peak
+
+    def test_overflowing_line_leaves_the_span_before_it_small(self):
+        # the span before the wide line must not keep that line's symbols
+        doc = ["aa 99"] * 3 + ["".join(cjk(i) for i in range(3000))]
+        tracemalloc.start()
+        try:
+            regions = detect_tables(doc, self.NONE_UNIT)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert regions == reference_regions(doc, self.NONE_UNIT) == [TableRegion(0, 2, 1.0)]
+        assert peak < 5 << 20, peak
+
+    def test_span_boundary_inside_a_table(self):
+        rows = [f"{cjk(3 * i)}{cjk(3 * i + 1)} 99  {cjk(3 * i + 2)} 9" for i in range(120)]
+        doc = PROSE[:3] + [""] + rows + [""] + PROSE[3:]
+        regions = detect_tables(doc, self.NONE_UNIT)
+        assert regions == reference_regions(doc, self.NONE_UNIT)
+        # 120 rows of 3 distinct symbols each pass 256 symbols inside the table
+        assert [(r.start_line, r.end_line) for r in regions] == [(4, 123)]
+
+    def test_pair_beyond_the_limit_alone(self, unit):
+        wide = "".join(cjk(i) for i in range(300))
+        other = wide[:150] + "".join(cjk(1000 + i) for i in range(150))
+        config = DetectConfig(threshold=0.0, min_rows=2, mode=NormalizationMode.NONE, model=unit)
+        assert detect_tables([wide, other], config) == [
+            TableRegion(0, 1, row_similarity(wide, other, unit))
+        ]
+        doc = ["aa 99"] * 3 + [wide, other] + ["aa 99", "aa 9"]
+        assert detect_tables(doc, config) == reference_regions(doc, config)
