@@ -3,10 +3,12 @@
  *
  * Requires n1 >= 1, n2 >= 1, non-negative costs, and every path sum to
  * fit in int64 (the caller checks).  Returns the distance, -1 when out of
- * memory, or -2 when a symbol code lies outside its alphabet.
+ * memory, or -2 when a symbol code lies outside its alphabet, m1 is not
+ * in [0, k1], or m1 < k1 while the two alphabets differ in size.
  */
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 static inline int64_t cell(int64_t up, int64_t dcost, int64_t left, int64_t icost,
                            int64_t diag, int64_t rcost)
@@ -22,12 +24,18 @@ static inline int64_t cell(int64_t up, int64_t dcost, int64_t left, int64_t icos
 int64_t wsadist_dp(int64_t n1, const uint32_t *code1, int64_t n2, const uint32_t *code2,
                    int64_t k1, const int64_t *indel1, const int64_t *ws1,
                    int64_t k2, const int64_t *indel2, const int64_t *ws2,
-                   const int64_t *rep, int ws_agnostic)
+                   const int64_t *rep, int64_t m1, int ws_agnostic)
 {
-    int64_t *prev = malloc(2 * (size_t)(n2 + 1) * sizeof *prev);
-    if (prev == NULL)
+    if (m1 < 0 || m1 > k1 || (m1 < k1 && k1 != k2))
+        return -2;
+    /* two rows, then a copy of the shared row m1 when some symbols use it */
+    size_t shared = m1 < k1 ? (size_t)k2 : 0;
+    int64_t *base = malloc((2 * (size_t)(n2 + 1) + shared) * sizeof *base);
+    if (base == NULL)
         return -1;
-    int64_t *cur = prev + n2 + 1;
+    int64_t *prev = base, *cur = base + n2 + 1, *scratch = cur + n2 + 1;
+    if (shared)
+        memcpy(scratch, rep + m1 * k2, shared * sizeof *scratch);
     int64_t result = -2;
     prev[0] = 0;
     for (int64_t j = 1; j <= n2; j++) {
@@ -42,7 +50,10 @@ int64_t wsadist_dp(int64_t n1, const uint32_t *code1, int64_t n2, const uint32_t
         int64_t dcost = indel1[a];
         /* on the last row, insertions meet imagined whitespace */
         const int64_t *icost = (ws_agnostic && i == n1) ? ws2 : indel2;
-        const int64_t *row = rep + a * k2;
+        /* a symbol from m1 on reads the shared row, with its own column 0 */
+        const int64_t *row = a < m1 ? rep + a * k2 : scratch;
+        if (a >= m1)
+            scratch[a] = 0;
         int64_t left = cur[0] = prev[0] + dcost;
         for (int64_t j = 1; j < n2; j++) {
             uint32_t b = code2[j - 1];
@@ -52,12 +63,14 @@ int64_t wsadist_dp(int64_t n1, const uint32_t *code1, int64_t n2, const uint32_t
         uint32_t b = code2[n2 - 1];
         cur[n2] = cell(prev[n2], ws_agnostic ? ws1[a] : dcost, left, icost[b],
                        prev[n2 - 1], row[b]);
+        if (a >= m1)
+            scratch[a] = rep[m1 * k2 + a];
         int64_t *tmp = prev;
         prev = cur;
         cur = tmp;
     }
     result = prev[n2];
 done:
-    free(prev < cur ? prev : cur);
+    free(base);
     return result;
 }

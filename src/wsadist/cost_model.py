@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cache
 from importlib import resources
 
 
@@ -198,9 +199,11 @@ def unit_model() -> CostModel:
     return CostModel(indel_default=1, replace_default=1)
 
 
+@cache
 def appendix_model() -> CostModel:
     """The shipped 8-symbol preset over {a, A, 9, (, ), ',', $, space}:
     unit insertion/deletion, graded replacement costs, 999 for pairs
-    outside the table."""
+    outside the table.  Parsed once per process: every call returns the
+    same shared instance, which must not be mutated."""
     text = resources.files("wsadist").joinpath("presets/appendix_a.json").read_text("utf-8")
     return load_model(text)

@@ -17,6 +17,13 @@ Python -- runs instead.  It is orders of magnitude slower.
 ``kernel_backend()`` reports which of the two is in use.  Inputs whose
 path sums could exceed int64 always take the interpreted kernel, which
 computes over Python ints.
+
+A row symbol a below ``m1`` reads row a of the replacement table, and
+one from ``m1`` on reads row ``m1`` with column a taken as 0.  A single
+pair passes ``m1 = k1`` with its k1 x k2 table.  Detection encodes a
+document into one ``model_alphabet``, so ``m1`` is the number m of
+characters that lead a ``model.replace_costs`` key and the table has
+m + 1 rows; ``m1 < k1`` requires one shared alphabet (``k1 == k2``).
 """
 
 from __future__ import annotations
@@ -42,8 +49,8 @@ _FLAGS = ("-O2", "-shared", "-fPIC")
 _INT64_MAX = (1 << 63) - 1
 _UTF32 = "utf-32-le" if sys.byteorder == "little" else "utf-32-be"
 _I64, _PTR = ctypes.c_int64, ctypes.c_void_p
-# n1, code1, n2, code2, k1, indel1, ws1, k2, indel2, ws2, rep, ws_agnostic
-_ARGTYPES = [_I64, _PTR, _I64, _PTR, _I64, _PTR, _PTR, _I64, _PTR, _PTR, _PTR, ctypes.c_int]
+# n1, code1, n2, code2, k1, indel1, ws1, k2, indel2, ws2, rep, m1, ws_agnostic
+_ARGTYPES = [_I64, _PTR, _I64, _PTR, _I64, _PTR, _PTR, _I64, _PTR, _PTR, _PTR, _I64, ctypes.c_int]
 
 _UNTRIED = object()
 _compiled = _UNTRIED  # the loaded C function, or None once it failed
@@ -158,27 +165,35 @@ def _symbols(s: str, model: CostModel):
     return codes, indel, ws, chars
 
 
+def model_alphabet(model: CostModel) -> Alphabet:
+    """An alphabet whose codes 0..m-1 are the m distinct characters that
+    lead a key of ``model.replace_costs``."""
+    alphabet = Alphabet()
+    for a, _ in model.replace_costs:
+        alphabet.setdefault(ord(a), len(alphabet))
+    return alphabet
+
+
 def alphabet_costs(alphabet: Alphabet, model: CostModel):
-    """``model``'s costs over ``alphabet``, for pairs encoded in it on both
-    sides: per-symbol indel and whitespace costs, the k x k replacement
-    costs (a to b at row a, column b), and the dearest of them.  The
-    tables are array('q') when every cost fits int64, else lists."""
+    """``model``'s costs over ``alphabet``, a ``model_alphabet`` that both
+    sides of a pair are encoded in: per-symbol indel and whitespace costs,
+    m, the (m+1) x k replacement costs (a to b at row a, column b; row m
+    is the default everywhere), and the dearest of them.  The tables are
+    array('q') when every cost fits int64, else lists."""
     chars = [chr(point) for point in alphabet]
-    k = len(chars)
     indel = [model.indel(c) for c in chars]
     ws = [model.whitespace_cost(c) for c in chars]
-    # Replacements cost the default, identities nothing, and the model
-    # lists the rest, so no k*k calls of model.replace are needed.
-    rep = [model.replace_default] * (k * k)
-    rep[::k + 1] = [0] * k
+    k, m = len(chars), len({a for a, _ in model.replace_costs})
+    rep = [model.replace_default] * ((m + 1) * k)
+    rep[:m * (k + 1):k + 1] = [0] * m
     for (a, b), cost in model.replace_costs.items():
-        i, j = alphabet.get(ord(a)), alphabet.get(ord(b))
-        if i is not None and j is not None:
-            rep[i * k + j] = cost
+        j = alphabet.get(ord(b))
+        if j is not None:
+            rep[alphabet[ord(a)] * k + j] = cost
     dearest = max(chain(indel, ws, rep), default=0)
     if dearest <= _INT64_MAX:
         indel, ws, rep = (array("q", t) for t in (indel, ws, rep))
-    return indel, ws, rep, dearest
+    return indel, ws, m, rep, dearest
 
 
 def dp(s1: str, s2: str, model: CostModel, ws_agnostic: bool) -> int:
@@ -189,14 +204,15 @@ def dp(s1: str, s2: str, model: CostModel, ws_agnostic: bool) -> int:
     code2, indel2, ws2, alpha2 = _symbols(s2, model)
     rep = [model.replace(a, b) for a in alpha1 for b in alpha2]
     dearest = max(max(indel1), max(ws1), max(indel2), max(ws2), max(rep))
-    return dp_encoded(code1, code2, indel1, ws1, indel2, ws2, rep, dearest, ws_agnostic)
+    return dp_encoded(code1, code2, indel1, ws1, indel2, ws2, rep, len(alpha1), dearest,
+                      ws_agnostic)
 
 
-def dp_encoded(code1, code2, indel1, ws1, indel2, ws2, rep, dearest: int,
+def dp_encoded(code1, code2, indel1, ws1, indel2, ws2, rep, m1: int, dearest: int,
                ws_agnostic: bool) -> int:
     """The distance between the non-empty code sequences ``code1`` and
-    ``code2`` (array('I')), over cost tables laid out as
-    ``dp_interpreted`` takes them, as lists of ints or array('q');
+    ``code2`` (array('I')), over cost tables and ``m1`` as
+    ``dp_interpreted`` takes them, the tables as lists of ints or array('q');
     ``dearest`` bounds every cost in them.  Runs the compiled kernel when
     it is available and no path sum can exceed int64, else
     ``dp_interpreted``."""
@@ -204,31 +220,35 @@ def dp_encoded(code1, code2, indel1, ws1, indel2, ws2, rep, dearest: int,
     n1, n2 = len(code1), len(code2)
     # A cell is at most (i + j) steps of the dearest cost, a candidate one more.
     if fn is None or (n1 + n2) * dearest > _INT64_MAX:
-        return dp_interpreted(code1, code2, indel1, ws1, indel2, ws2, rep, ws_agnostic)
+        return dp_interpreted(code1, code2, indel1, ws1, indel2, ws2, rep, m1, ws_agnostic)
     # the arrays stay referenced here until the kernel returns
     tables = [t if isinstance(t, array) else array("q", t)
               for t in (indel1, ws1, indel2, ws2, rep)]
     i1, w1, i2, w2, r = (t.buffer_info()[0] for t in tables)
     result = fn(
         n1, code1.buffer_info()[0], n2, code2.buffer_info()[0],
-        len(indel1), i1, w1, len(indel2), i2, w2, r, ws_agnostic,
+        len(indel1), i1, w1, len(indel2), i2, w2, r, m1, ws_agnostic,
     )
     if result == -1:
         raise MemoryError(f"DP kernel could not allocate two rows of {n2 + 1}")
     if result < 0:
-        raise RuntimeError("DP kernel found a symbol code outside its alphabet")
+        raise RuntimeError("DP kernel refused a symbol code outside its alphabet or m1")
     return result
 
 
-def dp_interpreted(code1, code2, indel1, ws1, indel2, ws2, rep, ws_agnostic: bool) -> int:
+def dp_interpreted(code1, code2, indel1, ws1, indel2, ws2, rep, m1: int,
+                   ws_agnostic: bool) -> int:
     """Two-row DP over the (n1+1) x (n2+1) lattice, in plain Python.
 
-    code1/code2 index each string's own alphabet, of sizes k1 and k2;
-    indel1/indel2 hold per-symbol indel costs, ws1/ws2 per-symbol costs
-    against imagined whitespace (only read when ``ws_agnostic``), and
-    ``rep`` the k1 x k2 replacement costs in row-major order.  With
-    ``ws_agnostic`` the last row and last column charge the whitespace
-    costs for insertions and deletions.  Requires n1 >= 1 and n2 >= 1.
+    code1/code2 index alphabets of sizes k1 and k2; indel1/indel2 hold
+    per-symbol indel costs, ws1/ws2 per-symbol costs against imagined
+    whitespace (only read when ``ws_agnostic``), and ``rep`` the
+    replacement costs in row-major order, k2 to a row: row a for a row
+    symbol a < ``m1``, and row ``m1``, with column a taken as 0, for one
+    from ``m1`` on.  ``m1`` is in [0, k1], and below k1 only when both
+    sides share one alphabet.  With ``ws_agnostic`` the last row and last
+    column charge the whitespace costs for insertions and deletions.
+    Requires n1 >= 1 and n2 >= 1.
     """
     n1, n2, k2 = len(code1), len(code2), len(indel2)
     ins = [indel2[b] for b in code2]
@@ -239,7 +259,10 @@ def dp_interpreted(code1, code2, indel1, ws1, indel2, ws2, rep, ws_agnostic: boo
         dcost = indel1[a]
         if ws_agnostic and i == n1:
             ins = [ws2[b] for b in code2]
-        row = rep[a * k2:(a + 1) * k2]
+        shared = min(a, m1)
+        row = rep[shared * k2:(shared + 1) * k2]
+        if a >= m1:
+            row[a] = 0
         left = prev[0] + dcost
         cur = [left]
         for j in range(1, n2 + 1):

@@ -10,19 +10,13 @@ are hard separators.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import chain
 
 from .cost_model import CostModel, appendix_model
-from .distance import DEFAULT_MAX_CELLS, SizeLimitError, _check_cells, levenshtein_ws_agnostic
-from .kernel import Alphabet, alphabet_costs, dp_encoded, encode
+from .distance import DEFAULT_MAX_CELLS, levenshtein_ws_agnostic
+from .kernel import alphabet_costs, dp_encoded, encode, model_alphabet
 from .normalizer import NormalizationMode, normalize_line
-
-# The most symbols one span's alphabet holds, so that its replacement
-# table stays within 256 * 256 * 8 bytes = 512 KiB.
-_MAX_SYMBOLS = 256
 
 
 @dataclass(frozen=True)
@@ -54,14 +48,6 @@ def line_whitespace_cost(line: str, model: CostModel) -> int:
     return sum(model.whitespace_cost(c) for c in line)
 
 
-def _similarity(heavier: int, distance: Callable[[], int]) -> float:
-    """1 - d/D, with D = ``heavier`` the heavier line's whitespace cost and
-    d = ``distance()``; 1.0, without computing d, when D is 0."""
-    if heavier == 0:
-        return 1.0
-    return max(0.0, 1.0 - distance() / heavier)
-
-
 def row_similarity(line1: str, line2: str, model: CostModel | None = None) -> float:
     """Similarity in [0, 1]: 1 - d/D with d the ws-agnostic distance and
     D the heavier line's whitespace cost.  Two blank (or all-whitespace)
@@ -69,63 +55,35 @@ def row_similarity(line1: str, line2: str, model: CostModel | None = None) -> fl
     effectively-forbidden replacements, d can exceed D.
     """
     model = model if model is not None else appendix_model()
-    heavier = max(
-        line_whitespace_cost(line1, model), line_whitespace_cost(line2, model)
-    )
-    return _similarity(heavier, lambda: levenshtein_ws_agnostic(line1, line2, model))
-
-
-def _pair_score(above: str, line: str, similarity: Callable[[], float]):
-    """What detection makes of an adjacent pair: None when either line is
-    blank, else ``similarity()``, or 0.0 when the pair is too long for the
-    distance's cell limit."""
-    if not (above.strip() and line.strip()):
-        return None
-    try:
-        return similarity()
-    except SizeLimitError:
-        return 0.0
+    heavier = max(line_whitespace_cost(line1, model), line_whitespace_cost(line2, model))
+    if heavier == 0:
+        return 1.0
+    return max(0.0, 1.0 - levenshtein_ws_agnostic(line1, line2, model) / heavier)
 
 
 def _pair_scores(lines: list[str], model: CostModel):
-    """The score of each adjacent pair of ``lines``, in order.
+    """The score of each adjacent pair of ``lines``, in order: None when
+    either line is blank, else ``row_similarity``'s value, or 0.0 when the
+    pair is too long for the distance's cell limit.
 
-    Lines are encoded in spans that share one alphabet, its cost tables
-    and one whitespace cost per line.  A span ends before the line that
-    would take its alphabet past _MAX_SYMBOLS, and the next one starts
-    at the line before that, so every pair lies in one span; a pair whose
-    two lines alone hold more symbols is scored on their own alphabets.
+    The document is encoded once into one ``model_alphabet``, so one set
+    of cost tables and one whitespace cost per line serve every pair.
     """
-    start = 0
-    while start < len(lines) - 1:
-        alphabet = Alphabet()
-        codes = [encode(lines[start], alphabet)]
-        for end in range(start + 1, len(lines)):
-            known = len(alphabet)
-            code = encode(lines[end], alphabet)
-            if len(alphabet) > _MAX_SYMBOLS:
-                while len(alphabet) > known:
-                    alphabet.popitem()
-                break
-            codes.append(code)
-        if len(codes) == 1:
-            above, line = lines[start], lines[start + 1]
-            yield _pair_score(above, line, partial(row_similarity, above, line, model))
-            start += 1
-            continue
-        indel, ws, rep, dearest = alphabet_costs(alphabet, model)
-        weights = [sum(map(ws.__getitem__, code)) for code in codes]
-        for j in range(1, len(codes)):
-            above, line = lines[start + j - 1], lines[start + j]
-            code1, code2 = codes[j - 1], codes[j]
-
-            def distance():
-                _check_cells(above, line, DEFAULT_MAX_CELLS)
-                return dp_encoded(code1, code2, indel, ws, indel, ws, rep, dearest, True)
-
-            heavier = max(weights[j - 1], weights[j])
-            yield _pair_score(above, line, partial(_similarity, heavier, distance))
-        start += len(codes) - 1
+    alphabet = model_alphabet(model)
+    codes = [encode(line, alphabet) for line in lines]
+    indel, ws, m, rep, dearest = alphabet_costs(alphabet, model)
+    weights = [sum(map(ws.__getitem__, code)) for code in codes]
+    for j in range(1, len(lines)):
+        heavier = max(weights[j - 1], weights[j])
+        if not (lines[j - 1].strip() and lines[j].strip()):
+            yield None
+        elif heavier == 0:
+            yield 1.0
+        elif len(codes[j - 1]) * len(codes[j]) > DEFAULT_MAX_CELLS:
+            yield 0.0
+        else:
+            d = dp_encoded(codes[j - 1], codes[j], indel, ws, indel, ws, rep, m, dearest, True)
+            yield max(0.0, 1.0 - d / heavier)
 
 
 def detect_tables(lines, config: DetectConfig | None = None) -> list[TableRegion]:

@@ -1,4 +1,5 @@
 import json
+from importlib import resources
 
 import pytest
 
@@ -64,6 +65,11 @@ class TestAppendixModel:
 
     def test_unlisted_identity_is_free(self, appendix):
         assert appendix.replace("z", "z") == 0
+
+    def test_parsed_once_per_process(self):
+        text = resources.files("wsadist").joinpath("presets/appendix_a.json").read_text("utf-8")
+        assert appendix_model() is appendix_model()
+        assert appendix_model() == load_model(text)
 
 
 class TestLoadModel:

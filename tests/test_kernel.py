@@ -5,6 +5,7 @@ kernels are checked against the independent padded oracle."""
 import logging
 import os
 import random
+import shlex
 import shutil
 import subprocess
 import sys
@@ -22,6 +23,7 @@ from wsadist import (
     levenshtein_ws_agnostic,
     ws_agnostic_naive,
 )
+from test_table_detect import MODELS, PIECES
 
 ALPHABET = "aA9(),$ "
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -145,10 +147,77 @@ def test_path_sums_beyond_int64_are_exact():
 @needs_compiler
 def test_c_kernel_refuses_code_outside_its_alphabet():
     fn = kernel._compiled_kernel()
-    one, bad, zero = array("q", [1]), array("I", [5]), array("I", [0])
+    one, bad, zero = array("q", [1, 1]), array("I", [5]), array("I", [0])
     c, b, z = (x.buffer_info()[0] for x in (one, bad, zero))
-    assert fn(1, b, 1, z, 1, c, c, 1, c, c, c, 1) == -2
-    assert fn(1, z, 1, b, 1, c, c, 1, c, c, c, 1) == -2
+    assert fn(1, b, 1, z, 1, c, c, 1, c, c, c, 1, 1) == -2
+    assert fn(1, z, 1, b, 1, c, c, 1, c, c, c, 1, 1) == -2
+    # m1 outside [0, k1], or below k1 while the alphabets differ in size
+    assert fn(1, z, 1, z, 1, c, c, 1, c, c, c, -1, 1) == -2
+    assert fn(1, z, 1, z, 1, c, c, 1, c, c, c, 2, 1) == -2
+    assert fn(1, z, 1, z, 2, c, c, 1, c, c, c, 1, 1) == -2
+    # a valid m1: row 0 of the table, or the shared row with its own column free
+    assert fn(1, z, 1, z, 1, c, c, 1, c, c, c, 1, 1) == 1
+    assert fn(1, z, 1, z, 1, c, c, 1, c, c, c, 0, 1) == 0
+
+
+@needs_compiler
+def test_kernel_source_compiles_with_strict_warnings():
+    cc = shlex.split(os.environ.get("CC") or "cc")
+    proc = subprocess.run([*cc, "-O2", "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
+                           str(kernel._SOURCE)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+# only characters that lead no key, and a model that names some only second
+NO_MODEL_CHARS = ["Жук", "漢字 ٣٤", "€ Élan"]
+SECOND_ONLY = CostModel(symmetric=False, replace_default=4,
+                        replace_costs={("x", "a"): 0, ("x", "9"): 2, ("x", " "): 1})
+
+
+def tail_costs_agree(model, text):
+    """Whether each character of ``text`` meets imagined whitespace at the
+    same cost from either side.  The padded oracle prices the longer
+    string's tail as replace(whitespace, c), the distances as
+    ``whitespace_cost(c)``, which takes replace(c, whitespace)."""
+    ws = model.whitespace_char
+    return all(min(model.indel(c), model.replace(c, ws)) == min(model.indel(c), model.replace(ws, c))
+               for c in text)
+
+
+def assert_model_alphabet_matches_oracle(seed):
+    """Pairs encoded into one ``model_alphabet`` and scored over its
+    (m+1) x k table, against the single-pair path and the padded oracle."""
+    rng = random.Random(seed)
+    for model in [*MODELS, SECOND_ONLY]:
+        pairs = [tuple("".join(rng.choice(PIECES) for _ in range(rng.randint(1, 3)))
+                       for _ in range(2)) for _ in range(25)]
+        pairs += [(s, rng.choice(PIECES)) for s in NO_MODEL_CHARS] + [NO_MODEL_CHARS[:2]]
+        for s1, s2 in pairs:
+            alphabet = kernel.model_alphabet(model)
+            code1, code2 = kernel.encode(s1, alphabet), kernel.encode(s2, alphabet)
+            indel, ws, m, rep, dearest = kernel.alphabet_costs(alphabet, model)
+            assert len(rep) == (m + 1) * len(alphabet)
+            ws_d, std_d = (kernel.dp_encoded(code1, code2, indel, ws, indel, ws, rep, m, dearest,
+                                             ws_agnostic) for ws_agnostic in (True, False))
+            assert ws_d == levenshtein_ws_agnostic(s1, s2, model), (s1, s2, model)
+            assert std_d == levenshtein_standard(s1, s2, model), (s1, s2, model)
+            # with no padding the oracle is the classical distance
+            assert std_d == ws_agnostic_naive(s1, s2, model, pad_limit=0), (s1, s2, model)
+            if tail_costs_agree(model, s1 + s2):
+                assert ws_d == ws_agnostic_naive(s1, s2, model), (s1, s2, model)
+
+
+@needs_compiler
+def test_model_alphabet_on_compiled_kernel_matches_oracle():
+    assert kernel_backend() == "compiled"
+    assert_model_alphabet_matches_oracle(20261020)
+
+
+def test_model_alphabet_on_interpreted_kernel_matches_oracle(fresh_kernel, monkeypatch, caplog):
+    monkeypatch.setenv("CC", "/nonexistent/cc")
+    with caplog.at_level(logging.WARNING, logger="wsadist"):
+        assert kernel_backend() == "interpreted"
+        assert_model_alphabet_matches_oracle(20261021)
 
 
 def test_import_needs_neither_numpy_nor_numba():
