@@ -95,11 +95,21 @@ class CostModel:
         return self.replace_costs.get((a, b), self.replace_default)
 
     def whitespace_cost(self, c: str) -> int:
-        """Cheapest way to reconcile ``c`` with imagined whitespace:
-        min(delete it, replace it with the whitespace character)."""
+        """Cheapest way to reconcile ``c`` of the first string with the
+        second's imagined whitespace: min(delete it, replace it with the
+        whitespace character)."""
         if c == self.whitespace_char:
             return 0
         return min(self.indel(c), self.replace(c, self.whitespace_char))
+
+    def whitespace_insert_cost(self, c: str) -> int:
+        """Cheapest way to reconcile ``c`` of the second string with the
+        first's imagined whitespace: min(insert it, replace the whitespace
+        character with it).  Equal to ``whitespace_cost`` under a
+        symmetric model."""
+        if c == self.whitespace_char:
+            return 0
+        return min(self.indel(c), self.replace(self.whitespace_char, c))
 
     def to_dict(self) -> dict:
         """Serializable form; inverse of :func:`model_from_dict`."""

@@ -8,7 +8,9 @@ Two production paths, both O(len1*len2) time and two-row working space:
   string is treated as continuing with unbounded imagined whitespace:
   a trailing space on the other string is consumed for free, and any
   other trailing character costs min(delete it, replace it with the
-  whitespace character).
+  whitespace character) on the first string, min(insert it, replace the
+  whitespace character with it) on the second.  So it equals the padded
+  oracle below under every cost model, symmetric or not.
 
 Two deliberately independent reference paths used for differential
 testing:
@@ -86,9 +88,10 @@ def levenshtein_ws_agnostic(
     model = model if model is not None else unit_model()
     _check_cells(s1, s2, max_cells)
     # An empty string is already at the imagined-whitespace suffix, so
-    # every character of the other string is charged its whitespace cost.
+    # every character of the other string is charged its whitespace cost
+    # on its side.
     if not s1:
-        return sum(model.whitespace_cost(c) for c in s2)
+        return sum(model.whitespace_insert_cost(c) for c in s2)
     if not s2:
         return sum(model.whitespace_cost(c) for c in s1)
     return dp(s1, s2, model, True)

@@ -1,10 +1,13 @@
-"""The DP kernel behind both production distances.
+"""The DP kernel behind both production distances and table detection.
 
 There is one kernel, written in C (``_kernel.c``, shipped inside the
-package).  On first use it is built with the system C compiler -- ``$CC``
-if set, else ``cc`` -- as ``cc -O2 -shared -fPIC`` into a per-user cache
-directory, ``$XDG_CACHE_HOME/wsadist`` (default ``~/.cache/wsadist``),
-and loaded with ``ctypes``.  The library's file name is keyed by a hash
+package), with two entries: ``wsadist_dp`` scores one pair
+(``dp_encoded``), and ``wsadist_pairs`` weighs every line of a document
+and scores every adjacent pair that detection asks for, in one call
+(``dp_pairs``).  On first use it is built with the system C compiler
+-- ``$CC`` if set, else ``cc`` -- as ``cc -O2 -shared -fPIC`` into a
+per-user cache directory, ``$XDG_CACHE_HOME/wsadist`` (default
+``~/.cache/wsadist``), and loaded with ``ctypes``.  The library's file name is keyed by a hash
 of the source, the compiler command and the platform, so a changed
 source or compiler builds anew.  Each build goes to a temporary file that
 is then renamed into place, so concurrent processes may build at once.
@@ -13,10 +16,17 @@ that others may write to, is refused.
 
 When the build or the load fails, one warning on the ``wsadist`` logger
 gives the reason, and ``dp_interpreted`` -- the same recurrence in plain
-Python -- runs instead.  It is orders of magnitude slower.
-``kernel_backend()`` reports which of the two is in use.  Inputs whose
-path sums could exceed int64 always take the interpreted kernel, which
-computes over Python ints.
+Python -- runs instead, once for each pair.  It is orders of magnitude
+slower.  ``kernel_backend()`` reports which of the two is in use.
+Inputs whose path sums could exceed int64 always take the interpreted
+kernel, which computes over Python ints: a pair when its length sum
+times the dearest cost could, a document when twice its longest line
+times the dearest cost could.
+
+Imagined whitespace is priced per side: a character of the first string
+meeting the second's padding costs ``model.whitespace_cost`` (the
+deletion side), one of the second string meeting the first's padding
+``model.whitespace_insert_cost`` (the insertion side).
 
 A row symbol a below ``m1`` reads row a of the replacement table, and
 one from ``m1`` on reads row ``m1`` with column a taken as 0.  A single
@@ -38,6 +48,7 @@ import sys
 import threading
 from array import array
 from itertools import chain
+from operator import sub
 from pathlib import Path
 
 from .cost_model import CostModel
@@ -50,10 +61,14 @@ _INT64_MAX = (1 << 63) - 1
 _UTF32 = "utf-32-le" if sys.byteorder == "little" else "utf-32-be"
 _I64, _PTR = ctypes.c_int64, ctypes.c_void_p
 # n1, code1, n2, code2, k1, indel1, ws1, k2, indel2, ws2, rep, m1, ws_agnostic
-_ARGTYPES = [_I64, _PTR, _I64, _PTR, _I64, _PTR, _PTR, _I64, _PTR, _PTR, _PTR, _I64, ctypes.c_int]
+_DP_ARGTYPES = [_I64, _PTR, _I64, _PTR, _I64, _PTR, _PTR, _I64, _PTR, _PTR, _PTR, _I64,
+                ctypes.c_int]
+# lines, offsets, ncodes, codes, k, indel, ws_del, ws_ins, rep, m, want, weights, dists
+_PAIRS_ARGTYPES = [_I64, _PTR, _I64, _PTR, _I64, _PTR, _PTR, _PTR, _PTR, _I64, ctypes.c_char_p,
+                   _PTR, _PTR]
 
 _UNTRIED = object()
-_compiled = _UNTRIED  # the loaded C function, or None once it failed
+_compiled = _UNTRIED  # the loaded C library, or None once it failed
 _lock = threading.Lock()
 
 
@@ -106,13 +121,14 @@ def _load():
     target = _private_dir(_cache_dir()) / f"kernel-{key.hexdigest()[:16]}.so"
     if not target.exists():
         _build(target, command)
-    fn = ctypes.CDLL(str(target)).wsadist_dp
-    fn.argtypes = _ARGTYPES
-    fn.restype = ctypes.c_int64
-    return fn
+    lib = ctypes.CDLL(str(target))
+    for fn, argtypes in ((lib.wsadist_dp, _DP_ARGTYPES), (lib.wsadist_pairs, _PAIRS_ARGTYPES)):
+        fn.argtypes = argtypes
+        fn.restype = ctypes.c_int64
+    return lib
 
 
-def _compiled_kernel():
+def _compiled_library():
     global _compiled
     if _compiled is _UNTRIED:
         with _lock:
@@ -129,10 +145,16 @@ def _compiled_kernel():
     return _compiled
 
 
+def _compiled_kernel():
+    """The compiled single-pair entry, or None on the interpreted kernel."""
+    lib = _compiled_library()
+    return None if lib is None else lib.wsadist_dp
+
+
 def kernel_backend() -> str:
     """``"compiled"`` or ``"interpreted"``: the kernel that distances run on.
     The first call builds or loads the compiled kernel."""
-    return "interpreted" if _compiled_kernel() is None else "compiled"
+    return "interpreted" if _compiled_library() is None else "compiled"
 
 
 class Alphabet(dict):
@@ -154,14 +176,15 @@ def encode(s: str, alphabet: Alphabet) -> array:
     return array("I", s.translate(alphabet).encode(_UTF32, "surrogatepass"))
 
 
-def _symbols(s: str, model: CostModel):
-    """``s`` as codes into its own alphabet, with that alphabet's indel and
-    whitespace costs."""
+def _symbols(s: str, model: CostModel, ws_cost):
+    """``s`` as codes into its own alphabet, with that alphabet's indel
+    costs and its costs against imagined whitespace, ``ws_cost`` of each
+    character."""
     alphabet = Alphabet()
     codes = encode(s, alphabet)
     chars = [chr(point) for point in alphabet]
     indel = [model.indel(c) for c in chars]
-    ws = [model.whitespace_cost(c) for c in chars]
+    ws = [ws_cost(c) for c in chars]
     return codes, indel, ws, chars
 
 
@@ -176,13 +199,15 @@ def model_alphabet(model: CostModel) -> Alphabet:
 
 def alphabet_costs(alphabet: Alphabet, model: CostModel):
     """``model``'s costs over ``alphabet``, a ``model_alphabet`` that both
-    sides of a pair are encoded in: per-symbol indel and whitespace costs,
-    m, the (m+1) x k replacement costs (a to b at row a, column b; row m
-    is the default everywhere), and the dearest of them.  The tables are
-    array('q') when every cost fits int64, else lists."""
+    sides of a pair are encoded in: per-symbol indel costs, deletion-side
+    and insertion-side whitespace costs, m, the (m+1) x k replacement
+    costs (a to b at row a, column b; row m is the default everywhere),
+    and the dearest of them.  The tables are array('q') when every cost
+    fits int64, else lists."""
     chars = [chr(point) for point in alphabet]
     indel = [model.indel(c) for c in chars]
-    ws = [model.whitespace_cost(c) for c in chars]
+    ws_del = [model.whitespace_cost(c) for c in chars]
+    ws_ins = [model.whitespace_insert_cost(c) for c in chars]
     k, m = len(chars), len({a for a, _ in model.replace_costs})
     rep = [model.replace_default] * ((m + 1) * k)
     rep[:m * (k + 1):k + 1] = [0] * m
@@ -190,20 +215,21 @@ def alphabet_costs(alphabet: Alphabet, model: CostModel):
         j = alphabet.get(ord(b))
         if j is not None:
             rep[alphabet[ord(a)] * k + j] = cost
-    dearest = max(chain(indel, ws, rep), default=0)
+    # a whitespace cost is never above its indel cost
+    dearest = max(chain(indel, rep), default=0)
     if dearest <= _INT64_MAX:
-        indel, ws, rep = (array("q", t) for t in (indel, ws, rep))
-    return indel, ws, m, rep, dearest
+        indel, ws_del, ws_ins, rep = (array("q", t) for t in (indel, ws_del, ws_ins, rep))
+    return indel, ws_del, ws_ins, m, rep, dearest
 
 
 def dp(s1: str, s2: str, model: CostModel, ws_agnostic: bool) -> int:
     """Weighted distance between non-empty ``s1`` and ``s2`` under
     ``model``; with ``ws_agnostic``, both count as padded by imagined
     trailing whitespace."""
-    code1, indel1, ws1, alpha1 = _symbols(s1, model)
-    code2, indel2, ws2, alpha2 = _symbols(s2, model)
+    code1, indel1, ws1, alpha1 = _symbols(s1, model, model.whitespace_cost)
+    code2, indel2, ws2, alpha2 = _symbols(s2, model, model.whitespace_insert_cost)
     rep = [model.replace(a, b) for a in alpha1 for b in alpha2]
-    dearest = max(max(indel1), max(ws1), max(indel2), max(ws2), max(rep))
+    dearest = max(max(indel1), max(indel2), max(rep))
     return dp_encoded(code1, code2, indel1, ws1, indel2, ws2, rep, len(alpha1), dearest,
                       ws_agnostic)
 
@@ -229,11 +255,54 @@ def dp_encoded(code1, code2, indel1, ws1, indel2, ws2, rep, m1: int, dearest: in
         n1, code1.buffer_info()[0], n2, code2.buffer_info()[0],
         len(indel1), i1, w1, len(indel2), i2, w2, r, m1, ws_agnostic,
     )
-    if result == -1:
-        raise MemoryError(f"DP kernel could not allocate two rows of {n2 + 1}")
     if result < 0:
-        raise RuntimeError("DP kernel refused a symbol code outside its alphabet or m1")
+        raise _refusal(result, n2)
     return result
+
+
+def _refusal(result: int, n: int) -> Exception:
+    """The error for the kernel's negative ``result`` on rows of ``n + 1``."""
+    if result == -1:
+        return MemoryError(f"DP kernel could not allocate two rows of {n + 1}")
+    return RuntimeError("DP kernel refused a symbol code outside its alphabet, m1 or an offset")
+
+
+def dp_pairs(codes, offsets, want: bytes, indel, ws_del, ws_ins, m: int, rep, dearest: int):
+    """Every line's weight and the ws-agnostic distance of each wanted
+    adjacent pair of one document, in one call.
+
+    Line i is ``codes[offsets[i]:offsets[i + 1]]`` (array('I') and
+    array('q')), in one ``model_alphabet``; the tables, m and ``dearest``
+    are as ``alphabet_costs`` returns them.  ``want`` holds one byte per
+    adjacent pair, and a pair whose byte is non-zero must have two
+    non-empty lines.  Returns ``(weights, dists)``: weights[i] is the sum
+    of ``ws_del`` over line i, and dists[i] the distance from line i to
+    line i + 1 for each wanted pair, else 0.  Runs the compiled kernel
+    when it is available and no path sum can exceed int64, else
+    ``dp_interpreted`` on each wanted pair.
+    """
+    lines = len(offsets) - 1
+    if lines < 0 or len(want) != max(lines - 1, 0):
+        raise ValueError(f"{len(offsets)} offsets and {len(want)} wanted flags do not agree")
+    lib = _compiled_library()
+    longest = max(map(sub, offsets[1:], offsets), default=0)
+    # A pair's cells are at most (n1 + n2) steps of the dearest cost; list
+    # tables (a cost beyond int64) stay interpreted even with no pair.
+    if lib is None or dearest > _INT64_MAX or 2 * longest * dearest > _INT64_MAX:
+        weights = [sum(ws_del[c] for c in codes[a:b]) for a, b in zip(offsets, offsets[1:])]
+        dists = [dp_interpreted(codes[a:b], codes[b:c], indel, ws_del, indel, ws_ins, rep, m, True)
+                 if wanted else 0
+                 for wanted, a, b, c in zip(want, offsets, offsets[1:], offsets[2:])]
+        return weights, dists
+    weights, dists = array("q", [0]) * lines, array("q", [0]) * len(want)
+    result = lib.wsadist_pairs(
+        lines, offsets.buffer_info()[0], len(codes), codes.buffer_info()[0], len(indel),
+        *(t.buffer_info()[0] for t in (indel, ws_del, ws_ins, rep)), m, want,
+        weights.buffer_info()[0], dists.buffer_info()[0],
+    )
+    if result < 0:
+        raise _refusal(result, longest)
+    return weights, dists
 
 
 def dp_interpreted(code1, code2, indel1, ws1, indel2, ws2, rep, m1: int,

@@ -10,12 +10,13 @@ are hard separators.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import accumulate, chain
 
 from .cost_model import CostModel, appendix_model
 from .distance import DEFAULT_MAX_CELLS, levenshtein_ws_agnostic
-from .kernel import alphabet_costs, dp_encoded, encode, model_alphabet
+from .kernel import alphabet_costs, dp_pairs, encode, model_alphabet
 from .normalizer import NormalizationMode, normalize_line
 
 
@@ -44,7 +45,9 @@ class DetectConfig:
 
 
 def line_whitespace_cost(line: str, model: CostModel) -> int:
-    """Cost of reconciling a whole line with pure imagined whitespace."""
+    """Cost of reconciling a whole line with pure imagined whitespace,
+    each character at its deletion-side ``whitespace_cost``: the line's
+    own cost against padding, whichever side of a pair it is on."""
     return sum(model.whitespace_cost(c) for c in line)
 
 
@@ -61,29 +64,37 @@ def row_similarity(line1: str, line2: str, model: CostModel | None = None) -> fl
     return max(0.0, 1.0 - levenshtein_ws_agnostic(line1, line2, model) / heavier)
 
 
-def _pair_scores(lines: list[str], model: CostModel):
-    """The score of each adjacent pair of ``lines``, in order: None when
-    either line is blank, else ``row_similarity``'s value, or 0.0 when the
-    pair is too long for the distance's cell limit.
+def _pair_scores(lines: list[str], mode: NormalizationMode, model: CostModel):
+    """For each adjacent pair of the tab-expanded ``lines``, in order, its
+    score with its d and D: the score is None when either line is blank,
+    else ``row_similarity``'s value on the normalized lines, or 0.0 when
+    the pair is too long for the distance's cell limit; d is None when
+    the pair was not scored.
 
-    The document is encoded once into one ``model_alphabet``, so one set
-    of cost tables and one whitespace cost per line serve every pair.
+    The document is normalized and encoded once, into one
+    ``model_alphabet``, and one kernel call weighs every line and scores
+    every pair that needs it.
     """
     alphabet = model_alphabet(model)
-    codes = [encode(line, alphabet) for line in lines]
-    indel, ws, m, rep, dearest = alphabet_costs(alphabet, model)
-    weights = [sum(map(ws.__getitem__, code)) for code in codes]
-    for j in range(1, len(lines)):
-        heavier = max(weights[j - 1], weights[j])
-        if not (lines[j - 1].strip() and lines[j].strip()):
-            yield None
+    codes = encode(normalize_line("".join(lines), mode), alphabet)
+    # normalizing keeps each line's length, and whitespace as it is
+    lengths = [len(line) for line in lines]
+    blank = [not line.strip() for line in lines]
+    want = bytes(not (blank1 or blank2) and n1 * n2 <= DEFAULT_MAX_CELLS
+                 for blank1, blank2, n1, n2 in zip(blank, blank[1:], lengths, lengths[1:]))
+    offsets = array("q", accumulate(lengths, initial=0))
+    weights, dists = dp_pairs(codes, offsets, want, *alphabet_costs(alphabet, model))
+    for j, wanted in enumerate(want):
+        heavier = max(weights[j], weights[j + 1])
+        d = dists[j] if wanted else None
+        if blank[j] or blank[j + 1]:
+            yield None, d, heavier
         elif heavier == 0:
-            yield 1.0
-        elif len(codes[j - 1]) * len(codes[j]) > DEFAULT_MAX_CELLS:
-            yield 0.0
+            yield 1.0, d, heavier
+        elif not wanted:
+            yield 0.0, d, heavier
         else:
-            d = dp_encoded(codes[j - 1], codes[j], indel, ws, indel, ws, rep, m, dearest, True)
-            yield max(0.0, 1.0 - d / heavier)
+            yield max(0.0, 1.0 - d / heavier), d, heavier
 
 
 def detect_tables(lines, config: DetectConfig | None = None) -> list[TableRegion]:
@@ -96,15 +107,13 @@ def detect_tables(lines, config: DetectConfig | None = None) -> list[TableRegion
     spans at least ``config.min_rows`` lines.
     """
     config = config if config is not None else DetectConfig()
-    prepared = [
-        normalize_line(line.expandtabs(config.tab_width), config.mode)
-        for line in lines
-    ]
+    expanded = [line.expandtabs(config.tab_width) for line in lines]
+    scores = (sim for sim, _, _ in _pair_scores(expanded, config.mode, config.model))
 
     regions: list[TableRegion] = []
     sims: list[float] = []  # the joined pairs of the run ending at line i - 1
     # the sentinel after the last pair closes the final run
-    for i, sim in enumerate(chain(_pair_scores(prepared, config.model), [None]), 1):
+    for i, sim in enumerate(chain(scores, [None]), 1):
         if sim is not None and sim >= config.threshold:
             sims.append(sim)
             continue

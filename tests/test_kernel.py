@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sys
 from array import array
+from itertools import accumulate, pairwise
 from pathlib import Path
 
 import pytest
@@ -21,9 +22,10 @@ from wsadist import (
     kernel_backend,
     levenshtein_standard,
     levenshtein_ws_agnostic,
+    line_whitespace_cost,
     ws_agnostic_naive,
 )
-from test_table_detect import MODELS, PIECES
+from test_table_detect import MODELS, PIECES, random_document
 
 ALPHABET = "aA9(),$ "
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -174,16 +176,6 @@ SECOND_ONLY = CostModel(symmetric=False, replace_default=4,
                         replace_costs={("x", "a"): 0, ("x", "9"): 2, ("x", " "): 1})
 
 
-def tail_costs_agree(model, text):
-    """Whether each character of ``text`` meets imagined whitespace at the
-    same cost from either side.  The padded oracle prices the longer
-    string's tail as replace(whitespace, c), the distances as
-    ``whitespace_cost(c)``, which takes replace(c, whitespace)."""
-    ws = model.whitespace_char
-    return all(min(model.indel(c), model.replace(c, ws)) == min(model.indel(c), model.replace(ws, c))
-               for c in text)
-
-
 def assert_model_alphabet_matches_oracle(seed):
     """Pairs encoded into one ``model_alphabet`` and scored over its
     (m+1) x k table, against the single-pair path and the padded oracle."""
@@ -195,16 +187,16 @@ def assert_model_alphabet_matches_oracle(seed):
         for s1, s2 in pairs:
             alphabet = kernel.model_alphabet(model)
             code1, code2 = kernel.encode(s1, alphabet), kernel.encode(s2, alphabet)
-            indel, ws, m, rep, dearest = kernel.alphabet_costs(alphabet, model)
+            indel, ws_del, ws_ins, m, rep, dearest = kernel.alphabet_costs(alphabet, model)
             assert len(rep) == (m + 1) * len(alphabet)
-            ws_d, std_d = (kernel.dp_encoded(code1, code2, indel, ws, indel, ws, rep, m, dearest,
-                                             ws_agnostic) for ws_agnostic in (True, False))
+            ws_d, std_d = (kernel.dp_encoded(code1, code2, indel, ws_del, indel, ws_ins, rep, m,
+                                             dearest, ws_agnostic)
+                           for ws_agnostic in (True, False))
             assert ws_d == levenshtein_ws_agnostic(s1, s2, model), (s1, s2, model)
             assert std_d == levenshtein_standard(s1, s2, model), (s1, s2, model)
             # with no padding the oracle is the classical distance
             assert std_d == ws_agnostic_naive(s1, s2, model, pad_limit=0), (s1, s2, model)
-            if tail_costs_agree(model, s1 + s2):
-                assert ws_d == ws_agnostic_naive(s1, s2, model), (s1, s2, model)
+            assert ws_d == ws_agnostic_naive(s1, s2, model), (s1, s2, model)
 
 
 @needs_compiler
@@ -218,6 +210,132 @@ def test_model_alphabet_on_interpreted_kernel_matches_oracle(fresh_kernel, monke
     with caplog.at_level(logging.WARNING, logger="wsadist"):
         assert kernel_backend() == "interpreted"
         assert_model_alphabet_matches_oracle(20261021)
+
+
+# costs beyond int64: the cost tables are lists
+LIST_TABLES = CostModel(replace_costs={("a", "9"): 1 << 64, ("9", "a"): 1 << 64})
+EDGE_DOCUMENTS = [[], ["a"], ["a", "9"], ["", "  ", "\t", ""], ["a", "", "a"], ["", ""]]
+
+
+def encode_document(doc, model):
+    """``doc``'s codes in one ``model_alphabet``, its line offsets, and the
+    model's cost tables over that alphabet."""
+    alphabet = kernel.model_alphabet(model)
+    codes = kernel.encode("".join(doc), alphabet)
+    offsets = array("q", accumulate(map(len, doc), initial=0))
+    return codes, offsets, kernel.alphabet_costs(alphabet, model)
+
+
+def assert_pairs_match(doc, model, want):
+    """The batch entry on ``doc`` against ``line_whitespace_cost``, the
+    single-pair entry and, on short pairs, the padded oracle."""
+    codes, offsets, costs = encode_document(doc, model)
+    indel, ws_del, ws_ins, m, rep, dearest = costs
+    weights, dists = kernel.dp_pairs(codes, offsets, want, *costs)
+    assert list(weights) == [line_whitespace_cost(line, model) for line in doc], doc
+    for j, wanted in enumerate(want):
+        if not wanted:
+            assert dists[j] == 0
+            continue
+        code1, code2 = (codes[offsets[i]:offsets[i + 1]] for i in (j, j + 1))
+        assert dists[j] == kernel.dp_encoded(code1, code2, indel, ws_del, indel, ws_ins, rep, m,
+                                             dearest, True), (doc, j, model)
+        if len(doc[j]) + len(doc[j + 1]) <= 24:
+            assert dists[j] == ws_agnostic_naive(doc[j], doc[j + 1], model), (doc, j, model)
+
+
+def assert_batch_matches(seed):
+    rng = random.Random(seed)
+    for model in [*MODELS, LIST_TABLES]:
+        for doc in [*EDGE_DOCUMENTS, *(random_document(rng) for _ in range(40))]:
+            # every pair of non-empty lines, and a random part of them
+            for keep in (1.0, 0.6):
+                want = bytes(bool(a and b) and rng.random() < keep for a, b in pairwise(doc))
+                assert_pairs_match(doc, model, want)
+
+
+@needs_compiler
+def test_batch_on_compiled_kernel_matches_single_pairs_and_oracle():
+    assert kernel_backend() == "compiled"
+    assert_batch_matches(20261022)
+
+
+def test_batch_on_interpreted_kernel_matches_single_pairs_and_oracle(fresh_kernel, monkeypatch,
+                                                                     caplog):
+    monkeypatch.setenv("CC", "/nonexistent/cc")
+    with caplog.at_level(logging.WARNING, logger="wsadist"):
+        assert kernel_backend() == "interpreted"
+        assert_batch_matches(20261023)
+
+
+def test_batch_takes_list_tables_with_every_line_empty():
+    codes, offsets, costs = encode_document(["", "", ""], LIST_TABLES)
+    assert isinstance(costs[4], list)
+    assert kernel.dp_pairs(codes, offsets, bytes(2), *costs) == ([0, 0, 0], [0, 0])
+
+
+def test_batch_refuses_flags_that_do_not_match_the_lines():
+    codes, offsets, costs = encode_document(["a", "9"], MODELS[0])
+    with pytest.raises(ValueError):
+        kernel.dp_pairs(codes, offsets, bytes(2), *costs)
+
+
+@needs_compiler
+def test_c_batch_refuses_code_outside_its_alphabet_or_m():
+    fn = kernel._compiled_library().wsadist_pairs
+    offsets, one = array("q", [0, 1, 2]), array("q", [1, 1])
+    out = array("q", [0, 0])
+    o, c, w = (x.buffer_info()[0] for x in (offsets, one, out))
+
+    def call(codes, k, m):
+        return fn(2, o, len(codes), codes.buffer_info()[0], k, c, c, c, c, m, b"\x01", w, w)
+
+    good, bad = array("I", [0, 1]), array("I", [0, 2])
+    assert call(good, 2, 0) == 0
+    assert call(bad, 2, 0) == -2
+    assert call(good, 2, -1) == -2
+    assert call(good, 2, 3) == -2
+    # offsets beyond the codes
+    assert call(array("I", [0]), 2, 0) == -2
+
+
+SANITIZED_RUN = """
+import random
+from wsadist import (CostModel, DetectConfig, detect_tables, kernel_backend,
+                     levenshtein_standard, levenshtein_ws_agnostic)
+from test_table_detect import MODELS, random_document
+
+print(kernel_backend())
+rng = random.Random(20261024)
+docs = [random_document(rng) for _ in range(60)] + [["a", "9"], ["Ab 9", "A 99"], ["x", "", "y"]]
+# two 1-character lines reach 2 ** 63 here: past int64 in C
+big = CostModel(indel_default=1 << 62, replace_default=1 << 62)
+for model in [*MODELS, big]:
+    print([detect_tables(doc, DetectConfig(threshold=0.0, min_rows=2, model=model))
+           for doc in docs])
+print(levenshtein_standard("aaa", "bbb", big), levenshtein_ws_agnostic("aaa", "bbbb", big),
+      levenshtein_ws_agnostic("a", "b", big))
+"""
+
+
+@needs_compiler
+def test_kernel_under_sanitizers(tmp_path):
+    """Detection and the beyond-int64 cases on a kernel built with the
+    undefined-behaviour and bounds sanitizers, which abort on a signed
+    overflow or an out-of-bounds index; skipped when that build fails."""
+    cc = os.environ.get("CC") or "cc"
+    env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path),
+               CC=f"{cc} -fsanitize=undefined,bounds -fno-sanitize-recover=all",
+               PYTHONPATH=os.pathsep.join([str(SRC), str(Path(__file__).parent)]))
+    proc = subprocess.run([sys.executable, "-c", SANITIZED_RUN], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    backend, *results = proc.stdout.splitlines()
+    if backend != "compiled":
+        pytest.skip(f"no sanitized build: {proc.stderr.strip()[-400:]}")
+    local = subprocess.run([sys.executable, "-c", SANITIZED_RUN], capture_output=True, text=True,
+                           env=dict(env, CC=cc), timeout=300)
+    assert local.stdout.splitlines() == ["compiled", *results]
 
 
 def test_import_needs_neither_numpy_nor_numba():

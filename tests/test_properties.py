@@ -1,10 +1,14 @@
 """Property tests over the spec'd invariants of the distance and
 detection layers."""
 
+from array import array
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import wsadist.kernel as kernel
 from wsadist import (
+    CostModel,
     DetectConfig,
     appendix_model,
     detect_tables,
@@ -13,6 +17,7 @@ from wsadist import (
     line_whitespace_cost,
     row_similarity,
     unit_model,
+    ws_agnostic_naive,
 )
 
 ALPHABET = "aA9(),$ "
@@ -30,6 +35,37 @@ common = settings(max_examples=500, deadline=None)
 @given(strings, strings, models)
 def test_dominance(s1, s2, model):
     assert levenshtein_ws_agnostic(s1, s2, model) <= levenshtein_standard(s1, s2, model)
+
+
+# asymmetric models over a small alphabet that holds the whitespace
+# character, zero costs included
+SMALL = "aAb "
+costs = st.integers(min_value=0, max_value=6)
+asymmetric_models = st.builds(
+    CostModel,
+    indel_default=costs,
+    replace_default=costs,
+    indel_costs=st.dictionaries(st.sampled_from(SMALL), costs),
+    replace_costs=st.dictionaries(
+        st.tuples(st.sampled_from(SMALL), st.sampled_from(SMALL)).filter(lambda p: p[0] != p[1]),
+        costs,
+    ),
+    symmetric=st.just(False),
+)
+short = st.text(alphabet=SMALL, max_size=6)
+
+
+@common
+@given(short, short, asymmetric_models)
+def test_ws_agnostic_matches_padded_oracle_under_asymmetric_models(s1, s2, model):
+    expected = ws_agnostic_naive(s1, s2, model)
+    assert levenshtein_ws_agnostic(s1, s2, model) == expected
+    if s1 and s2:  # detection's batch entry, on the document [s1, s2]
+        alphabet = kernel.model_alphabet(model)
+        codes = kernel.encode(s1 + s2, alphabet)
+        offsets = array("q", [0, len(s1), len(s1) + len(s2)])
+        costs = kernel.alphabet_costs(alphabet, model)
+        assert kernel.dp_pairs(codes, offsets, b"\x01", *costs)[1][0] == expected
 
 
 @common
