@@ -15,15 +15,13 @@ from .cost_model import (
 from .distance import (
     Algorithm,
     DistanceResult,
-    SizeLimitError,
     distance,
     levenshtein_standard,
     levenshtein_ws_agnostic,
-    ws_agnostic_naive,
-    ws_agnostic_recursive_unit,
 )
 from .kernel import kernel_backend
 from .normalizer import NormalizationMode, normalize_line, normalize_lines
+from .oracles import SizeLimitError, ws_agnostic_naive, ws_agnostic_recursive_unit
 from .table_detect import (
     DetectConfig,
     TableRegion,

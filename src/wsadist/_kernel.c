@@ -1,12 +1,13 @@
 /* Two-row DP over the (n1+1) x (n2+1) edit lattice: the compiled form of
- * wsadist.kernel.dp_interpreted, whose docstring documents the arguments.
+ * wsadist.kernel.dp_interpreted, whose docstring documents the cost
+ * tables and m.  One entry, wsadist_pairs, scores the adjacent pairs of a
+ * document; a single pair is a document of two lines.
  *
  * Requires non-negative costs and every path sum to fit in int64 (the
- * caller checks).  Both entries return -1 when out of memory, or -2 when
- * a symbol code lies outside its alphabet, m1 is not in [0, k1], or
- * m1 < k1 while the two alphabets differ in size; wsadist_pairs also
- * when its line offsets fall outside the codes or out of order, or a
- * wanted pair has an empty line.
+ * caller checks).  Returns -1 when out of memory, or -2 when a symbol
+ * code lies outside the alphabet, m is not in [0, k], the line offsets
+ * fall outside the codes or out of order, or a wanted pair has an empty
+ * line.
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -23,30 +24,25 @@ static inline int64_t cell(int64_t up, int64_t dcost, int64_t left, int64_t icos
     return best;
 }
 
-/* One pair, n1 >= 1 and n2 >= 1, over two rows of n2 + 1 cells.  When
- * m1 < k1, scratch holds row m1 of rep, and is left as it was found. */
+/* One pair, n1 >= 1 and n2 >= 1, of codes already checked against k, over
+ * two rows of n2 + 1 cells.  scratch holds row m of rep, and is left as it
+ * was found. */
 static int64_t lattice(int64_t n1, const uint32_t *code1, int64_t n2, const uint32_t *code2,
-                       int64_t k1, const int64_t *indel1, const int64_t *ws1,
-                       int64_t k2, const int64_t *indel2, const int64_t *ws2,
-                       const int64_t *rep, int64_t m1, int ws_agnostic,
+                       int64_t k, const int64_t *indel, const int64_t *ws_del,
+                       const int64_t *ws_ins, const int64_t *rep, int64_t m, int ws_agnostic,
                        int64_t *prev, int64_t *cur, int64_t *scratch)
 {
     prev[0] = 0;
-    for (int64_t j = 1; j <= n2; j++) {
-        if (code2[j - 1] >= k2)
-            return -2;
-        prev[j] = prev[j - 1] + indel2[code2[j - 1]];
-    }
+    for (int64_t j = 1; j <= n2; j++)
+        prev[j] = prev[j - 1] + indel[code2[j - 1]];
     for (int64_t i = 1; i <= n1; i++) {
         uint32_t a = code1[i - 1];
-        if (a >= k1)
-            return -2;
-        int64_t dcost = indel1[a];
+        int64_t dcost = indel[a];
         /* on the last row, insertions meet imagined whitespace */
-        const int64_t *icost = (ws_agnostic && i == n1) ? ws2 : indel2;
-        /* a symbol from m1 on reads the shared row, with its own column 0 */
-        const int64_t *row = a < m1 ? rep + a * k2 : scratch;
-        if (a >= m1)
+        const int64_t *icost = (ws_agnostic && i == n1) ? ws_ins : indel;
+        /* a symbol from m on reads the shared row, with its own column 0 */
+        const int64_t *row = a < m ? rep + a * k : scratch;
+        if (a >= m)
             scratch[a] = 0;
         int64_t left = cur[0] = prev[0] + dcost;
         for (int64_t j = 1; j < n2; j++) {
@@ -55,10 +51,10 @@ static int64_t lattice(int64_t n1, const uint32_t *code1, int64_t n2, const uint
         }
         /* on the last column, deletions meet imagined whitespace */
         uint32_t b = code2[n2 - 1];
-        cur[n2] = cell(prev[n2], ws_agnostic ? ws1[a] : dcost, left, icost[b],
+        cur[n2] = cell(prev[n2], ws_agnostic ? ws_del[a] : dcost, left, icost[b],
                        prev[n2 - 1], row[b]);
-        if (a >= m1)
-            scratch[a] = rep[m1 * k2 + a];
+        if (a >= m)
+            scratch[a] = rep[m * k + a];
         int64_t *tmp = prev;
         prev = cur;
         cur = tmp;
@@ -66,44 +62,18 @@ static int64_t lattice(int64_t n1, const uint32_t *code1, int64_t n2, const uint
     return prev[n2];
 }
 
-/* Two rows of n + 1 cells, then a copy of the shared row m1 when some
- * symbols use it; NULL when out of memory. */
-static int64_t *rows(int64_t n, int64_t k1, int64_t k2, const int64_t *rep, int64_t m1)
-{
-    size_t shared = m1 < k1 ? (size_t)k2 : 0;
-    int64_t *base = malloc((2 * (size_t)(n + 1) + shared) * sizeof *base);
-    if (base != NULL && shared)
-        memcpy(base + 2 * (n + 1), rep + m1 * k2, shared * sizeof *base);
-    return base;
-}
-
-/* The distance between one pair, n1 >= 1 and n2 >= 1. */
-int64_t wsadist_dp(int64_t n1, const uint32_t *code1, int64_t n2, const uint32_t *code2,
-                   int64_t k1, const int64_t *indel1, const int64_t *ws1,
-                   int64_t k2, const int64_t *indel2, const int64_t *ws2,
-                   const int64_t *rep, int64_t m1, int ws_agnostic)
-{
-    if (m1 < 0 || m1 > k1 || (m1 < k1 && k1 != k2))
-        return -2;
-    int64_t *base = rows(n2, k1, k2, rep, m1);
-    if (base == NULL)
-        return -1;
-    int64_t result = lattice(n1, code1, n2, code2, k1, indel1, ws1, k2, indel2, ws2, rep, m1,
-                             ws_agnostic, base, base + n2 + 1, base + 2 * (n2 + 1));
-    free(base);
-    return result;
-}
-
 /* A document of `lines` lines, line i being codes[offsets[i]:offsets[i+1]]
  * of the ncodes codes, all in one alphabet of k symbols.  Writes each
  * line's weight, the sum of ws_del over its codes, to weights[i], and for
- * each pair i with want[i] set, the ws-agnostic distance from line i to
- * line i + 1 (deletions against ws_del, insertions against ws_ins) to
- * dists[i]; a wanted pair needs two non-empty lines.  Returns 0. */
+ * each pair i with want[i] set, the distance from line i to line i + 1 to
+ * dists[i]: ws-agnostic (deletions against ws_del, insertions against
+ * ws_ins) when ws_agnostic is set, else the classical one.  A wanted pair
+ * needs two non-empty lines.  Returns 0. */
 int64_t wsadist_pairs(int64_t lines, const int64_t *offsets, int64_t ncodes,
                       const uint32_t *codes, int64_t k, const int64_t *indel,
                       const int64_t *ws_del, const int64_t *ws_ins, const int64_t *rep,
-                      int64_t m, const unsigned char *want, int64_t *weights, int64_t *dists)
+                      int64_t m, const unsigned char *want, int64_t *weights, int64_t *dists,
+                      int ws_agnostic)
 {
     if (m < 0 || m > k || lines < 0 || offsets[0] < 0)
         return -2;
@@ -121,9 +91,13 @@ int64_t wsadist_pairs(int64_t lines, const int64_t *offsets, int64_t ncodes,
         if (n > longest)
             longest = n;
     }
-    int64_t *base = rows(longest, k, k, rep, m);
+    /* two rows of longest + 1 cells, then a copy of the shared row m for
+     * the symbols from m on */
+    int64_t *base = malloc((2 * (size_t)(longest + 1) + (size_t)k) * sizeof *base);
     if (base == NULL)
         return -1;
+    if (m < k)
+        memcpy(base + 2 * (longest + 1), rep + m * k, (size_t)k * sizeof *base);
     int64_t result = 0;
     for (int64_t i = 0; i + 1 < lines; i++) {
         if (!want[i])
@@ -134,7 +108,7 @@ int64_t wsadist_pairs(int64_t lines, const int64_t *offsets, int64_t ncodes,
             break;
         }
         dists[i] = lattice(n1, codes + offsets[i], n2, codes + offsets[i + 1], k, indel, ws_del,
-                           k, indel, ws_ins, rep, m, 1, base, base + n2 + 1,
+                           ws_ins, rep, m, ws_agnostic, base, base + n2 + 1,
                            base + 2 * (longest + 1));
     }
     free(base);

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 from importlib import resources
 
 
@@ -110,6 +110,14 @@ class CostModel:
         if c == self.whitespace_char:
             return 0
         return min(self.indel(c), self.replace(self.whitespace_char, c))
+
+    @cached_property
+    def _replace_rows(self) -> dict[str, dict[str, int]]:
+        """``replace_costs`` grouped by first character: a -> {b: cost}."""
+        rows = {}
+        for (a, b), cost in self.replace_costs.items():
+            rows.setdefault(a, {})[b] = cost
+        return rows
 
     def to_dict(self) -> dict:
         """Serializable form; inverse of :func:`model_from_dict`."""

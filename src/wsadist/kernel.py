@@ -1,10 +1,10 @@
 """The DP kernel behind both production distances and table detection.
 
 There is one kernel, written in C (``_kernel.c``, shipped inside the
-package), with two entries: ``wsadist_dp`` scores one pair
-(``dp_encoded``), and ``wsadist_pairs`` weighs every line of a document
-and scores every adjacent pair that detection asks for, in one call
-(``dp_pairs``).  On first use it is built with the system C compiler
+package), with one entry, ``wsadist_pairs`` (``dp_pairs``): it weighs
+every line of a document and scores every adjacent pair that the caller
+asks for, in one call.  A single pair (``dp``) is a document of two
+lines.  On first use it is built with the system C compiler
 -- ``$CC`` if set, else ``cc`` -- as ``cc -O2 -shared -fPIC`` into a
 per-user cache directory, ``$XDG_CACHE_HOME/wsadist`` (default
 ``~/.cache/wsadist``), and loaded with ``ctypes``.  The library's file name is keyed by a hash
@@ -18,22 +18,20 @@ When the build or the load fails, one warning on the ``wsadist`` logger
 gives the reason, and ``dp_interpreted`` -- the same recurrence in plain
 Python -- runs instead, once for each pair.  It is orders of magnitude
 slower.  ``kernel_backend()`` reports which of the two is in use.
-Inputs whose path sums could exceed int64 always take the interpreted
-kernel, which computes over Python ints: a pair when its length sum
-times the dearest cost could, a document when twice its longest line
-times the dearest cost could.
+A document whose path sums could exceed int64 -- twice its longest line
+times the dearest cost -- always takes the interpreted kernel, which
+computes over Python ints; a single pair is such a document.
 
 Imagined whitespace is priced per side: a character of the first string
 meeting the second's padding costs ``model.whitespace_cost`` (the
 deletion side), one of the second string meeting the first's padding
 ``model.whitespace_insert_cost`` (the insertion side).
 
-A row symbol a below ``m1`` reads row a of the replacement table, and
-one from ``m1`` on reads row ``m1`` with column a taken as 0.  A single
-pair passes ``m1 = k1`` with its k1 x k2 table.  Detection encodes a
-document into one ``model_alphabet``, so ``m1`` is the number m of
-characters that lead a ``model.replace_costs`` key and the table has
-m + 1 rows; ``m1 < k1`` requires one shared alphabet (``k1 == k2``).
+Both lines of every pair are encoded into one ``model_alphabet``, whose
+first m codes are the characters of the first lines that lead a
+``model.replace_costs`` key.  The replacement table has m + 1 rows of k:
+a row symbol a below m reads row a, and one from m on reads row m with
+column a taken as 0.
 """
 
 from __future__ import annotations
@@ -60,12 +58,10 @@ _FLAGS = ("-O2", "-shared", "-fPIC")
 _INT64_MAX = (1 << 63) - 1
 _UTF32 = "utf-32-le" if sys.byteorder == "little" else "utf-32-be"
 _I64, _PTR = ctypes.c_int64, ctypes.c_void_p
-# n1, code1, n2, code2, k1, indel1, ws1, k2, indel2, ws2, rep, m1, ws_agnostic
-_DP_ARGTYPES = [_I64, _PTR, _I64, _PTR, _I64, _PTR, _PTR, _I64, _PTR, _PTR, _PTR, _I64,
-                ctypes.c_int]
-# lines, offsets, ncodes, codes, k, indel, ws_del, ws_ins, rep, m, want, weights, dists
+# lines, offsets, ncodes, codes, k, indel, ws_del, ws_ins, rep, m, want, weights, dists,
+# ws_agnostic
 _PAIRS_ARGTYPES = [_I64, _PTR, _I64, _PTR, _I64, _PTR, _PTR, _PTR, _PTR, _I64, ctypes.c_char_p,
-                   _PTR, _PTR]
+                   _PTR, _PTR, ctypes.c_int]
 
 _UNTRIED = object()
 _compiled = _UNTRIED  # the loaded C library, or None once it failed
@@ -122,9 +118,8 @@ def _load():
     if not target.exists():
         _build(target, command)
     lib = ctypes.CDLL(str(target))
-    for fn, argtypes in ((lib.wsadist_dp, _DP_ARGTYPES), (lib.wsadist_pairs, _PAIRS_ARGTYPES)):
-        fn.argtypes = argtypes
-        fn.restype = ctypes.c_int64
+    lib.wsadist_pairs.argtypes = _PAIRS_ARGTYPES
+    lib.wsadist_pairs.restype = ctypes.c_int64
     return lib
 
 
@@ -143,12 +138,6 @@ def _compiled_library():
                     )
                     _compiled = None
     return _compiled
-
-
-def _compiled_kernel():
-    """The compiled single-pair entry, or None on the interpreted kernel."""
-    lib = _compiled_library()
-    return None if lib is None else lib.wsadist_dp
 
 
 def kernel_backend() -> str:
@@ -176,110 +165,76 @@ def encode(s: str, alphabet: Alphabet) -> array:
     return array("I", s.translate(alphabet).encode(_UTF32, "surrogatepass"))
 
 
-def _symbols(s: str, model: CostModel, ws_cost):
-    """``s`` as codes into its own alphabet, with that alphabet's indel
-    costs and its costs against imagined whitespace, ``ws_cost`` of each
-    character."""
+def model_alphabet(model: CostModel, text: str) -> Alphabet:
+    """An alphabet whose codes 0..m-1, m being its size, are the
+    characters of ``text`` that lead a key of ``model.replace_costs``:
+    the row symbols with a row of their own in the replacement table.
+    ``text`` holds every first line of the pairs to be scored."""
     alphabet = Alphabet()
-    codes = encode(s, alphabet)
-    chars = [chr(point) for point in alphabet]
-    indel = [model.indel(c) for c in chars]
-    ws = [ws_cost(c) for c in chars]
-    return codes, indel, ws, chars
-
-
-def model_alphabet(model: CostModel) -> Alphabet:
-    """An alphabet whose codes 0..m-1 are the m distinct characters that
-    lead a key of ``model.replace_costs``."""
-    alphabet = Alphabet()
-    for a, _ in model.replace_costs:
-        alphabet.setdefault(ord(a), len(alphabet))
+    # one str scan per lead, at memchr speed: faster than set(text) for
+    # the few leads a model has
+    for a in model._replace_rows:
+        if a in text:
+            alphabet[ord(a)] = len(alphabet)
     return alphabet
 
 
-def alphabet_costs(alphabet: Alphabet, model: CostModel):
-    """``model``'s costs over ``alphabet``, a ``model_alphabet`` that both
-    sides of a pair are encoded in: per-symbol indel costs, deletion-side
-    and insertion-side whitespace costs, m, the (m+1) x k replacement
-    costs (a to b at row a, column b; row m is the default everywhere),
-    and the dearest of them.  The tables are array('q') when every cost
-    fits int64, else lists."""
+def alphabet_costs(alphabet: Alphabet, m: int, model: CostModel):
+    """``model``'s costs over ``alphabet``, a ``model_alphabet`` of size m
+    that both lines of each pair are encoded in: per-symbol indel costs,
+    deletion-side and insertion-side whitespace costs, the (m+1) x k
+    replacement costs (a to b at row a, column b; row m is the default
+    everywhere), and the dearest of them.  The tables are array('q') when
+    every cost fits int64, else lists."""
     chars = [chr(point) for point in alphabet]
     indel = [model.indel(c) for c in chars]
     ws_del = [model.whitespace_cost(c) for c in chars]
     ws_ins = [model.whitespace_insert_cost(c) for c in chars]
-    k, m = len(chars), len({a for a, _ in model.replace_costs})
-    rep = [model.replace_default] * ((m + 1) * k)
-    rep[:m * (k + 1):k + 1] = [0] * m
-    for (a, b), cost in model.replace_costs.items():
-        j = alphabet.get(ord(b))
-        if j is not None:
-            rep[alphabet[ord(a)] * k + j] = cost
+    default, rows = model.replace_default, model._replace_rows
+    rep = [0 if a == b else rows[a].get(b, default) for a in chars[:m] for b in chars]
+    rep += [default] * len(chars)
     # a whitespace cost is never above its indel cost
     dearest = max(chain(indel, rep), default=0)
     if dearest <= _INT64_MAX:
         indel, ws_del, ws_ins, rep = (array("q", t) for t in (indel, ws_del, ws_ins, rep))
-    return indel, ws_del, ws_ins, m, rep, dearest
+    return indel, ws_del, ws_ins, rep, dearest
 
 
 def dp(s1: str, s2: str, model: CostModel, ws_agnostic: bool) -> int:
     """Weighted distance between non-empty ``s1`` and ``s2`` under
     ``model``; with ``ws_agnostic``, both count as padded by imagined
-    trailing whitespace."""
-    code1, indel1, ws1, alpha1 = _symbols(s1, model, model.whitespace_cost)
-    code2, indel2, ws2, alpha2 = _symbols(s2, model, model.whitespace_insert_cost)
-    rep = [model.replace(a, b) for a in alpha1 for b in alpha2]
-    dearest = max(max(indel1), max(indel2), max(rep))
-    return dp_encoded(code1, code2, indel1, ws1, indel2, ws2, rep, len(alpha1), dearest,
-                      ws_agnostic)
-
-
-def dp_encoded(code1, code2, indel1, ws1, indel2, ws2, rep, m1: int, dearest: int,
-               ws_agnostic: bool) -> int:
-    """The distance between the non-empty code sequences ``code1`` and
-    ``code2`` (array('I')), over cost tables and ``m1`` as
-    ``dp_interpreted`` takes them, the tables as lists of ints or array('q');
-    ``dearest`` bounds every cost in them.  Runs the compiled kernel when
-    it is available and no path sum can exceed int64, else
-    ``dp_interpreted``."""
-    fn = _compiled_kernel()
-    n1, n2 = len(code1), len(code2)
-    # A cell is at most (i + j) steps of the dearest cost, a candidate one more.
-    if fn is None or (n1 + n2) * dearest > _INT64_MAX:
-        return dp_interpreted(code1, code2, indel1, ws1, indel2, ws2, rep, m1, ws_agnostic)
-    # the arrays stay referenced here until the kernel returns
-    tables = [t if isinstance(t, array) else array("q", t)
-              for t in (indel1, ws1, indel2, ws2, rep)]
-    i1, w1, i2, w2, r = (t.buffer_info()[0] for t in tables)
-    result = fn(
-        n1, code1.buffer_info()[0], n2, code2.buffer_info()[0],
-        len(indel1), i1, w1, len(indel2), i2, w2, r, m1, ws_agnostic,
-    )
-    if result < 0:
-        raise _refusal(result, n2)
-    return result
+    trailing whitespace.  The pair is scored as a document of two lines."""
+    alphabet = model_alphabet(model, s1)
+    m = len(alphabet)
+    codes = encode(s1 + s2, alphabet)
+    offsets = array("q", (0, len(s1), len(codes)))
+    costs = alphabet_costs(alphabet, m, model)
+    return dp_pairs(codes, offsets, b"\1", m, *costs, ws_agnostic)[1][0]
 
 
 def _refusal(result: int, n: int) -> Exception:
     """The error for the kernel's negative ``result`` on rows of ``n + 1``."""
     if result == -1:
         return MemoryError(f"DP kernel could not allocate two rows of {n + 1}")
-    return RuntimeError("DP kernel refused a symbol code outside its alphabet, m1 or an offset")
+    return RuntimeError("DP kernel refused a symbol code outside its alphabet, an m outside "
+                        "[0, k], an offset or an empty wanted line")
 
 
-def dp_pairs(codes, offsets, want: bytes, indel, ws_del, ws_ins, m: int, rep, dearest: int):
-    """Every line's weight and the ws-agnostic distance of each wanted
-    adjacent pair of one document, in one call.
+def dp_pairs(codes, offsets, want: bytes, m: int, indel, ws_del, ws_ins, rep, dearest: int,
+             ws_agnostic: bool):
+    """Every line's weight and the distance of each wanted adjacent pair
+    of one document, in one call; ws-agnostic with ``ws_agnostic``, else
+    the classical distance.
 
     Line i is ``codes[offsets[i]:offsets[i + 1]]`` (array('I') and
-    array('q')), in one ``model_alphabet``; the tables, m and ``dearest``
-    are as ``alphabet_costs`` returns them.  ``want`` holds one byte per
-    adjacent pair, and a pair whose byte is non-zero must have two
-    non-empty lines.  Returns ``(weights, dists)``: weights[i] is the sum
-    of ``ws_del`` over line i, and dists[i] the distance from line i to
-    line i + 1 for each wanted pair, else 0.  Runs the compiled kernel
-    when it is available and no path sum can exceed int64, else
-    ``dp_interpreted`` on each wanted pair.
+    array('q')), in one ``model_alphabet`` of size m; the tables and
+    ``dearest`` are as ``alphabet_costs`` returns them.  ``want`` holds
+    one byte per adjacent pair, and a pair whose byte is non-zero must
+    have two non-empty lines.  Returns ``(weights, dists)``: weights[i]
+    is the sum of ``ws_del`` over line i, and dists[i] the distance from
+    line i to line i + 1 for each wanted pair, else 0.  Runs the
+    compiled kernel when it is available and no path sum can exceed
+    int64, else ``dp_interpreted`` on each wanted pair.
     """
     lines = len(offsets) - 1
     if lines < 0 or len(want) != max(lines - 1, 0):
@@ -290,53 +245,52 @@ def dp_pairs(codes, offsets, want: bytes, indel, ws_del, ws_ins, m: int, rep, de
     # tables (a cost beyond int64) stay interpreted even with no pair.
     if lib is None or dearest > _INT64_MAX or 2 * longest * dearest > _INT64_MAX:
         weights = [sum(ws_del[c] for c in codes[a:b]) for a, b in zip(offsets, offsets[1:])]
-        dists = [dp_interpreted(codes[a:b], codes[b:c], indel, ws_del, indel, ws_ins, rep, m, True)
-                 if wanted else 0
+        dists = [dp_interpreted(codes[a:b], codes[b:c], indel, ws_del, ws_ins, rep, m,
+                                ws_agnostic) if wanted else 0
                  for wanted, a, b, c in zip(want, offsets, offsets[1:], offsets[2:])]
         return weights, dists
     weights, dists = array("q", [0]) * lines, array("q", [0]) * len(want)
     result = lib.wsadist_pairs(
         lines, offsets.buffer_info()[0], len(codes), codes.buffer_info()[0], len(indel),
         *(t.buffer_info()[0] for t in (indel, ws_del, ws_ins, rep)), m, want,
-        weights.buffer_info()[0], dists.buffer_info()[0],
+        weights.buffer_info()[0], dists.buffer_info()[0], ws_agnostic,
     )
     if result < 0:
         raise _refusal(result, longest)
     return weights, dists
 
 
-def dp_interpreted(code1, code2, indel1, ws1, indel2, ws2, rep, m1: int,
-                   ws_agnostic: bool) -> int:
+def dp_interpreted(code1, code2, indel, ws_del, ws_ins, rep, m: int, ws_agnostic: bool) -> int:
     """Two-row DP over the (n1+1) x (n2+1) lattice, in plain Python.
 
-    code1/code2 index alphabets of sizes k1 and k2; indel1/indel2 hold
-    per-symbol indel costs, ws1/ws2 per-symbol costs against imagined
-    whitespace (only read when ``ws_agnostic``), and ``rep`` the
-    replacement costs in row-major order, k2 to a row: row a for a row
-    symbol a < ``m1``, and row ``m1``, with column a taken as 0, for one
-    from ``m1`` on.  ``m1`` is in [0, k1], and below k1 only when both
-    sides share one alphabet.  With ``ws_agnostic`` the last row and last
-    column charge the whitespace costs for insertions and deletions.
-    Requires n1 >= 1 and n2 >= 1.
+    code1 and code2 index one alphabet of size k; ``indel`` holds
+    per-symbol indel costs, ``ws_del``/``ws_ins`` per-symbol costs
+    against imagined whitespace on the first and the second side (only
+    read when ``ws_agnostic``), and ``rep`` the replacement costs in
+    row-major order, k to a row: row a for a row symbol a < m, and row
+    m, with column a taken as 0, for one from m on.  m is in [0, k].
+    With ``ws_agnostic`` the last row and last column charge the
+    whitespace costs for insertions and deletions.  Requires n1 >= 1 and
+    n2 >= 1.
     """
-    n1, n2, k2 = len(code1), len(code2), len(indel2)
-    ins = [indel2[b] for b in code2]
+    n1, n2, k = len(code1), len(code2), len(indel)
+    ins = [indel[b] for b in code2]
     prev = [0]
     for cost in ins:
         prev.append(prev[-1] + cost)
     for i, a in enumerate(code1, 1):
-        dcost = indel1[a]
+        dcost = indel[a]
         if ws_agnostic and i == n1:
-            ins = [ws2[b] for b in code2]
-        shared = min(a, m1)
-        row = rep[shared * k2:(shared + 1) * k2]
-        if a >= m1:
+            ins = [ws_ins[b] for b in code2]
+        shared = min(a, m)
+        row = rep[shared * k:(shared + 1) * k]
+        if a >= m:
             row[a] = 0
         left = prev[0] + dcost
         cur = [left]
         for j in range(1, n2 + 1):
             if ws_agnostic and j == n2:
-                dcost = ws1[a]
+                dcost = ws_del[a]
             left = min(prev[j] + dcost, left + ins[j - 1], prev[j - 1] + row[code2[j - 1]])
             cur.append(left)
         prev = cur

@@ -75,15 +75,17 @@ def _pair_scores(lines: list[str], mode: NormalizationMode, model: CostModel):
     ``model_alphabet``, and one kernel call weighs every line and scores
     every pair that needs it.
     """
-    alphabet = model_alphabet(model)
-    codes = encode(normalize_line("".join(lines), mode), alphabet)
+    text = normalize_line("".join(lines), mode)
+    alphabet = model_alphabet(model, text)
+    m = len(alphabet)
+    codes = encode(text, alphabet)
     # normalizing keeps each line's length, and whitespace as it is
     lengths = [len(line) for line in lines]
     blank = [not line.strip() for line in lines]
     want = bytes(not (blank1 or blank2) and n1 * n2 <= DEFAULT_MAX_CELLS
                  for blank1, blank2, n1, n2 in zip(blank, blank[1:], lengths, lengths[1:]))
     offsets = array("q", accumulate(lengths, initial=0))
-    weights, dists = dp_pairs(codes, offsets, want, *alphabet_costs(alphabet, model))
+    weights, dists = dp_pairs(codes, offsets, want, m, *alphabet_costs(alphabet, m, model), True)
     for j, wanted in enumerate(want):
         heavier = max(weights[j], weights[j + 1])
         d = dists[j] if wanted else None

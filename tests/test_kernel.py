@@ -9,6 +9,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from array import array
 from itertools import accumulate, pairwise
 from pathlib import Path
@@ -18,6 +19,7 @@ import pytest
 import wsadist.kernel as kernel
 from wsadist import (
     CostModel,
+    appendix_model,
     detect_tables,
     kernel_backend,
     levenshtein_standard,
@@ -146,20 +148,30 @@ def test_path_sums_beyond_int64_are_exact():
     )
 
 
+def c_pair(codes, offsets, k, m, ws_agnostic):
+    """The C entry on a document whose one adjacent pair is wanted, every
+    cost 1: its return value and that pair's distance."""
+    fn = kernel._compiled_library().wsadist_pairs
+    codes, offsets = array("I", codes), array("q", offsets)
+    ones, weights, dists = array("q", [1] * (k + 1) * k), array("q", [0, 0]), array("q", [0])
+    c = ones.buffer_info()[0]
+    result = fn(len(offsets) - 1, offsets.buffer_info()[0], len(codes), codes.buffer_info()[0],
+                k, c, c, c, c, m, b"\x01", weights.buffer_info()[0], dists.buffer_info()[0],
+                ws_agnostic)
+    return result, dists[0]
+
+
 @needs_compiler
 def test_c_kernel_refuses_code_outside_its_alphabet():
-    fn = kernel._compiled_kernel()
-    one, bad, zero = array("q", [1, 1]), array("I", [5]), array("I", [0])
-    c, b, z = (x.buffer_info()[0] for x in (one, bad, zero))
-    assert fn(1, b, 1, z, 1, c, c, 1, c, c, c, 1, 1) == -2
-    assert fn(1, z, 1, b, 1, c, c, 1, c, c, c, 1, 1) == -2
-    # m1 outside [0, k1], or below k1 while the alphabets differ in size
-    assert fn(1, z, 1, z, 1, c, c, 1, c, c, c, -1, 1) == -2
-    assert fn(1, z, 1, z, 1, c, c, 1, c, c, c, 2, 1) == -2
-    assert fn(1, z, 1, z, 2, c, c, 1, c, c, c, 1, 1) == -2
-    # a valid m1: row 0 of the table, or the shared row with its own column free
-    assert fn(1, z, 1, z, 1, c, c, 1, c, c, c, 1, 1) == 1
-    assert fn(1, z, 1, z, 1, c, c, 1, c, c, c, 0, 1) == 0
+    for ws_agnostic in (0, 1):
+        assert c_pair([5, 0], [0, 1, 2], 1, 1, ws_agnostic)[0] == -2
+        assert c_pair([0, 5], [0, 1, 2], 1, 1, ws_agnostic)[0] == -2
+        # m outside [0, k]
+        assert c_pair([0, 0], [0, 1, 2], 1, -1, ws_agnostic)[0] == -2
+        assert c_pair([0, 0], [0, 1, 2], 1, 2, ws_agnostic)[0] == -2
+        # a valid m: row 0 of the table, or the shared row with its own column free
+        assert c_pair([0, 0], [0, 1, 2], 1, 1, ws_agnostic) == (0, 1)
+        assert c_pair([0, 0], [0, 1, 2], 1, 0, ws_agnostic) == (0, 0)
 
 
 @needs_compiler
@@ -177,20 +189,23 @@ SECOND_ONLY = CostModel(symmetric=False, replace_default=4,
 
 
 def assert_model_alphabet_matches_oracle(seed):
-    """Pairs encoded into one ``model_alphabet`` and scored over its
-    (m+1) x k table, against the single-pair path and the padded oracle."""
+    """Pairs encoded into one ``model_alphabet`` of both lines and scored
+    through the batch entry over its (m+1) x k table, against the
+    production distances, which give rows to the first line's leads only,
+    and the padded oracle."""
     rng = random.Random(seed)
     for model in [*MODELS, SECOND_ONLY]:
         pairs = [tuple("".join(rng.choice(PIECES) for _ in range(rng.randint(1, 3)))
                        for _ in range(2)) for _ in range(25)]
         pairs += [(s, rng.choice(PIECES)) for s in NO_MODEL_CHARS] + [NO_MODEL_CHARS[:2]]
         for s1, s2 in pairs:
-            alphabet = kernel.model_alphabet(model)
-            code1, code2 = kernel.encode(s1, alphabet), kernel.encode(s2, alphabet)
-            indel, ws_del, ws_ins, m, rep, dearest = kernel.alphabet_costs(alphabet, model)
-            assert len(rep) == (m + 1) * len(alphabet)
-            ws_d, std_d = (kernel.dp_encoded(code1, code2, indel, ws_del, indel, ws_ins, rep, m,
-                                             dearest, ws_agnostic)
+            alphabet = kernel.model_alphabet(model, s1 + s2)
+            m = len(alphabet)
+            codes = kernel.encode(s1 + s2, alphabet)
+            offsets = array("q", [0, len(s1), len(s1) + len(s2)])
+            costs = kernel.alphabet_costs(alphabet, m, model)
+            assert len(costs[3]) == (m + 1) * len(alphabet)
+            ws_d, std_d = (kernel.dp_pairs(codes, offsets, b"\x01", m, *costs, ws_agnostic)[1][0]
                            for ws_agnostic in (True, False))
             assert ws_d == levenshtein_ws_agnostic(s1, s2, model), (s1, s2, model)
             assert std_d == levenshtein_standard(s1, s2, model), (s1, s2, model)
@@ -217,29 +232,29 @@ LIST_TABLES = CostModel(replace_costs={("a", "9"): 1 << 64, ("9", "a"): 1 << 64}
 EDGE_DOCUMENTS = [[], ["a"], ["a", "9"], ["", "  ", "\t", ""], ["a", "", "a"], ["", ""]]
 
 
-def encode_document(doc, model):
-    """``doc``'s codes in one ``model_alphabet``, its line offsets, and the
-    model's cost tables over that alphabet."""
-    alphabet = kernel.model_alphabet(model)
-    codes = kernel.encode("".join(doc), alphabet)
+def encode_document(doc, model, leads=None):
+    """``doc``'s codes in one ``model_alphabet`` of ``leads`` (default: the
+    whole document), its line offsets, m, and the model's cost tables over
+    that alphabet."""
+    text = "".join(doc)
+    alphabet = kernel.model_alphabet(model, text if leads is None else leads)
+    m = len(alphabet)
+    codes = kernel.encode(text, alphabet)
     offsets = array("q", accumulate(map(len, doc), initial=0))
-    return codes, offsets, kernel.alphabet_costs(alphabet, model)
+    return codes, offsets, m, kernel.alphabet_costs(alphabet, m, model)
 
 
 def assert_pairs_match(doc, model, want):
     """The batch entry on ``doc`` against ``line_whitespace_cost``, the
-    single-pair entry and, on short pairs, the padded oracle."""
-    codes, offsets, costs = encode_document(doc, model)
-    indel, ws_del, ws_ins, m, rep, dearest = costs
-    weights, dists = kernel.dp_pairs(codes, offsets, want, *costs)
+    single-pair distance and, on short pairs, the padded oracle."""
+    codes, offsets, m, costs = encode_document(doc, model)
+    weights, dists = kernel.dp_pairs(codes, offsets, want, m, *costs, True)
     assert list(weights) == [line_whitespace_cost(line, model) for line in doc], doc
     for j, wanted in enumerate(want):
         if not wanted:
             assert dists[j] == 0
             continue
-        code1, code2 = (codes[offsets[i]:offsets[i + 1]] for i in (j, j + 1))
-        assert dists[j] == kernel.dp_encoded(code1, code2, indel, ws_del, indel, ws_ins, rep, m,
-                                             dearest, True), (doc, j, model)
+        assert dists[j] == levenshtein_ws_agnostic(doc[j], doc[j + 1], model), (doc, j, model)
         if len(doc[j]) + len(doc[j + 1]) <= 24:
             assert dists[j] == ws_agnostic_naive(doc[j], doc[j + 1], model), (doc, j, model)
 
@@ -269,34 +284,32 @@ def test_batch_on_interpreted_kernel_matches_single_pairs_and_oracle(fresh_kerne
 
 
 def test_batch_takes_list_tables_with_every_line_empty():
-    codes, offsets, costs = encode_document(["", "", ""], LIST_TABLES)
-    assert isinstance(costs[4], list)
-    assert kernel.dp_pairs(codes, offsets, bytes(2), *costs) == ([0, 0, 0], [0, 0])
+    # the leads of LIST_TABLES give its rows, and so its cost beyond int64
+    codes, offsets, m, costs = encode_document(["", "", ""], LIST_TABLES, leads="a9")
+    assert isinstance(costs[3], list)
+    for ws_agnostic in (True, False):
+        assert kernel.dp_pairs(codes, offsets, bytes(2), m, *costs, ws_agnostic) == ([0, 0, 0],
+                                                                                    [0, 0])
 
 
 def test_batch_refuses_flags_that_do_not_match_the_lines():
-    codes, offsets, costs = encode_document(["a", "9"], MODELS[0])
-    with pytest.raises(ValueError):
-        kernel.dp_pairs(codes, offsets, bytes(2), *costs)
+    codes, offsets, m, costs = encode_document(["a", "9"], MODELS[0])
+    for ws_agnostic in (True, False):
+        with pytest.raises(ValueError):
+            kernel.dp_pairs(codes, offsets, bytes(2), m, *costs, ws_agnostic)
 
 
 @needs_compiler
 def test_c_batch_refuses_code_outside_its_alphabet_or_m():
-    fn = kernel._compiled_library().wsadist_pairs
-    offsets, one = array("q", [0, 1, 2]), array("q", [1, 1])
-    out = array("q", [0, 0])
-    o, c, w = (x.buffer_info()[0] for x in (offsets, one, out))
-
-    def call(codes, k, m):
-        return fn(2, o, len(codes), codes.buffer_info()[0], k, c, c, c, c, m, b"\x01", w, w)
-
-    good, bad = array("I", [0, 1]), array("I", [0, 2])
-    assert call(good, 2, 0) == 0
-    assert call(bad, 2, 0) == -2
-    assert call(good, 2, -1) == -2
-    assert call(good, 2, 3) == -2
-    # offsets beyond the codes
-    assert call(array("I", [0]), 2, 0) == -2
+    for ws_agnostic in (0, 1):
+        assert c_pair([0, 1], [0, 1, 2], 2, 0, ws_agnostic) == (0, 1)
+        assert c_pair([0, 2], [0, 1, 2], 2, 0, ws_agnostic)[0] == -2
+        assert c_pair([0, 1], [0, 1, 2], 2, -1, ws_agnostic)[0] == -2
+        assert c_pair([0, 1], [0, 1, 2], 2, 3, ws_agnostic)[0] == -2
+        # offsets beyond the codes, out of order, or an empty wanted line
+        assert c_pair([0], [0, 1, 2], 2, 0, ws_agnostic)[0] == -2
+        assert c_pair([0, 1], [0, 2, 1], 2, 0, ws_agnostic)[0] == -2
+        assert c_pair([0], [0, 0, 1], 2, 0, ws_agnostic)[0] == -2
 
 
 SANITIZED_RUN = """
@@ -315,12 +328,17 @@ for model in [*MODELS, big]:
            for doc in docs])
 print(levenshtein_standard("aaa", "bbb", big), levenshtein_ws_agnostic("aaa", "bbbb", big),
       levenshtein_ws_agnostic("a", "b", big))
+# single pairs, both branches of the kernel's one entry
+pairs = [(doc[i], doc[i + 1]) for doc in docs[:20] for i in range(len(doc) - 1)]
+for model in MODELS:
+    print([(levenshtein_standard(a, b, model), levenshtein_ws_agnostic(a, b, model))
+           for a, b in pairs])
 """
 
 
 @needs_compiler
 def test_kernel_under_sanitizers(tmp_path):
-    """Detection and the beyond-int64 cases on a kernel built with the
+    """Detection, single pairs and the beyond-int64 cases on a kernel built with the
     undefined-behaviour and bounds sanitizers, which abort on a signed
     overflow or an out-of-bounds index; skipped when that build fails."""
     cc = os.environ.get("CC") or "cc"
@@ -336,6 +354,29 @@ def test_kernel_under_sanitizers(tmp_path):
     local = subprocess.run([sys.executable, "-c", SANITIZED_RUN], capture_output=True, text=True,
                            env=dict(env, CC=cc), timeout=300)
     assert local.stdout.splitlines() == ["compiled", *results]
+
+
+def test_pair_of_distinct_symbols_has_one_shared_row():
+    """Two 2,000-character lines of distinct CJK characters, none of which
+    leads a key of the appendix model: the replacement table is the one
+    shared row, and the pair stays in small memory."""
+    model = appendix_model()
+    s1, s2 = ("".join(chr(0x4E00 + i) for i in range(start, start + 2000))
+              for start in (0, 2000))
+    alphabet = kernel.model_alphabet(model, s1)
+    m = len(alphabet)
+    kernel.encode(s1 + s2, alphabet)
+    rep = kernel.alphabet_costs(alphabet, m, model)[3]
+    assert m == 0 and len(rep) == (m + 1) * len(alphabet) == 4000
+    tracemalloc.start()
+    try:
+        d = levenshtein_ws_agnostic(s1, s2, model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # every character is deleted or inserted at 1, against whitespace or not
+    assert d == 4000
+    assert peak < 8 << 20, peak
 
 
 def test_import_needs_neither_numpy_nor_numba():

@@ -60,12 +60,15 @@ short = st.text(alphabet=SMALL, max_size=6)
 def test_ws_agnostic_matches_padded_oracle_under_asymmetric_models(s1, s2, model):
     expected = ws_agnostic_naive(s1, s2, model)
     assert levenshtein_ws_agnostic(s1, s2, model) == expected
-    if s1 and s2:  # detection's batch entry, on the document [s1, s2]
-        alphabet = kernel.model_alphabet(model)
+    if s1 and s2:  # the batch entry on the document [s1, s2], rows for both lines' leads
+        alphabet = kernel.model_alphabet(model, s1 + s2)
+        m = len(alphabet)
         codes = kernel.encode(s1 + s2, alphabet)
         offsets = array("q", [0, len(s1), len(s1) + len(s2)])
-        costs = kernel.alphabet_costs(alphabet, model)
-        assert kernel.dp_pairs(codes, offsets, b"\x01", *costs)[1][0] == expected
+        costs = kernel.alphabet_costs(alphabet, m, model)
+        assert kernel.dp_pairs(codes, offsets, b"\x01", m, *costs, True)[1][0] == expected
+        assert kernel.dp_pairs(codes, offsets, b"\x01", m, *costs, False)[1][0] == (
+            ws_agnostic_naive(s1, s2, model, pad_limit=0))
 
 
 @common

@@ -214,8 +214,9 @@ def cjk(i):
 
 class TestSymbolLimit:
     """Documents with many distinct symbols: the replacement table has
-    one row per character that leads a key of the model's replacement
-    costs, plus one shared row, however many symbols the document holds."""
+    one row per character of the document that leads a key of the model's
+    replacement costs, plus one shared row, however many symbols the
+    document holds."""
 
     NONE_UNIT = DetectConfig(mode=NormalizationMode.NONE, model=unit_model())
 
