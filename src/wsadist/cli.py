@@ -9,10 +9,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import zip_longest
+from functools import cache
+from itertools import chain, zip_longest
 
 from .cost_model import CostModel, ModelError, appendix_model, load_model_file, unit_model
-from .distance import _DISPATCH, Algorithm, SizeLimitError
+from .distance import _DISPATCH, Algorithm, SizeLimitError, _paired_distances
 from .normalizer import NormalizationMode, normalize_line
 from .table_detect import DetectConfig, detect_tables
 
@@ -43,7 +44,9 @@ def tab_width(text: str) -> int:
     return width
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process."""
     parser = argparse.ArgumentParser(
         prog="wsadist",
         description="Trailing-whitespace-agnostic string distances, "
@@ -96,14 +99,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_dist(args) -> int:
-    # looked up on each call, so a function swapped into the table is used
-    compute = _DISPATCH[Algorithm(args.mode)]
+    algorithm = Algorithm(args.mode)
     model = _resolve_model(args.model)
     mode = NormalizationMode(args.normalize)
-
-    def prepare(s: str) -> str:
-        return normalize_line(s.expandtabs(args.tab_width), mode)
-
     if not args.files:
         lines1, lines2 = [args.left], [args.right]
     elif args.left == args.right == "-":
@@ -111,10 +109,19 @@ def _run_dist(args) -> int:
     else:
         lines1 = _read_text(args.left).splitlines()
         lines2 = _read_text(args.right).splitlines()
-    costs = [
-        compute(prepare(a), prepare(b), model)
-        for a, b in zip_longest(lines1, lines2, fillvalue="")
-    ]
+    # the pairs interleaved as one document: left 0, right 0, left 1, ...
+    lines = [line.expandtabs(args.tab_width)
+             for line in chain.from_iterable(zip_longest(lines1, lines2, fillvalue=""))]
+    if algorithm is Algorithm.NAIVE_ORACLE:
+        # looked up on each call, so a function swapped into the table is used
+        compute = _DISPATCH[algorithm]
+        costs = [compute(normalize_line(a, mode), normalize_line(b, mode), model)
+                 for a, b in zip(lines[::2], lines[1::2])]
+    else:
+        # normalizing keeps each line's length
+        costs = _paired_distances(normalize_line("".join(lines), mode),
+                                  [len(line) for line in lines], model,
+                                  algorithm is Algorithm.WS_AGNOSTIC)
     total = sum(costs)
     if args.format == "json":
         pairs = [{"line": k, "cost": cost} for k, cost in enumerate(costs)]

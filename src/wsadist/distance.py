@@ -27,9 +27,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate, chain
 
 from .cost_model import CostModel, unit_model
-from .kernel import dp
+from .kernel import dp, score_document
 from .oracles import SizeLimitError, ws_agnostic_naive
 
 DEFAULT_MAX_CELLS = 1 << 26
@@ -49,11 +50,9 @@ class DistanceResult:
     len2: int
 
 
-def _check_cells(s1: str, s2: str, max_cells: int):
-    if len(s1) * len(s2) > max_cells:
-        raise SizeLimitError(
-            f"{len(s1)} x {len(s2)} exceeds the {max_cells}-cell limit"
-        )
+def _check_cells(n1: int, n2: int, max_cells: int):
+    if n1 * n2 > max_cells:
+        raise SizeLimitError(f"{n1} x {n2} exceeds the {max_cells}-cell limit")
 
 
 def levenshtein_standard(
@@ -61,7 +60,7 @@ def levenshtein_standard(
 ) -> int:
     """Classical weighted Levenshtein distance."""
     model = model if model is not None else unit_model()
-    _check_cells(s1, s2, max_cells)
+    _check_cells(len(s1), len(s2), max_cells)
     if not s1:
         return sum(model.indel(c) for c in s2)
     if not s2:
@@ -75,7 +74,7 @@ def levenshtein_ws_agnostic(
     """Weighted Levenshtein distance with both strings treated as padded
     by infinite imagined trailing whitespace."""
     model = model if model is not None else unit_model()
-    _check_cells(s1, s2, max_cells)
+    _check_cells(len(s1), len(s2), max_cells)
     # An empty string is already at the imagined-whitespace suffix, so
     # every character of the other string is charged its whitespace cost
     # on its side.
@@ -86,8 +85,33 @@ def levenshtein_ws_agnostic(
     return dp(s1, s2, model, True)
 
 
+def _paired_distances(text: str, lengths: list[int], model: CostModel,
+                      ws_agnostic: bool) -> list[int]:
+    """``levenshtein_ws_agnostic`` (or, without ``ws_agnostic``,
+    ``levenshtein_standard``) of each pair of lines 2k and 2k + 1 of a
+    document given as ``text``, its lines joined, and their ``lengths``,
+    under the default cell limit.  Every pair is checked against the
+    limit first; then one kernel call scores the pairs of two non-empty
+    lines, and a pair with an empty line costs the other line's sum, as
+    in those functions."""
+    pairs = list(zip(lengths[::2], lengths[1::2]))
+    for n1, n2 in pairs:
+        _check_cells(n1, n2, DEFAULT_MAX_CELLS)
+    # the pairs of lines 2k + 1 and 2k + 2 are never wanted
+    want = bytes(chain.from_iterable((n1 > 0 and n2 > 0, 0) for n1, n2 in pairs))[:-1]
+    _, dists, codes, offsets, (indel, ws_del, ws_ins, *_) = score_document(
+        text, accumulate(lengths, initial=0), want, model, ws_agnostic)
+    first, second = (ws_del, ws_ins) if ws_agnostic else (indel, indel)
+
+    def line_sum(table, i: int) -> int:
+        return sum(map(table.__getitem__, codes[offsets[i]:offsets[i + 1]]))
+
+    return [dists[j] if want[j] else line_sum(first, j) if lengths[j] else line_sum(second, j + 1)
+            for j in range(0, len(lengths), 2)]
+
+
 # The one table from an algorithm to its function: ``distance()`` and
-# ``wsadist dist --mode`` both look it up on each call.
+# ``wsadist dist --mode naive-oracle`` look it up on each call.
 _DISPATCH = {
     Algorithm.STANDARD: levenshtein_standard,
     Algorithm.WS_AGNOSTIC: levenshtein_ws_agnostic,

@@ -27,11 +27,14 @@ meeting the second's padding costs ``model.whitespace_cost`` (the
 deletion side), one of the second string meeting the first's padding
 ``model.whitespace_insert_cost`` (the insertion side).
 
-Both lines of every pair are encoded into one ``model_alphabet``, whose
-first m codes are the characters of the first lines that lead a
-``model.replace_costs`` key.  The replacement table has m + 1 rows of k:
-a row symbol a below m reads row a, and one from m on reads row m with
-column a taken as 0.
+Every caller goes through one helper, ``score_document``: detection's
+document, the line pairs of ``wsadist dist`` interleaved into one
+document, and a single pair (``dp``).  It encodes the whole text once
+into one ``model_alphabet``, whose first m codes are the characters of
+the text that lead a ``model.replace_costs`` key, builds the model's
+tables once (``alphabet_costs``) and makes one ``dp_pairs`` call.  The
+replacement table has m + 1 rows of k: a row symbol a below m reads row
+a, and one from m on reads row m with column a taken as 0.
 """
 
 from __future__ import annotations
@@ -200,16 +203,29 @@ def alphabet_costs(alphabet: Alphabet, m: int, model: CostModel):
     return indel, ws_del, ws_ins, rep, dearest
 
 
+def score_document(text: str, offsets, want: bytes, model: CostModel, ws_agnostic: bool):
+    """One kernel call over a document of lines, given as ``text``, the
+    lines joined, and ``offsets``, ints from 0 to ``len(text)``: line i is
+    ``text[offsets[i]:offsets[i + 1]]``.  ``text`` is encoded once into
+    ``model_alphabet(model, text)``, ``model``'s tables are built once
+    over it, and ``dp_pairs`` weighs every line and scores each pair that
+    ``want`` flags.  Returns ``(weights, dists, codes, offsets, costs)``:
+    ``dp_pairs``'s results, then its inputs, ``costs`` being what
+    ``alphabet_costs`` returns."""
+    alphabet = model_alphabet(model, text)
+    m = len(alphabet)
+    codes = encode(text, alphabet)
+    offsets = array("q", offsets)
+    costs = alphabet_costs(alphabet, m, model)
+    return (*dp_pairs(codes, offsets, want, m, *costs, ws_agnostic), codes, offsets, costs)
+
+
 def dp(s1: str, s2: str, model: CostModel, ws_agnostic: bool) -> int:
     """Weighted distance between non-empty ``s1`` and ``s2`` under
     ``model``; with ``ws_agnostic``, both count as padded by imagined
     trailing whitespace.  The pair is scored as a document of two lines."""
-    alphabet = model_alphabet(model, s1)
-    m = len(alphabet)
-    codes = encode(s1 + s2, alphabet)
-    offsets = array("q", (0, len(s1), len(codes)))
-    costs = alphabet_costs(alphabet, m, model)
-    return dp_pairs(codes, offsets, b"\1", m, *costs, ws_agnostic)[1][0]
+    text = s1 + s2
+    return score_document(text, (0, len(s1), len(text)), b"\1", model, ws_agnostic)[1][0]
 
 
 def _refusal(result: int, n: int) -> Exception:

@@ -10,13 +10,12 @@ are hard separators.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
 
 from .cost_model import CostModel, appendix_model
 from .distance import DEFAULT_MAX_CELLS, levenshtein_ws_agnostic
-from .kernel import alphabet_costs, dp_pairs, encode, model_alphabet
+from .kernel import score_document
 from .normalizer import NormalizationMode, normalize_line
 
 
@@ -75,17 +74,13 @@ def _pair_scores(lines: list[str], mode: NormalizationMode, model: CostModel):
     ``model_alphabet``, and one kernel call weighs every line and scores
     every pair that needs it.
     """
-    text = normalize_line("".join(lines), mode)
-    alphabet = model_alphabet(model, text)
-    m = len(alphabet)
-    codes = encode(text, alphabet)
     # normalizing keeps each line's length, and whitespace as it is
     lengths = [len(line) for line in lines]
     blank = [not line.strip() for line in lines]
     want = bytes(not (blank1 or blank2) and n1 * n2 <= DEFAULT_MAX_CELLS
                  for blank1, blank2, n1, n2 in zip(blank, blank[1:], lengths, lengths[1:]))
-    offsets = array("q", accumulate(lengths, initial=0))
-    weights, dists = dp_pairs(codes, offsets, want, m, *alphabet_costs(alphabet, m, model), True)
+    weights, dists, *_ = score_document(normalize_line("".join(lines), mode),
+                                        accumulate(lengths, initial=0), want, model, True)
     for j, wanted in enumerate(want):
         heavier = max(weights[j], weights[j + 1])
         d = dists[j] if wanted else None

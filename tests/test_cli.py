@@ -1,10 +1,31 @@
 import io
 import json
+import logging
+import os
+import random
+import subprocess
+import sys
+from itertools import zip_longest
+from pathlib import Path
 
 import pytest
 
-from wsadist import Algorithm, appendix_model, distance
-from wsadist.cli import main
+import wsadist.kernel as kernel
+from wsadist import (
+    Algorithm,
+    NormalizationMode,
+    appendix_model,
+    distance,
+    kernel_backend,
+    normalize_line,
+    serialize_model,
+)
+from wsadist.cli import build_parser, main
+from wsadist.distance import _DISPATCH
+from test_kernel import LIST_TABLES
+from test_table_detect import MODELS, PIECES
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 THREE_ROW_TABLE = (
     "Bill Nye\t6 ft 0 inches\t190 lb\n"
@@ -223,6 +244,16 @@ class TestExitCodes:
         assert code == 4
         assert "limit" in err
 
+    @pytest.mark.parametrize("mode", ["ws-agnostic", "standard"])
+    def test_size_limit_in_file_mode_exits_4(self, capsys, tmp_path, mode):
+        # line 0 is fine; line 1 is 9000 x 9000 cells, over the limit
+        left, right = tmp_path / "a.txt", tmp_path / "b.txt"
+        left.write_text("aa 1\n" + "a" * 9000 + "\nbb\n")
+        right.write_text("aa 2\n" + "b" * 9000 + "\n")
+        code, out, err = run(capsys, "dist", "--files", "--mode", mode, str(left), str(right))
+        assert (code, out) == (4, "")
+        assert "9000 x 9000" in err
+
     def test_bad_model_file_exits_2(self, capsys, tmp_path):
         model = tmp_path / "bad.json"
         model.write_text('{"indel_default": -5}')
@@ -233,3 +264,110 @@ class TestExitCodes:
     def test_missing_model_file_exits_3(self, capsys, tmp_path):
         code, _, _ = run(capsys, "dist", "--model", str(tmp_path / "nope.json"), "a", "b")
         assert code == 3
+
+
+class TestParserOnce:
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_bad_argv_then_good_call(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["dist", "--normalize", "none", "--mode", "psychic", "a", "b"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert run(capsys, "dist", "--model", "unit", "Value1   ", "Worth2") == (0, "0\n", "")
+        # a flag of one call does not carry over to the next
+        assert run(capsys, "dist", "--model", "unit", "--normalize", "none", "ab", "a") == (
+            0, "1\n", "")
+        assert run(capsys, "dist", "--model", "unit", "Ab", "Aa") == (0, "0\n", "")
+
+    def test_subcommands_in_turn_match_fresh_processes(self, capsys, tmp_path):
+        doc = tmp_path / "doc.txt"
+        doc.write_text(THREE_ROW_TABLE + "\nprose 1\n")
+        other = tmp_path / "other.txt"
+        other.write_text("Bill Nye\t6 ft\n\nMike\n")
+        calls = [
+            ["dist", "--files", "--format", "json", str(doc), str(other)],
+            ["detect", str(doc)],
+            ["normalize", "--normalize", "simple", str(doc)],
+            ["dist", "--mode", "standard", "--files", str(other), str(doc)],
+            ["detect", "--format", "json", "--min-rows", "2", str(other)],
+            ["normalize", str(other)],
+            ["dist", "Aa 9", "Aa  99"],
+        ]
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        for argv in calls:
+            fresh = subprocess.run([sys.executable, "-m", "wsadist.cli", *argv], env=env,
+                                   capture_output=True, text=True, check=True).stdout
+            assert run(capsys, *argv) == (0, fresh, ""), argv
+
+
+def random_lines(rng):
+    """Lines for ``dist --files``: empty, whitespace-only and ones built
+    from ``PIECES``, which hold tabs."""
+    lines = []
+    for _ in range(rng.randint(0, 9)):
+        kind = rng.random()
+        if kind < 0.25:
+            lines.append("")
+        elif kind < 0.4:
+            lines.append(rng.choice([" ", "\t", "   ", " \t "]))
+        else:
+            lines.append("".join(rng.choice(PIECES) for _ in range(rng.randint(1, 8))))
+    return lines
+
+
+def reference_output(left, right, model, mode, fmt, tab_width, normalize):
+    """``dist --files``'s stdout, computed one pair at a time through the
+    mode table."""
+    compute = _DISPATCH[Algorithm(mode)]
+    norm = NormalizationMode(normalize)
+
+    def prepare(s):
+        return normalize_line(s.expandtabs(tab_width), norm)
+
+    costs = [compute(prepare(a), prepare(b), model)
+             for a, b in zip_longest(left, right, fillvalue="")]
+    if fmt == "json":
+        return json.dumps({"pairs": [{"line": k, "cost": c} for k, c in enumerate(costs)],
+                           "total": sum(costs)}) + "\n"
+    return "".join(f"{k}\t{c}\n" for k, c in enumerate(costs)) + f"total\t{sum(costs)}\n"
+
+
+def assert_file_mode_matches_pairs(capsys, tmp_path, seed):
+    """``dist --files``, which scores every pair in one kernel call, against
+    each pair scored on its own, under every model, tab width and
+    normalization mode."""
+    rng = random.Random(seed)
+    paths = [tmp_path / name for name in ("left.txt", "right.txt", "model.json")]
+    for n, model in enumerate([*MODELS, LIST_TABLES]):
+        paths[2].write_text(serialize_model(model))
+        for tab_width in (1, 4, 8):
+            for normalize in (m.value for m in NormalizationMode):
+                left, right = random_lines(rng), random_lines(rng)
+                for path, lines in zip(paths, (left, right)):
+                    path.write_text("".join(line + "\n" for line in lines))
+                for mode in ("ws-agnostic", "standard"):
+                    for fmt in ("text", "json"):
+                        argv = ["dist", "--files", "--mode", mode, "--model", str(paths[2]),
+                                "--format", fmt, "--tab-width", str(tab_width),
+                                "--normalize", normalize, str(paths[0]), str(paths[1])]
+                        want = reference_output(left, right, model, mode, fmt, tab_width,
+                                                normalize)
+                        assert run(capsys, *argv) == (0, want, ""), (argv, left, right, n)
+
+
+class TestFileModeOneKernelCall:
+    def test_on_compiled_kernel_matches_single_pairs(self, capsys, tmp_path):
+        if kernel_backend() != "compiled":
+            pytest.skip("no compiled kernel")
+        assert_file_mode_matches_pairs(capsys, tmp_path, 20261101)
+
+    def test_on_interpreted_kernel_matches_single_pairs(self, capsys, tmp_path, monkeypatch,
+                                                        caplog):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        monkeypatch.setenv("CC", "/nonexistent/cc")
+        monkeypatch.setattr(kernel, "_compiled", kernel._UNTRIED)
+        with caplog.at_level(logging.WARNING, logger="wsadist"):
+            assert kernel_backend() == "interpreted"
+            assert_file_mode_matches_pairs(capsys, tmp_path, 20261102)

@@ -247,8 +247,8 @@ def encode_document(doc, model, leads=None):
 def assert_pairs_match(doc, model, want):
     """The batch entry on ``doc`` against ``line_whitespace_cost``, the
     single-pair distance and, on short pairs, the padded oracle."""
-    codes, offsets, m, costs = encode_document(doc, model)
-    weights, dists = kernel.dp_pairs(codes, offsets, want, m, *costs, True)
+    weights, dists, *_ = kernel.score_document("".join(doc), accumulate(map(len, doc), initial=0),
+                                               want, model, True)
     assert list(weights) == [line_whitespace_cost(line, model) for line in doc], doc
     for j, wanted in enumerate(want):
         if not wanted:
@@ -313,9 +313,12 @@ def test_c_batch_refuses_code_outside_its_alphabet_or_m():
 
 
 SANITIZED_RUN = """
+import os
 import random
+import tempfile
 from wsadist import (CostModel, DetectConfig, detect_tables, kernel_backend,
-                     levenshtein_standard, levenshtein_ws_agnostic)
+                     levenshtein_standard, levenshtein_ws_agnostic, serialize_model)
+from wsadist.cli import main
 from test_table_detect import MODELS, random_document
 
 print(kernel_backend())
@@ -333,14 +336,27 @@ pairs = [(doc[i], doc[i + 1]) for doc in docs[:20] for i in range(len(doc) - 1)]
 for model in MODELS:
     print([(levenshtein_standard(a, b, model), levenshtein_ws_agnostic(a, b, model))
            for a, b in pairs])
+# `dist --files`: every line pair of two files in one kernel call
+with tempfile.TemporaryDirectory() as tmp:
+    paths = [os.path.join(tmp, name) for name in ("left", "right", "model.json")]
+    for path, part in zip(paths, (docs[:30], docs[30:60])):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(line + "\\n" for doc in part for line in doc)
+    for model in [*MODELS, big]:
+        with open(paths[2], "w", encoding="utf-8") as fh:
+            fh.write(serialize_model(model))
+        for mode in ("ws-agnostic", "standard"):
+            assert main(["dist", "--files", "--mode", mode, "--model", paths[2],
+                         "--format", "json", *paths[:2]]) == 0
 """
 
 
 @needs_compiler
 def test_kernel_under_sanitizers(tmp_path):
-    """Detection, single pairs and the beyond-int64 cases on a kernel built with the
-    undefined-behaviour and bounds sanitizers, which abort on a signed
-    overflow or an out-of-bounds index; skipped when that build fails."""
+    """Detection, single pairs, ``dist --files`` and the beyond-int64 cases
+    on a kernel built with the undefined-behaviour and bounds sanitizers,
+    which abort on a signed overflow or an out-of-bounds index; skipped
+    when that build fails."""
     cc = os.environ.get("CC") or "cc"
     env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path),
                CC=f"{cc} -fsanitize=undefined,bounds -fno-sanitize-recover=all",
