@@ -100,7 +100,7 @@ def _paired_distances(text: str, lengths: list[int], model: CostModel,
     # the pairs of lines 2k + 1 and 2k + 2 are never wanted
     want = bytes(chain.from_iterable((n1 > 0 and n2 > 0, 0) for n1, n2 in pairs))[:-1]
     _, dists, codes, offsets, (indel, ws_del, ws_ins, *_) = score_document(
-        text, accumulate(lengths, initial=0), want, model, ws_agnostic)
+        text, accumulate(lengths, initial=0), want, model, ws_agnostic, 0.0)
     first, second = (ws_del, ws_ins) if ws_agnostic else (indel, indel)
 
     def line_sum(table, i: int) -> int:

@@ -27,6 +27,16 @@ meeting the second's padding costs ``model.whitespace_cost`` (the
 deletion side), one of the second string meeting the first's padding
 ``model.whitespace_insert_cost`` (the insertion side).
 
+Detection passes its threshold to the kernel, which then computes d
+exactly only for the pairs that can reach it (see ``dp_pairs``).  A pair
+whose length bound -- each character of one line that no diagonal move
+takes pays at least its whitespace cost -- already puts it below the
+threshold gets no DP.  The rest run in a diagonal band: an interior cell
+i, j with |i - j| times the cheapest indel cost above the cutoff is
+skipped, and the last row and the last column, where whitespace moves
+can be free, stay full.  ``wsadist dist`` and single pairs pass
+threshold 0, which rules nothing out, so their distances are exact.
+
 Every caller goes through one helper, ``score_document``: detection's
 document, the line pairs of ``wsadist dist`` interleaved into one
 document, and a single pair (``dp``).  It encodes the whole text once
@@ -62,9 +72,9 @@ _INT64_MAX = (1 << 63) - 1
 _UTF32 = "utf-32-le" if sys.byteorder == "little" else "utf-32-be"
 _I64, _PTR = ctypes.c_int64, ctypes.c_void_p
 # lines, offsets, ncodes, codes, k, indel, ws_del, ws_ins, rep, m, want, weights, dists,
-# ws_agnostic
+# ws_agnostic, threshold
 _PAIRS_ARGTYPES = [_I64, _PTR, _I64, _PTR, _I64, _PTR, _PTR, _PTR, _PTR, _I64, ctypes.c_char_p,
-                   _PTR, _PTR, ctypes.c_int]
+                   _PTR, _PTR, ctypes.c_int, ctypes.c_double]
 
 _UNTRIED = object()
 _compiled = _UNTRIED  # the loaded C library, or None once it failed
@@ -203,21 +213,23 @@ def alphabet_costs(alphabet: Alphabet, m: int, model: CostModel):
     return indel, ws_del, ws_ins, rep, dearest
 
 
-def score_document(text: str, offsets, want: bytes, model: CostModel, ws_agnostic: bool):
+def score_document(text: str, offsets, want: bytes, model: CostModel, ws_agnostic: bool,
+                   threshold: float):
     """One kernel call over a document of lines, given as ``text``, the
     lines joined, and ``offsets``, ints from 0 to ``len(text)``: line i is
     ``text[offsets[i]:offsets[i + 1]]``.  ``text`` is encoded once into
     ``model_alphabet(model, text)``, ``model``'s tables are built once
     over it, and ``dp_pairs`` weighs every line and scores each pair that
-    ``want`` flags.  Returns ``(weights, dists, codes, offsets, costs)``:
-    ``dp_pairs``'s results, then its inputs, ``costs`` being what
-    ``alphabet_costs`` returns."""
+    ``want`` flags, up to ``threshold``.  Returns ``(weights, dists,
+    codes, offsets, costs)``: ``dp_pairs``'s results, then its inputs,
+    ``costs`` being what ``alphabet_costs`` returns."""
     alphabet = model_alphabet(model, text)
     m = len(alphabet)
     codes = encode(text, alphabet)
     offsets = array("q", offsets)
     costs = alphabet_costs(alphabet, m, model)
-    return (*dp_pairs(codes, offsets, want, m, *costs, ws_agnostic), codes, offsets, costs)
+    return (*dp_pairs(codes, offsets, want, m, *costs, ws_agnostic, threshold), codes, offsets,
+            costs)
 
 
 def dp(s1: str, s2: str, model: CostModel, ws_agnostic: bool) -> int:
@@ -225,7 +237,7 @@ def dp(s1: str, s2: str, model: CostModel, ws_agnostic: bool) -> int:
     ``model``; with ``ws_agnostic``, both count as padded by imagined
     trailing whitespace.  The pair is scored as a document of two lines."""
     text = s1 + s2
-    return score_document(text, (0, len(s1), len(text)), b"\1", model, ws_agnostic)[1][0]
+    return score_document(text, (0, len(s1), len(text)), b"\1", model, ws_agnostic, 0.0)[1][0]
 
 
 def _refusal(result: int, n: int) -> Exception:
@@ -233,11 +245,11 @@ def _refusal(result: int, n: int) -> Exception:
     if result == -1:
         return MemoryError(f"DP kernel could not allocate two rows of {n + 1}")
     return RuntimeError("DP kernel refused a symbol code outside its alphabet, an m outside "
-                        "[0, k], an offset or an empty wanted line")
+                        "[0, k], an offset, an empty wanted line or a threshold outside [0, 1]")
 
 
 def dp_pairs(codes, offsets, want: bytes, m: int, indel, ws_del, ws_ins, rep, dearest: int,
-             ws_agnostic: bool):
+             ws_agnostic: bool, threshold: float):
     """Every line's weight and the distance of each wanted adjacent pair
     of one document, in one call; ws-agnostic with ``ws_agnostic``, else
     the classical distance.
@@ -247,10 +259,15 @@ def dp_pairs(codes, offsets, want: bytes, m: int, indel, ws_del, ws_ins, rep, de
     ``dearest`` are as ``alphabet_costs`` returns them.  ``want`` holds
     one byte per adjacent pair, and a pair whose byte is non-zero must
     have two non-empty lines.  Returns ``(weights, dists)``: weights[i]
-    is the sum of ``ws_del`` over line i, and dists[i] the distance from
-    line i to line i + 1 for each wanted pair, else 0.  Runs the
-    compiled kernel when it is available and no path sum can exceed
-    int64, else ``dp_interpreted`` on each wanted pair.
+    is the sum of ``ws_del`` over line i, and dists[i] the distance d from
+    line i to line i + 1 for each wanted pair, else 0.
+
+    ``threshold``, in [0, 1], is detection's: the compiled kernel may
+    write -1 in place of d for a pair whose ``1.0 - d / D``, D the
+    heavier line's weight, is sure to fall below it, and d is exact for
+    every other pair.  Threshold 0 rules nothing out.  Runs the compiled
+    kernel when it is available and no path sum can exceed int64, else
+    ``dp_interpreted`` on each wanted pair, which computes every d.
     """
     lines = len(offsets) - 1
     if lines < 0 or len(want) != max(lines - 1, 0):
@@ -269,7 +286,7 @@ def dp_pairs(codes, offsets, want: bytes, m: int, indel, ws_del, ws_ins, rep, de
     result = lib.wsadist_pairs(
         lines, offsets.buffer_info()[0], len(codes), codes.buffer_info()[0], len(indel),
         *(t.buffer_info()[0] for t in (indel, ws_del, ws_ins, rep)), m, want,
-        weights.buffer_info()[0], dists.buffer_info()[0], ws_agnostic,
+        weights.buffer_info()[0], dists.buffer_info()[0], ws_agnostic, threshold,
     )
     if result < 0:
         raise _refusal(result, longest)

@@ -63,12 +63,16 @@ def row_similarity(line1: str, line2: str, model: CostModel | None = None) -> fl
     return max(0.0, 1.0 - levenshtein_ws_agnostic(line1, line2, model) / heavier)
 
 
-def _pair_scores(lines: list[str], mode: NormalizationMode, model: CostModel):
+def _pair_scores(lines: list[str], mode: NormalizationMode, model: CostModel,
+                 threshold: float):
     """For each adjacent pair of the tab-expanded ``lines``, in order, its
     score with its d and D: the score is None when either line is blank,
     else ``row_similarity``'s value on the normalized lines, or 0.0 when
-    the pair is too long for the distance's cell limit; d is None when
-    the pair was not scored.
+    the pair is too long for the distance's cell limit.  d is None when
+    the pair was not scored, or when the kernel ruled it out at
+    ``threshold``: its score is then sure to be below ``threshold``, and
+    given as 0.0.  So d, and the score, are exact for every pair that can
+    reach ``threshold``.
 
     The document is normalized and encoded once, into one
     ``model_alphabet``, and one kernel call weighs every line and scores
@@ -80,15 +84,16 @@ def _pair_scores(lines: list[str], mode: NormalizationMode, model: CostModel):
     want = bytes(not (blank1 or blank2) and n1 * n2 <= DEFAULT_MAX_CELLS
                  for blank1, blank2, n1, n2 in zip(blank, blank[1:], lengths, lengths[1:]))
     weights, dists, *_ = score_document(normalize_line("".join(lines), mode),
-                                        accumulate(lengths, initial=0), want, model, True)
+                                        accumulate(lengths, initial=0), want, model, True,
+                                        threshold)
     for j, wanted in enumerate(want):
         heavier = max(weights[j], weights[j + 1])
-        d = dists[j] if wanted else None
+        d = dists[j] if wanted and dists[j] >= 0 else None
         if blank[j] or blank[j + 1]:
             yield None, d, heavier
         elif heavier == 0:
             yield 1.0, d, heavier
-        elif not wanted:
+        elif d is None:
             yield 0.0, d, heavier
         else:
             yield max(0.0, 1.0 - d / heavier), d, heavier
@@ -105,7 +110,8 @@ def detect_tables(lines, config: DetectConfig | None = None) -> list[TableRegion
     """
     config = config if config is not None else DetectConfig()
     expanded = [line.expandtabs(config.tab_width) for line in lines]
-    scores = (sim for sim, _, _ in _pair_scores(expanded, config.mode, config.model))
+    scores = (sim for sim, _, _ in _pair_scores(expanded, config.mode, config.model,
+                                                config.threshold))
 
     regions: list[TableRegion] = []
     sims: list[float] = []  # the joined pairs of the run ending at line i - 1

@@ -1,6 +1,7 @@
 import pytest
 
 import wsadist as w
+import wsadist.kernel as kernel
 
 ALPHABET = "aA9(),$ "
 
@@ -23,3 +24,12 @@ def warm_kernel():
     m = w.unit_model()
     w.levenshtein_standard("warm", "up", m)
     w.levenshtein_ws_agnostic("warm", "up", m)
+
+
+@pytest.fixture
+def fresh_kernel(monkeypatch, tmp_path):
+    """The kernel as a new process finds it, with an empty cache directory;
+    the process's loaded kernel comes back afterwards."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    monkeypatch.setattr(kernel, "_compiled", kernel._UNTRIED)
+    return tmp_path / "cache" / "wsadist"

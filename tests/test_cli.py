@@ -10,7 +10,6 @@ from pathlib import Path
 
 import pytest
 
-import wsadist.kernel as kernel
 from wsadist import (
     Algorithm,
     NormalizationMode,
@@ -363,11 +362,9 @@ class TestFileModeOneKernelCall:
             pytest.skip("no compiled kernel")
         assert_file_mode_matches_pairs(capsys, tmp_path, 20261101)
 
-    def test_on_interpreted_kernel_matches_single_pairs(self, capsys, tmp_path, monkeypatch,
-                                                        caplog):
-        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    def test_on_interpreted_kernel_matches_single_pairs(self, capsys, tmp_path, fresh_kernel,
+                                                        monkeypatch, caplog):
         monkeypatch.setenv("CC", "/nonexistent/cc")
-        monkeypatch.setattr(kernel, "_compiled", kernel._UNTRIED)
         with caplog.at_level(logging.WARNING, logger="wsadist"):
             assert kernel_backend() == "interpreted"
             assert_file_mode_matches_pairs(capsys, tmp_path, 20261102)

@@ -38,15 +38,6 @@ needs_compiler = pytest.mark.skipif(
 )
 
 
-@pytest.fixture
-def fresh_kernel(monkeypatch, tmp_path):
-    """The kernel as a new process finds it, with an empty cache directory;
-    the process's loaded kernel comes back afterwards."""
-    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-    monkeypatch.setattr(kernel, "_compiled", kernel._UNTRIED)
-    return tmp_path / "cache" / "wsadist"
-
-
 def assert_matches_oracle(unit, appendix, seed):
     rng = random.Random(seed)
     for _ in range(150):
@@ -148,16 +139,17 @@ def test_path_sums_beyond_int64_are_exact():
     )
 
 
-def c_pair(codes, offsets, k, m, ws_agnostic):
+def c_pair(codes, offsets, k, m, ws_agnostic, threshold=0.0):
     """The C entry on a document whose one adjacent pair is wanted, every
-    cost 1: its return value and that pair's distance."""
+    cost 1: its return value and that pair's distance (-1 when the pair
+    cannot reach ``threshold``)."""
     fn = kernel._compiled_library().wsadist_pairs
     codes, offsets = array("I", codes), array("q", offsets)
     ones, weights, dists = array("q", [1] * (k + 1) * k), array("q", [0, 0]), array("q", [0])
     c = ones.buffer_info()[0]
     result = fn(len(offsets) - 1, offsets.buffer_info()[0], len(codes), codes.buffer_info()[0],
                 k, c, c, c, c, m, b"\x01", weights.buffer_info()[0], dists.buffer_info()[0],
-                ws_agnostic)
+                ws_agnostic, threshold)
     return result, dists[0]
 
 
@@ -175,10 +167,25 @@ def test_c_kernel_refuses_code_outside_its_alphabet():
 
 
 @needs_compiler
+def test_c_kernel_refuses_threshold_outside_0_1():
+    for ws_agnostic in (0, 1):
+        for threshold in (-0.5, -1.0, 1.5, float("inf"), float("nan")):
+            assert c_pair([0, 1], [0, 1, 2], 2, 0, ws_agnostic, threshold)[0] == -2
+        # d = 1 and D = 1: the pair reaches any threshold up to 0, and is
+        # ruled out above it; threshold 0 is no cutoff
+        assert c_pair([0, 1], [0, 1, 2], 2, 0, ws_agnostic, 0.0) == (0, 1)
+        assert c_pair([0, 1], [0, 1, 2], 2, 0, ws_agnostic, -0.0) == (0, 1)
+        assert c_pair([0, 1], [0, 1, 2], 2, 0, ws_agnostic, 1e-300) == (0, -1)
+        assert c_pair([0, 1], [0, 1, 2], 2, 0, ws_agnostic, 1.0) == (0, -1)
+        # an identical pair reaches every threshold
+        assert c_pair([0, 0], [0, 1, 2], 2, 0, ws_agnostic, 1.0) == (0, 0)
+
+
+@needs_compiler
 def test_kernel_source_compiles_with_strict_warnings():
     cc = shlex.split(os.environ.get("CC") or "cc")
-    proc = subprocess.run([*cc, "-O2", "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
-                           str(kernel._SOURCE)], capture_output=True, text=True)
+    proc = subprocess.run([*cc, "-O2", "-Wall", "-Wextra", "-Wconversion", "-Werror",
+                           "-fsyntax-only", str(kernel._SOURCE)], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -205,7 +212,8 @@ def assert_model_alphabet_matches_oracle(seed):
             offsets = array("q", [0, len(s1), len(s1) + len(s2)])
             costs = kernel.alphabet_costs(alphabet, m, model)
             assert len(costs[3]) == (m + 1) * len(alphabet)
-            ws_d, std_d = (kernel.dp_pairs(codes, offsets, b"\x01", m, *costs, ws_agnostic)[1][0]
+            ws_d, std_d = (kernel.dp_pairs(codes, offsets, b"\x01", m, *costs, ws_agnostic,
+                                           0.0)[1][0]
                            for ws_agnostic in (True, False))
             assert ws_d == levenshtein_ws_agnostic(s1, s2, model), (s1, s2, model)
             assert std_d == levenshtein_standard(s1, s2, model), (s1, s2, model)
@@ -248,7 +256,7 @@ def assert_pairs_match(doc, model, want):
     """The batch entry on ``doc`` against ``line_whitespace_cost``, the
     single-pair distance and, on short pairs, the padded oracle."""
     weights, dists, *_ = kernel.score_document("".join(doc), accumulate(map(len, doc), initial=0),
-                                               want, model, True)
+                                               want, model, True, 0.0)
     assert list(weights) == [line_whitespace_cost(line, model) for line in doc], doc
     for j, wanted in enumerate(want):
         if not wanted:
@@ -288,15 +296,15 @@ def test_batch_takes_list_tables_with_every_line_empty():
     codes, offsets, m, costs = encode_document(["", "", ""], LIST_TABLES, leads="a9")
     assert isinstance(costs[3], list)
     for ws_agnostic in (True, False):
-        assert kernel.dp_pairs(codes, offsets, bytes(2), m, *costs, ws_agnostic) == ([0, 0, 0],
-                                                                                    [0, 0])
+        assert kernel.dp_pairs(codes, offsets, bytes(2), m, *costs, ws_agnostic, 0.0) == (
+            [0, 0, 0], [0, 0])
 
 
 def test_batch_refuses_flags_that_do_not_match_the_lines():
     codes, offsets, m, costs = encode_document(["a", "9"], MODELS[0])
     for ws_agnostic in (True, False):
         with pytest.raises(ValueError):
-            kernel.dp_pairs(codes, offsets, bytes(2), m, *costs, ws_agnostic)
+            kernel.dp_pairs(codes, offsets, bytes(2), m, *costs, ws_agnostic, 0.0)
 
 
 @needs_compiler
@@ -316,10 +324,11 @@ SANITIZED_RUN = """
 import os
 import random
 import tempfile
-from wsadist import (CostModel, DetectConfig, detect_tables, kernel_backend,
+from wsadist import (CostModel, DetectConfig, NormalizationMode, detect_tables, kernel_backend,
                      levenshtein_standard, levenshtein_ws_agnostic, serialize_model)
 from wsadist.cli import main
-from test_table_detect import MODELS, random_document
+from wsadist.table_detect import _pair_scores
+from test_table_detect import MODELS, random_document, skewed_document
 
 print(kernel_backend())
 rng = random.Random(20261024)
@@ -331,6 +340,21 @@ for model in [*MODELS, big]:
            for doc in docs])
 print(levenshtein_standard("aaa", "bbb", big), levenshtein_ws_agnostic("aaa", "bbbb", big),
       levenshtein_ws_agnostic("a", "b", big))
+# detection's cutoff at several thresholds, on skewed line lengths too, and
+# under a model whose indels and replacements come near the int64 guard
+# (2 * 60 * 2 ** 56 < 2 ** 63) while its whitespace costs keep D small, so
+# that the band is the diagonal alone and the cutoff sits next to huge costs
+skewed = [skewed_document(rng) for _ in range(30)]
+near = CostModel(indel_default=1 << 56, replace_default=1 << 56,
+                 replace_costs={p: 1 for c in "aA9b" for p in ((c, " "), (" ", c))})
+for model in [*MODELS, near]:
+    for threshold in (0.2, 0.5, 0.61, 0.9, 1.0):
+        print([list(_pair_scores(doc, NormalizationMode.NONE, model, threshold))
+               for doc in docs[:20] + skewed])
+# the compiled kernel rules scored pairs out under the near-guard model
+assert kernel_backend() != "compiled" or any(
+    sim is not None and d is None
+    for doc in skewed for sim, d, _ in _pair_scores(doc, NormalizationMode.NONE, near, 0.5))
 # single pairs, both branches of the kernel's one entry
 pairs = [(doc[i], doc[i + 1]) for doc in docs[:20] for i in range(len(doc) - 1)]
 for model in MODELS:
@@ -353,10 +377,13 @@ with tempfile.TemporaryDirectory() as tmp:
 
 @needs_compiler
 def test_kernel_under_sanitizers(tmp_path):
-    """Detection, single pairs, ``dist --files`` and the beyond-int64 cases
-    on a kernel built with the undefined-behaviour and bounds sanitizers,
-    which abort on a signed overflow or an out-of-bounds index; skipped
-    when that build fails."""
+    """Detection with and without a cutoff, single pairs, ``dist --files``
+    and the beyond-int64 cases on a kernel built with the
+    undefined-behaviour and bounds sanitizers, which abort on a signed
+    overflow or an out-of-bounds index; skipped when that build fails.
+    The bounds sanitizer cannot see an index that stays inside the
+    kernel's one allocation, so the cutoff's band is checked against
+    exact distances in ``test_table_detect`` too."""
     cc = os.environ.get("CC") or "cc"
     env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path),
                CC=f"{cc} -fsanitize=undefined,bounds -fno-sanitize-recover=all",

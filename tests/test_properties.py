@@ -10,6 +10,7 @@ import wsadist.kernel as kernel
 from wsadist import (
     CostModel,
     DetectConfig,
+    NormalizationMode,
     appendix_model,
     detect_tables,
     levenshtein_standard,
@@ -19,6 +20,8 @@ from wsadist import (
     unit_model,
     ws_agnostic_naive,
 )
+from wsadist.table_detect import _pair_scores
+from test_table_detect import assert_cutoff_keeps_decisions
 
 ALPHABET = "aA9(),$ "
 
@@ -66,9 +69,26 @@ def test_ws_agnostic_matches_padded_oracle_under_asymmetric_models(s1, s2, model
         codes = kernel.encode(s1 + s2, alphabet)
         offsets = array("q", [0, len(s1), len(s1) + len(s2)])
         costs = kernel.alphabet_costs(alphabet, m, model)
-        assert kernel.dp_pairs(codes, offsets, b"\x01", m, *costs, True)[1][0] == expected
-        assert kernel.dp_pairs(codes, offsets, b"\x01", m, *costs, False)[1][0] == (
+        assert kernel.dp_pairs(codes, offsets, b"\x01", m, *costs, True, 0.0)[1][0] == expected
+        assert kernel.dp_pairs(codes, offsets, b"\x01", m, *costs, False, 0.0)[1][0] == (
             ws_agnostic_naive(s1, s2, model, pad_limit=0))
+
+
+def length_bound(s1, s2, model):
+    """The kernel's bound on the ws-agnostic d: each character of s1 that no
+    diagonal move takes, all but at most len(s2) of them, pays at least its
+    whitespace cost, and the same for s2."""
+    dels = [model.whitespace_cost(c) for c in s1]
+    ins = [model.whitespace_insert_cost(c) for c in s2]
+    return max(sum(dels) - len(s2) * max(dels, default=0),
+               sum(ins) - len(s1) * max(ins, default=0))
+
+
+@common
+@given(st.text(alphabet=SMALL + "9$", max_size=16), st.text(alphabet=SMALL + "9$", max_size=16),
+       st.one_of(asymmetric_models, models, st.just(CostModel(indel_costs={"a": 0, " ": 0}))))
+def test_ws_agnostic_distance_is_at_least_the_length_bound(s1, s2, model):
+    assert levenshtein_ws_agnostic(s1, s2, model) >= length_bound(s1, s2, model)
 
 
 @common
@@ -134,6 +154,22 @@ def test_detect_region_invariants(lines, config):
         assert 0.0 <= r.score <= 1.0
         assert r.end_line < len(lines)
         prev_end = r.end_line
+
+
+@settings(max_examples=300, deadline=None)
+@given(documents, st.one_of(models, asymmetric_models), st.data())
+def test_detect_with_cutoff_matches_exact_decisions(lines, model, data):
+    """Thresholds 0, 1, a random one and one where (1 - threshold) * D is
+    an integer for a scored pair."""
+    lines = [line.expandtabs(8) for line in lines]
+    weights = [heavier for _, d, heavier in _pair_scores(lines, NormalizationMode.CASED, model, 0.0)
+               if d is not None and heavier > 0]
+    thresholds = [0.0, 1.0, data.draw(st.floats(min_value=0.0, max_value=1.0))]
+    if weights:
+        heavier = data.draw(st.sampled_from(weights))
+        thresholds.append(1.0 - data.draw(st.integers(0, heavier)) / heavier)
+    for threshold in thresholds:
+        assert_cutoff_keeps_decisions(lines, model, threshold)
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,3 +1,5 @@
+import logging
+import math
 import random
 import tracemalloc
 from itertools import pairwise
@@ -12,10 +14,14 @@ from wsadist import (
     TableRegion,
     appendix_model,
     detect_tables,
+    kernel_backend,
+    levenshtein_ws_agnostic,
+    line_whitespace_cost,
     normalize_line,
     row_similarity,
     unit_model,
 )
+from wsadist.table_detect import _pair_scores
 
 THREE_ROW_TABLE = [
     "Bill Nye\t6 ft 0 inches\t190 lb",
@@ -262,3 +268,105 @@ class TestSymbolLimit:
         ]
         doc = ["aa 99"] * 3 + [wide, other] + ["aa 99", "aa 9"]
         assert detect_tables(doc, config) == reference_regions(doc, config)
+
+
+def random_model(rng):
+    """An asymmetric model over a few characters, zero indel costs likely."""
+    def cost():
+        return rng.choice([0, 0, 1, 2, 3, 6])
+
+    chars = "aA9 b"
+    return CostModel(indel_default=cost(), replace_default=cost(), symmetric=False,
+                     indel_costs={c: cost() for c in rng.sample(chars, 3)},
+                     replace_costs={(x, y): cost() for x in chars for y in chars
+                                    if x != y and rng.random() < 0.4})
+
+
+def skewed_document(rng):
+    """Lines of very different lengths, many of them mostly whitespace."""
+    return ["".join(rng.choice("aA9b  ") for _ in range(rng.choice([1, 1, 2, 3, 5, 20, 60])))
+            for _ in range(rng.randint(2, 8))]
+
+
+def assert_cutoff_keeps_decisions(doc, model, threshold, mode=NormalizationMode.CASED):
+    """Detection at ``threshold``, where the kernel may rule pairs out,
+    against the exact scores of threshold 0: each pair keeps its d and
+    score, or has d None, a score of 0.0 and an exact score below
+    ``threshold``.  The regions equal ``reference_regions``'s."""
+    lines = [line.expandtabs(8) for line in doc]
+    exact = list(_pair_scores(lines, mode, model, 0.0))
+    cut = list(_pair_scores(lines, mode, model, threshold))
+    assert len(cut) == len(exact)
+    for (sim, d, heavier), (sim_cut, d_cut, heavier_cut) in zip(exact, cut):
+        assert heavier_cut == heavier
+        if d_cut is None and d is not None:
+            assert sim < threshold and sim_cut == 0.0, (doc, model, threshold, d, heavier)
+        else:
+            assert (sim_cut, d_cut) == (sim, d), (doc, model, threshold)
+    config = DetectConfig(threshold, 2, mode, model)
+    assert detect_tables(doc, config) == reference_regions(doc, config), (doc, model, threshold)
+
+
+def edge_thresholds(doc, model, rng):
+    """Thresholds at which (1 - threshold) * D is an integer for one scored
+    pair of ``doc``: its own score, and that of d - 1 and d + 1; and the
+    next double above its score, which the pair no longer reaches."""
+    scored = [(d, heavier) for sim, d, heavier in _pair_scores(doc, NormalizationMode.CASED,
+                                                                model, 0.0)
+              if d is not None and heavier > 0]
+    if not scored:
+        return []
+    d, heavier = rng.choice(scored)
+    edges = [1.0 - t / heavier for t in (d - 1, d, d + 1) if 0 <= t <= heavier]
+    return [*edges, math.nextafter(1.0 - min(d, heavier) / heavier, 2.0)]
+
+
+def assert_cutoff_matches_exact(seed):
+    rng = random.Random(seed)
+    for n in range(300):
+        model = rng.choice([*MODELS, random_model(rng)])
+        doc = [line.expandtabs(8) for line in (random_document, skewed_document)[n % 2](rng)]
+        for threshold in [0.0, 1.0, rng.random(), *edge_thresholds(doc, model, rng)]:
+            if threshold <= 1.0:
+                assert_cutoff_keeps_decisions(doc, model, threshold)
+
+
+def test_cutoff_on_compiled_kernel_matches_exact_decisions():
+    if kernel_backend() != "compiled":
+        pytest.skip("no compiled kernel")
+    assert_cutoff_matches_exact(20261025)
+
+
+def test_cutoff_on_interpreted_kernel_matches_exact_decisions(fresh_kernel, monkeypatch, caplog):
+    monkeypatch.setenv("CC", "/nonexistent/cc")
+    with caplog.at_level(logging.WARNING, logger="wsadist"):
+        assert kernel_backend() == "interpreted"
+        assert_cutoff_matches_exact(20261026)
+
+
+# A zero-cost indel: no band, the length bound alone
+ZERO_INDEL = CostModel(indel_costs={"a": 0}, replace_default=2)
+
+
+@pytest.mark.parametrize("s1, s2, model", [
+    ("a", "a   b", unit_model()),              # n1 = 1: the first row is the last
+    ("a  b", "a", unit_model()),               # n2 = 1: no interior column
+    ("a" + " " * 30, "a b", unit_model()),     # |n1 - n2| past the band: rows 4-30 have none
+    ("99 9" + " " * 20 + "b", "99 9 b", appendix_model()),
+    ("aaa b", "aaa c" + " " * 20, unit_model()),  # every band ends before column n2 - 1
+    ("aba b", "ab bb", ZERO_INDEL),            # min_indel = 0
+])
+def test_cutoff_at_a_pairs_own_score(s1, s2, model):
+    """A pair reaches a threshold equal to its own score, with its exact d,
+    and is ruled out (by the compiled kernel) just above it."""
+    d = levenshtein_ws_agnostic(s1, s2, model)
+    heavier = max(line_whitespace_cost(s1, model), line_whitespace_cost(s2, model))
+    edge = max(0.0, 1.0 - d / heavier)
+    assert 0.0 < edge < 1.0
+    mode = NormalizationMode.NONE
+    assert list(_pair_scores([s1, s2], mode, model, edge)) == [(edge, d, heavier)]
+    [(sim, d_cut, _)] = _pair_scores([s1, s2], mode, model, math.nextafter(edge, 2.0))
+    if kernel_backend() == "compiled":
+        assert (sim, d_cut) == (0.0, None)
+    for threshold in (edge, math.nextafter(edge, 2.0), 0.0, 1.0):
+        assert_cutoff_keeps_decisions([s1, s2], model, threshold, mode)
