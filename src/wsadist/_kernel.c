@@ -40,10 +40,13 @@ static inline int64_t cell(int64_t up, int64_t dcost, int64_t left, int64_t icos
 /* The least d that rules a pair of weight `heavier` out at `threshold`,
  * T + 1, or INT64_MAX for no cutoff: at threshold 0, at weight 0, past
  * 2^53, where a double no longer holds every weight, or where doubles
- * are evaluated wider than double. */
+ * are evaluated wider than double.  FLT_EVAL_METHOD 16, which GCC sets
+ * with AVX512-FP16 (-march=native on such a CPU), widens only _Float16
+ * and evaluates double as double, as 0 does. */
 static int64_t cutoff(double threshold, int64_t heavier)
 {
-    if (FLT_EVAL_METHOD != 0 || threshold <= 0.0 || heavier == 0 || heavier > (INT64_C(1) << 53))
+    if ((FLT_EVAL_METHOD != 0 && FLT_EVAL_METHOD != 16) || threshold <= 0.0 || heavier == 0
+        || heavier > (INT64_C(1) << 53))
         return INT64_MAX;
     double weight = (double)heavier;
     /* T is near (1 - threshold) * heavier; d = 0 always passes and

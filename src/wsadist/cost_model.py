@@ -9,8 +9,7 @@ is validated when the model is built.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache
 from importlib import resources
 
 
@@ -40,8 +39,47 @@ def _check_char(value, where: str) -> str:
     return value
 
 
-@dataclass(frozen=True)
-class CostModel:
+class _Record:
+    """An immutable record of the fields that its class names, in order,
+    in ``__match_args__`` and ``__slots__``: equality (within one class),
+    hash and repr go by their values, assignment and deletion raise
+    AttributeError, and pickling or copying builds it anew from them.
+    It stands in for a frozen dataclass: importing ``dataclasses``, with
+    ``inspect``, adds about 10 ms to a fresh process's start."""
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__match_args__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
+class CostModel(_Record):
     """Immutable edit-cost model.
 
     ``indel_costs`` maps a character to its insertion/deletion cost
@@ -50,24 +88,30 @@ class CostModel:
     pairs to replacement costs with ``replace_default`` as fallback;
     replacing a character with itself is always free regardless of the
     table.  ``whitespace_char`` is the one character that matches the
-    imagined trailing whitespace for free.
+    imagined trailing whitespace for free.  An omitted table is a new
+    empty dict.
     """
 
-    indel_default: int = 1
-    replace_default: int = 1
-    indel_costs: dict[str, int] = field(default_factory=dict)
-    replace_costs: dict[tuple[str, str], int] = field(default_factory=dict)
-    whitespace_char: str = " "
-    symmetric: bool = True
+    __match_args__ = ("indel_default", "replace_default", "indel_costs", "replace_costs",
+                      "whitespace_char", "symmetric")
+    __slots__ = (*__match_args__, "_replace_rows")
 
-    def __post_init__(self):
-        _check_cost(self.indel_default, "indel_default")
-        _check_cost(self.replace_default, "replace_default")
-        _check_char(self.whitespace_char, "whitespace_char")
-        for c, cost in self.indel_costs.items():
+    def __init__(self, indel_default: int = 1, replace_default: int = 1,
+                 indel_costs: dict[str, int] | None = None,
+                 replace_costs: dict[tuple[str, str], int] | None = None,
+                 whitespace_char: str = " ", symmetric: bool = True):
+        indel_costs = {} if indel_costs is None else indel_costs
+        replace_costs = {} if replace_costs is None else replace_costs
+        self._set(indel_default, replace_default, indel_costs, replace_costs, whitespace_char,
+                  symmetric)
+        _check_cost(indel_default, "indel_default")
+        _check_cost(replace_default, "replace_default")
+        _check_char(whitespace_char, "whitespace_char")
+        for c, cost in indel_costs.items():
             _check_char(c, "indel")
             _check_cost(cost, f"indel[{c!r}]")
-        for (a, b), cost in self.replace_costs.items():
+        rows = {}  # replace_costs grouped by first character: a -> {b: cost}
+        for (a, b), cost in replace_costs.items():
             _check_char(a, "replace")
             _check_char(b, "replace")
             _check_cost(cost, f"replace[{a!r},{b!r}]")
@@ -75,14 +119,16 @@ class CostModel:
                 raise ModelValidationError(
                     f"replace[{a!r},{a!r}] = {cost}: identity replacement must cost 0"
                 )
-        if self.symmetric:
-            for (a, b), cost in self.replace_costs.items():
-                other = self.replace_costs.get((b, a), cost)
+            rows.setdefault(a, {})[b] = cost
+        if symmetric:
+            for (a, b), cost in replace_costs.items():
+                other = replace_costs.get((b, a), cost)
                 if other != cost:
                     raise ModelValidationError(
                         f"replace[{a!r},{b!r}] = {cost} but replace[{b!r},{a!r}] = "
                         f"{other}: model is declared symmetric"
                     )
+        object.__setattr__(self, "_replace_rows", rows)
 
     def indel(self, c: str) -> int:
         """Cost of inserting or deleting character ``c``."""
@@ -110,14 +156,6 @@ class CostModel:
         if c == self.whitespace_char:
             return 0
         return min(self.indel(c), self.replace(self.whitespace_char, c))
-
-    @cached_property
-    def _replace_rows(self) -> dict[str, dict[str, int]]:
-        """``replace_costs`` grouped by first character: a -> {b: cost}."""
-        rows = {}
-        for (a, b), cost in self.replace_costs.items():
-            rows.setdefault(a, {})[b] = cost
-        return rows
 
     def to_dict(self) -> dict:
         """Serializable form; inverse of :func:`model_from_dict`."""

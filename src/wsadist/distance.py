@@ -25,11 +25,10 @@ one logged warning (see ``kernel_backend()``).  On the compiled kernel a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate, chain
 
-from .cost_model import CostModel, unit_model
+from .cost_model import CostModel, _Record, unit_model
 from .kernel import dp, score_document
 from .oracles import SizeLimitError, ws_agnostic_naive
 
@@ -42,12 +41,14 @@ class Algorithm(Enum):
     NAIVE_ORACLE = "naive-oracle"
 
 
-@dataclass(frozen=True)
-class DistanceResult:
-    cost: int
-    algorithm: Algorithm
-    len1: int
-    len2: int
+class DistanceResult(_Record):
+    """A distance ``cost`` by ``algorithm`` between strings of lengths
+    ``len1`` and ``len2``."""
+
+    __slots__ = __match_args__ = ("cost", "algorithm", "len1", "len2")
+
+    def __init__(self, cost: int, algorithm: Algorithm, len1: int, len2: int):
+        self._set(cost, algorithm, len1, len2)
 
 
 def _check_cells(n1: int, n2: int, max_cells: int):

@@ -4,20 +4,23 @@ There is one kernel, written in C (``_kernel.c``, shipped inside the
 package), with one entry, ``wsadist_pairs`` (``dp_pairs``): it weighs
 every line of a document and scores every adjacent pair that the caller
 asks for, in one call.  A single pair (``dp``) is a document of two
-lines.  On first use it is built with the system C compiler
--- ``$CC`` if set, else ``cc`` -- as ``cc -O2 -shared -fPIC`` into a
-per-user cache directory, ``$XDG_CACHE_HOME/wsadist`` (default
-``~/.cache/wsadist``), and loaded with ``ctypes``.  The library's file name is keyed by a hash
-of the source, the compiler command and the platform, so a changed
-source or compiler builds anew.  Each build goes to a temporary file that
-is then renamed into place, so concurrent processes may build at once.
-The directory is created with mode 0700; one that another user owns, or
-that others may write to, is refused.
+lines.  On first use it is built with the system C compiler -- ``$CC``
+if set, else ``cc`` -- as ``cc -O2 -shared -fPIC`` into a per-user
+cache directory, ``$XDG_CACHE_HOME/wsadist`` (default
+``~/.cache/wsadist``), and loaded with ``ctypes``.  The library's file
+name is keyed by a hash of the source, the compiler command and the
+platform, ``os.uname()``'s ``sysname`` and ``machine``, so a changed
+source or compiler builds anew.  Each build goes to a temporary file
+that is then renamed into place, so concurrent processes may build at
+once.  The directory is created with mode 0700; one that another user
+owns, or that others may write to, is refused.
 
 When the build or the load fails, one warning on the ``wsadist`` logger
 gives the reason, and ``dp_interpreted`` -- the same recurrence in plain
 Python -- runs instead, once for each pair.  It is orders of magnitude
 slower.  ``kernel_backend()`` reports which of the two is in use.
+``logging`` is imported only to give that warning: a fresh process that
+loads the compiled kernel starts without it.
 A document whose path sums could exceed int64 -- twice its longest line
 times the dearest cost -- always takes the interpreted kernel, which
 computes over Python ints; a single pair is such a document.
@@ -51,9 +54,7 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
-import logging
 import os
-import platform
 import shlex
 import sys
 import threading
@@ -63,8 +64,6 @@ from operator import sub
 from pathlib import Path
 
 from .cost_model import CostModel
-
-log = logging.getLogger("wsadist")
 
 _SOURCE = Path(__file__).with_name("_kernel.c")
 _FLAGS = ("-O2", "-shared", "-fPIC")
@@ -126,7 +125,8 @@ def _load():
     command = [*shlex.split(os.environ.get("CC") or "cc"), *_FLAGS]
     key = hashlib.sha256()
     key.update(_SOURCE.read_bytes())
-    key.update(repr((command, platform.system(), platform.machine())).encode())
+    uname = os.uname()
+    key.update(repr((command, uname.sysname, uname.machine)).encode())
     target = _private_dir(_cache_dir()) / f"kernel-{key.hexdigest()[:16]}.so"
     if not target.exists():
         _build(target, command)
@@ -144,7 +144,9 @@ def _compiled_library():
                 try:
                     _compiled = _load()
                 except (OSError, ValueError) as exc:  # ValueError: $CC unparsable
-                    log.warning(
+                    import logging
+
+                    logging.getLogger("wsadist").warning(
                         "compiled DP kernel unavailable (%s); using the interpreted "
                         "kernel, which is orders of magnitude slower",
                         exc,

@@ -10,37 +10,40 @@ are hard separators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import accumulate, chain
 
-from .cost_model import CostModel, appendix_model
+from .cost_model import CostModel, _Record, appendix_model
 from .distance import DEFAULT_MAX_CELLS, levenshtein_ws_agnostic
 from .kernel import score_document
 from .normalizer import NormalizationMode, normalize_line
 
 
-@dataclass(frozen=True)
-class TableRegion:
-    start_line: int  # 0-based, inclusive
-    end_line: int    # 0-based, inclusive
-    score: float     # mean adjacent-row similarity, in [0, 1]
+class TableRegion(_Record):
+    """Lines ``start_line`` to ``end_line``, 0-based and both inclusive,
+    with ``score``, the mean adjacent-row similarity, in [0, 1]."""
+
+    __slots__ = __match_args__ = ("start_line", "end_line", "score")
+
+    def __init__(self, start_line: int, end_line: int, score: float):
+        self._set(start_line, end_line, score)
 
 
-@dataclass(frozen=True)
-class DetectConfig:
-    threshold: float = 0.5
-    min_rows: int = 3
-    mode: NormalizationMode = NormalizationMode.CASED
-    model: CostModel = field(default_factory=appendix_model)
-    tab_width: int = 8
+class DetectConfig(_Record):
+    """Detection's settings; ``model`` defaults to ``appendix_model()``."""
 
-    def __post_init__(self):
-        if not 0.0 <= self.threshold <= 1.0:
-            raise ValueError(f"threshold must be in [0, 1], got {self.threshold}")
-        if self.min_rows < 2:
-            raise ValueError(f"min_rows must be >= 2, got {self.min_rows}")
-        if self.tab_width < 1:
-            raise ValueError(f"tab_width must be >= 1, got {self.tab_width}")
+    __slots__ = __match_args__ = ("threshold", "min_rows", "mode", "model", "tab_width")
+
+    def __init__(self, threshold: float = 0.5, min_rows: int = 3,
+                 mode: NormalizationMode = NormalizationMode.CASED,
+                 model: CostModel | None = None, tab_width: int = 8):
+        self._set(threshold, min_rows, mode, appendix_model() if model is None else model,
+                  tab_width)
+        if not 0.0 <= threshold <= 1.0:
+            raise ValueError(f"threshold must be in [0, 1], got {threshold}")
+        if min_rows < 2:
+            raise ValueError(f"min_rows must be >= 2, got {min_rows}")
+        if tab_width < 1:
+            raise ValueError(f"tab_width must be >= 1, got {tab_width}")
 
 
 def line_whitespace_cost(line: str, model: CostModel) -> int:

@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 from importlib import resources
 
 import pytest
@@ -14,6 +16,26 @@ from wsadist import (
 )
 
 ALPHABET = "aA9(),$ "
+
+
+def assert_record(record, text, same, other):
+    """What the library's records share: ``record`` reprs as ``text``,
+    equals ``same``, built apart, and neither ``other`` nor its own field
+    values as a tuple, refuses assignment and deletion, and comes back
+    equal from pickle, ``copy.copy`` and ``copy.deepcopy``."""
+    assert repr(record) == text
+    assert record == same and not record != same
+    assert record != other and not record == other
+    values = tuple(getattr(record, name) for name in type(record).__match_args__)
+    assert record != values and not record == values
+    for name in (*type(record).__match_args__, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert tuple(getattr(record, name) for name in type(record).__match_args__) == values
+    for copied in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
+        assert type(copied) is type(record) and copied == record
 
 # Full 8x8 replacement-cost table of the shipped appendix-a preset,
 # row/column order: a A 9 ( ) , $ <space>.
@@ -141,6 +163,41 @@ class TestRoundTrip:
             replace_costs={("x", "y"): 3, ("y", "x"): 4},
         )
         assert load_model(serialize_model(m)) == m
+
+
+class TestRecord:
+    def test_behaves_as_a_record(self, unit):
+        text = ("CostModel(indel_default=2, replace_default=3, indel_costs={'x': 9}, "
+                "replace_costs={('x', 'y'): 1}, whitespace_char='_', symmetric=False)")
+        model = CostModel(2, 3, {"x": 9}, {("x", "y"): 1}, "_", False)
+        assert_record(model, text,
+                      CostModel(indel_default=2, replace_default=3, indel_costs={"x": 9},
+                                replace_costs={("x", "y"): 1}, whitespace_char="_",
+                                symmetric=False),
+                      CostModel(2, 3, {"x": 9}, {("x", "y"): 2}, "_", False))
+        assert repr(unit) == ("CostModel(indel_default=1, replace_default=1, indel_costs={}, "
+                              "replace_costs={}, whitespace_char=' ', symmetric=True)")
+        assert CostModel() == unit
+
+    def test_defaults_are_fresh_per_model(self):
+        assert CostModel().indel_costs is not CostModel().indel_costs
+        assert CostModel().replace_costs is not CostModel().replace_costs
+
+    def test_unhashable(self, unit, appendix):
+        for model in (unit, appendix):
+            with pytest.raises(TypeError):
+                hash(model)
+
+    def test_match_positional(self, appendix):
+        match appendix:
+            case CostModel(1, 999, _, costs, " ", True):
+                assert costs[("a", "A")] == 2
+            case _:
+                pytest.fail(repr(appendix))
+
+    def test_copies_keep_replacement_rows(self, appendix):
+        for copied in (pickle.loads(pickle.dumps(appendix)), copy.deepcopy(appendix)):
+            assert copied.replace("a", "A") == 2 and copied.replace("(", "a") == 999
 
 
 class TestInvariants:

@@ -12,6 +12,8 @@ from wsadist import (
     ws_agnostic_naive,
     ws_agnostic_recursive_unit,
 )
+from wsadist.distance import DistanceResult
+from test_cost_model import assert_record
 
 
 def brute_force_standard(s1, s2, model):
@@ -142,3 +144,17 @@ class TestDistanceWrapper:
         # replace('(', ')') = 999, so two indels at 1 each are cheaper
         for algo in Algorithm:
             assert distance("(", ")", appendix, algo).cost == 2
+
+    def test_result_is_a_record(self):
+        result = DistanceResult(3, Algorithm.STANDARD, 6, 7)
+        assert_record(result,
+                      "DistanceResult(cost=3, algorithm=<Algorithm.STANDARD: 'standard'>, "
+                      "len1=6, len2=7)",
+                      DistanceResult(cost=3, algorithm=Algorithm.STANDARD, len1=6, len2=7),
+                      DistanceResult(3, Algorithm.WS_AGNOSTIC, 6, 7))
+        assert hash(result) == hash(distance("kitten", "sitting", algorithm=Algorithm.STANDARD))
+        match result:
+            case DistanceResult(cost, Algorithm.STANDARD, len1, len2=7):
+                assert (cost, len1) == (3, 6)
+            case _:
+                pytest.fail(repr(result))

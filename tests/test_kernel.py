@@ -2,8 +2,10 @@
 interpreted fallback and its one warning, and the int64 guard.  Both
 kernels are checked against the independent padded oracle."""
 
+import hashlib
 import logging
 import os
+import platform
 import random
 import shlex
 import shutil
@@ -27,7 +29,9 @@ from wsadist import (
     line_whitespace_cost,
     ws_agnostic_naive,
 )
-from test_table_detect import MODELS, PIECES, random_document
+from wsadist.normalizer import NormalizationMode
+from wsadist.table_detect import _pair_scores
+from test_table_detect import MODELS, PIECES, assert_cutoff_keeps_decisions, random_document
 
 ALPHABET = "aA9(),$ "
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -105,7 +109,29 @@ def test_build_from_empty_cache_matches_oracle(fresh_kernel, unit, appendix):
     assert kernel_backend() == "compiled"
     assert (fresh_kernel.stat().st_mode & 0o777) == 0o700
     assert [p.suffix for p in fresh_kernel.iterdir()] == [".so"]
+    # the key, and so the file name, is the same as when it came from platform
+    key = hashlib.sha256(kernel._SOURCE.read_bytes())
+    command = [*shlex.split(os.environ.get("CC") or "cc"), *kernel._FLAGS]
+    key.update(repr((command, platform.system(), platform.machine())).encode())
+    assert [p.name for p in fresh_kernel.iterdir()] == [f"kernel-{key.hexdigest()[:16]}.so"]
     assert_matches_oracle(unit, appendix, 20261019)
+
+
+@needs_compiler
+def test_cutoff_on_a_native_build(fresh_kernel, monkeypatch, appendix):
+    """``-march=native`` may set FLT_EVAL_METHOD to 16 (GCC, with
+    AVX512-FP16), which still evaluates double as double: the cutoff stays
+    on, and keeps every decision of the exact distances."""
+    monkeypatch.setenv("CC", f"{os.environ.get('CC') or 'cc'} -march=native")
+    if kernel_backend() != "compiled":
+        pytest.skip("no -march=native build")
+    rng = random.Random(20261018)
+    docs = [["a", "a" * 20, "aa9  (a)", "aa9 (a)"], *(random_document(rng) for _ in range(40))]
+    assert any(sim is not None and d is None
+               for sim, d, _ in _pair_scores(docs[0], NormalizationMode.NONE, appendix, 0.5))
+    for doc in docs:
+        for model in MODELS:
+            assert_cutoff_keeps_decisions(doc, model, 0.5)
 
 
 def test_cache_writable_by_others_is_refused(fresh_kernel, caplog):
@@ -422,9 +448,33 @@ def test_pair_of_distinct_symbols_has_one_shared_row():
     assert peak < 8 << 20, peak
 
 
-def test_import_needs_neither_numpy_nor_numba():
-    code = "import sys, wsadist.cli; print(sorted({'numpy', 'numba'} & set(sys.modules)))"
+# What a fresh process may not import: numpy and numba are gone from the
+# program, and dataclasses (with inspect), logging and platform add about
+# 25 ms to every run of the CLI.  logging is allowed only for the
+# fallback's warning, when there is no compiled kernel.
+IMPORT_GUARD = """
+import sys
+from wsadist import kernel_backend
+from wsadist.cli import main
+doc, left, right, *forbidden = sys.argv[1:]
+assert main(["detect", doc]) == 0
+assert main(["dist", "--files", left, right]) == 0
+if kernel_backend() == "interpreted":
+    forbidden.remove("logging")
+print(sorted(set(forbidden) & set(sys.modules)))
+"""
+
+
+def test_import_needs_neither_numpy_nor_numba(tmp_path):
+    """Nor dataclasses, inspect, logging or platform, after ``import
+    wsadist.cli`` and a run of ``detect`` and of ``dist --files`` on tiny
+    files, in a fresh process."""
+    files = [tmp_path / name for name in ("doc", "left", "right")]
+    for path, text in zip(files, ("a 1\tb\nc 2\td\ne 3\tf\n", "x 1\n\ny\n", "x 2\nz\n")):
+        path.write_text(text, encoding="utf-8")
+    forbidden = ["numpy", "numba", "dataclasses", "inspect", "logging", "platform"]
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "[]"
+    out = subprocess.run([sys.executable, "-c", IMPORT_GUARD, *map(str, files), *forbidden],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    assert out.splitlines()[0] == "0 2 1.0000"
+    assert out.splitlines()[-1] == "[]"

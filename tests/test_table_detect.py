@@ -22,6 +22,7 @@ from wsadist import (
     unit_model,
 )
 from wsadist.table_detect import _pair_scores
+from test_cost_model import assert_record
 
 THREE_ROW_TABLE = [
     "Bill Nye\t6 ft 0 inches\t190 lb",
@@ -134,6 +135,38 @@ class TestDetectConfigValidation:
     def test_tab_width(self):
         with pytest.raises(ValueError):
             DetectConfig(tab_width=0)
+
+
+class TestRecords:
+    def test_region(self):
+        region = TableRegion(0, 2, 1.0)
+        assert_record(region, "TableRegion(start_line=0, end_line=2, score=1.0)",
+                      TableRegion(start_line=0, end_line=2, score=1.0), TableRegion(0, 3, 1.0))
+        assert hash(region) == hash(TableRegion(0, 2, 1.0))
+        assert {region, TableRegion(0, 2, 1.0)} == {region}
+        match region:
+            case TableRegion(start, end, score=1.0):
+                assert (start, end) == (0, 2)
+            case _:
+                pytest.fail(repr(region))
+
+    def test_config(self, unit, appendix):
+        config = DetectConfig(0.6, 4, NormalizationMode.NONE, unit, 4)
+        assert_record(config,
+                      "DetectConfig(threshold=0.6, min_rows=4, mode=<NormalizationMode.NONE: "
+                      f"'none'>, model={unit!r}, tab_width=4)",
+                      DetectConfig(threshold=0.6, min_rows=4, mode=NormalizationMode.NONE,
+                                   model=unit_model(), tab_width=4),
+                      DetectConfig(0.6, 4, NormalizationMode.NONE, appendix, 4))
+        assert DetectConfig().model is appendix
+        assert DetectConfig() == DetectConfig(0.5, 3, NormalizationMode.CASED, appendix, 8)
+        with pytest.raises(TypeError):
+            hash(config)
+        match DetectConfig():
+            case DetectConfig(threshold, 3, NormalizationMode.CASED, model, tab_width=8):
+                assert (threshold, model) == (0.5, appendix)
+            case _:
+                pytest.fail("no match")
 
 
 def reference_regions(lines, config):
