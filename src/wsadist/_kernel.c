@@ -1,7 +1,9 @@
 /* Two-row DP over the (n1+1) x (n2+1) edit lattice: the compiled form of
  * wsadist.kernel.dp_interpreted, whose docstring documents the cost
  * tables and m.  One entry, wsadist_pairs, scores the adjacent pairs of a
- * document; a single pair is a document of two lines.
+ * document; a single pair is a document of two lines.  A pair with an
+ * empty line is scored in the lattice too: an empty first line makes row 0
+ * the last row, an empty second line column 0 the last column.
  *
  * Given a detection threshold in (0, 1], it computes d exactly only for
  * the pairs that can reach it, and marks the rest -1.  A pair's cutoff
@@ -18,8 +20,8 @@
  * caller checks); the cells skipped by a cutoff hold T + 1 <= D, which
  * adds no larger sum.  Returns -1 when out of memory, or -2 when a symbol
  * code lies outside the alphabet, m is not in [0, k], the line offsets
- * fall outside the codes or out of order, a wanted pair has an empty
- * line, or the threshold is outside [0, 1].
+ * fall outside the codes or out of order, or the threshold is outside
+ * [0, 1].
  */
 #include <float.h>
 #include <stdint.h>
@@ -59,25 +61,32 @@ static int64_t cutoff(double threshold, int64_t heavier)
     return t + 1;
 }
 
-/* One pair, n1 >= 1 and n2 >= 1, of codes already checked against k, over
- * two rows of n2 + 1 cells: its distance when below `limit`, else -1.
- * Interior cells more than `width` off the diagonal cost `limit` or more;
- * they hold `limit` where a later cell reads them.  scratch holds row m
- * of rep, and is left as it was found. */
+/* One pair of codes already checked against k, over two rows of n2 + 1
+ * cells: its distance when below `limit`, else -1.  Interior cells more
+ * than `width` off the diagonal cost `limit` or more; they hold `limit`
+ * where a later cell reads them.  scratch holds row m of rep, and is left
+ * as it was found. */
 static int64_t lattice(int64_t n1, const uint32_t *code1, int64_t n2, const uint32_t *code2,
                        int64_t k, const int64_t *indel, const int64_t *ws_del,
                        const int64_t *ws_ins, const int64_t *rep, int64_t m, int ws_agnostic,
                        int64_t limit, int64_t width, int64_t *prev, int64_t *cur,
                        int64_t *scratch)
 {
+    /* with n1 = 0, row 0 is the last row: insertions meet imagined whitespace */
+    const int64_t *first = ws_agnostic && n1 == 0 ? ws_ins : indel;
     prev[0] = 0;
     for (int64_t j = 1; j <= n2; j++)
-        prev[j] = prev[j - 1] + indel[code2[j - 1]];
+        prev[j] = prev[j - 1] + first[code2[j - 1]];
     /* the interior columns lo..hi that the row above computed: all of row 0 */
     int64_t lo = 1, hi = n2 - 1;
     for (int64_t i = 1; i <= n1; i++) {
         uint32_t a = code1[i - 1];
         int64_t dcost = indel[a];
+        if (n2 == 0) {
+            /* column 0 is the last column: deletions meet imagined whitespace */
+            prev[0] += ws_agnostic ? ws_del[a] : dcost;
+            continue;
+        }
         const int64_t *icost = indel;
         if (i < n1) {
             lo = width < i - 1 ? i - width : 1;
@@ -128,7 +137,8 @@ static int64_t lattice(int64_t n1, const uint32_t *code1, int64_t n2, const uint
  * dists[i]: ws-agnostic (deletions against ws_del, insertions against
  * ws_ins) when ws_agnostic is set, else the classical one.  With a
  * threshold above 0, a pair that cannot reach it gets -1 there instead.
- * A wanted pair needs two non-empty lines.  Returns 0. */
+ * Either line of a pair may be empty.  Returns 0, or -1 or -2 as the
+ * header says. */
 int64_t wsadist_pairs(int64_t lines, const int64_t *offsets, int64_t ncodes,
                       const uint32_t *codes, int64_t k, const int64_t *indel,
                       const int64_t *ws_del, const int64_t *ws_ins, const int64_t *rep,
@@ -163,16 +173,11 @@ int64_t wsadist_pairs(int64_t lines, const int64_t *offsets, int64_t ncodes,
         return -1;
     if (m < k)
         memcpy(base + 2 * (longest + 1), rep + m * k, (size_t)k * sizeof *base);
-    int64_t result = 0;
     for (int64_t i = 0; i + 1 < lines; i++) {
         if (!want[i])
             continue;
         const uint32_t *code1 = codes + offsets[i], *code2 = codes + offsets[i + 1];
         int64_t n1 = offsets[i + 1] - offsets[i], n2 = offsets[i + 2] - offsets[i + 1];
-        if (n1 < 1 || n2 < 1) {
-            result = -2;
-            break;
-        }
         int64_t limit = cutoff(threshold, weights[i] > weights[i + 1] ? weights[i] : weights[i + 1]);
         int64_t width = INT64_MAX;
         if (limit < INT64_MAX) {
@@ -198,5 +203,5 @@ int64_t wsadist_pairs(int64_t lines, const int64_t *offsets, int64_t ncodes,
                            limit, width, base, base + n2 + 1, base + 2 * (longest + 1));
     }
     free(base);
-    return result;
+    return 0;
 }

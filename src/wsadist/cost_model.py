@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from functools import cache
-from importlib import resources
+from pathlib import Path
 
 
 class ModelError(ValueError):
@@ -87,7 +87,8 @@ class CostModel(_Record):
     character not listed.  ``replace_costs`` maps ordered character
     pairs to replacement costs with ``replace_default`` as fallback;
     replacing a character with itself is always free regardless of the
-    table.  ``whitespace_char`` is the one character that matches the
+    table; a ``symmetric`` model lists each pair in both orders, at one
+    cost.  ``whitespace_char`` is the one character that matches the
     imagined trailing whitespace for free.  An omitted table is a new
     empty dict.
     """
@@ -122,11 +123,12 @@ class CostModel(_Record):
             rows.setdefault(a, {})[b] = cost
         if symmetric:
             for (a, b), cost in replace_costs.items():
-                other = replace_costs.get((b, a), cost)
+                other = replace_costs.get((b, a))
                 if other != cost:
+                    found = "is missing" if other is None else f"= {other}"
                     raise ModelValidationError(
-                        f"replace[{a!r},{b!r}] = {cost} but replace[{b!r},{a!r}] = "
-                        f"{other}: model is declared symmetric"
+                        f"replace[{a!r},{b!r}] = {cost} but replace[{b!r},{a!r}] {found}: "
+                        "model is declared symmetric"
                     )
         object.__setattr__(self, "_replace_rows", rows)
 
@@ -261,5 +263,4 @@ def appendix_model() -> CostModel:
     unit insertion/deletion, graded replacement costs, 999 for pairs
     outside the table.  Parsed once per process: every call returns the
     same shared instance, which must not be mutated."""
-    text = resources.files("wsadist").joinpath("presets/appendix_a.json").read_text("utf-8")
-    return load_model(text)
+    return load_model_file(Path(__file__).with_name("presets") / "appendix_a.json")

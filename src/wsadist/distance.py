@@ -26,10 +26,10 @@ one logged warning (see ``kernel_backend()``).  On the compiled kernel a
 from __future__ import annotations
 
 from enum import Enum
-from itertools import accumulate, chain
+from itertools import accumulate
 
 from .cost_model import CostModel, _Record, unit_model
-from .kernel import dp, score_document
+from .kernel import score_document
 from .oracles import SizeLimitError, ws_agnostic_naive
 
 DEFAULT_MAX_CELLS = 1 << 26
@@ -56,17 +56,29 @@ def _check_cells(n1: int, n2: int, max_cells: int):
         raise SizeLimitError(f"{n1} x {n2} exceeds the {max_cells}-cell limit")
 
 
+def _pair_distance(s1: str, s2: str, model: CostModel | None, max_cells: int,
+                   ws_agnostic: bool) -> int:
+    """``levenshtein_ws_agnostic`` (or, without ``ws_agnostic``,
+    ``levenshtein_standard``): the pair scored as a document of two
+    lines."""
+    model = model if model is not None else unit_model()
+    _check_cells(len(s1), len(s2), max_cells)
+    # The kernel scores a pair with an empty line too, but building the
+    # cost tables costs more than this sum: every character of the other
+    # string against whitespace on its side, or inserted or deleted.
+    if not (s1 and s2):
+        if ws_agnostic:
+            return sum(map(model.whitespace_cost, s1)) + sum(map(model.whitespace_insert_cost, s2))
+        return sum(map(model.indel, s1 + s2))
+    text = s1 + s2
+    return score_document(text, (0, len(s1), len(text)), b"\1", model, ws_agnostic, 0.0)[1][0]
+
+
 def levenshtein_standard(
     s1: str, s2: str, model: CostModel | None = None, *, max_cells: int = DEFAULT_MAX_CELLS
 ) -> int:
     """Classical weighted Levenshtein distance."""
-    model = model if model is not None else unit_model()
-    _check_cells(len(s1), len(s2), max_cells)
-    if not s1:
-        return sum(model.indel(c) for c in s2)
-    if not s2:
-        return sum(model.indel(c) for c in s1)
-    return dp(s1, s2, model, False)
+    return _pair_distance(s1, s2, model, max_cells, False)
 
 
 def levenshtein_ws_agnostic(
@@ -74,41 +86,22 @@ def levenshtein_ws_agnostic(
 ) -> int:
     """Weighted Levenshtein distance with both strings treated as padded
     by infinite imagined trailing whitespace."""
-    model = model if model is not None else unit_model()
-    _check_cells(len(s1), len(s2), max_cells)
-    # An empty string is already at the imagined-whitespace suffix, so
-    # every character of the other string is charged its whitespace cost
-    # on its side.
-    if not s1:
-        return sum(model.whitespace_insert_cost(c) for c in s2)
-    if not s2:
-        return sum(model.whitespace_cost(c) for c in s1)
-    return dp(s1, s2, model, True)
+    return _pair_distance(s1, s2, model, max_cells, True)
 
 
-def _paired_distances(text: str, lengths: list[int], model: CostModel,
-                      ws_agnostic: bool) -> list[int]:
+def _paired_distances(text: str, lengths: list[int], model: CostModel, ws_agnostic: bool):
     """``levenshtein_ws_agnostic`` (or, without ``ws_agnostic``,
     ``levenshtein_standard``) of each pair of lines 2k and 2k + 1 of a
     document given as ``text``, its lines joined, and their ``lengths``,
-    under the default cell limit.  Every pair is checked against the
-    limit first; then one kernel call scores the pairs of two non-empty
-    lines, and a pair with an empty line costs the other line's sum, as
-    in those functions."""
-    pairs = list(zip(lengths[::2], lengths[1::2]))
-    for n1, n2 in pairs:
+    under the default cell limit, as a sequence of ints.  Every pair is
+    checked against the limit first; then one kernel call scores them
+    all."""
+    for n1, n2 in zip(lengths[::2], lengths[1::2]):
         _check_cells(n1, n2, DEFAULT_MAX_CELLS)
     # the pairs of lines 2k + 1 and 2k + 2 are never wanted
-    want = bytes(chain.from_iterable((n1 > 0 and n2 > 0, 0) for n1, n2 in pairs))[:-1]
-    _, dists, codes, offsets, (indel, ws_del, ws_ins, *_) = score_document(
-        text, accumulate(lengths, initial=0), want, model, ws_agnostic, 0.0)
-    first, second = (ws_del, ws_ins) if ws_agnostic else (indel, indel)
-
-    def line_sum(table, i: int) -> int:
-        return sum(map(table.__getitem__, codes[offsets[i]:offsets[i + 1]]))
-
-    return [dists[j] if want[j] else line_sum(first, j) if lengths[j] else line_sum(second, j + 1)
-            for j in range(0, len(lengths), 2)]
+    want = b"\1\0" * (len(lengths) // 2)
+    return score_document(text, accumulate(lengths, initial=0), want[:-1], model, ws_agnostic,
+                          0.0)[1][::2]
 
 
 # The one table from an algorithm to its function: ``distance()`` and

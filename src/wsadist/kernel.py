@@ -3,8 +3,10 @@
 There is one kernel, written in C (``_kernel.c``, shipped inside the
 package), with one entry, ``wsadist_pairs`` (``dp_pairs``): it weighs
 every line of a document and scores every adjacent pair that the caller
-asks for, in one call.  A single pair (``dp``) is a document of two
-lines.  On first use it is built with the system C compiler -- ``$CC``
+asks for, in one call.  A single pair is a document of two lines.  A
+pair with an empty line runs in the same lattice: an empty first line
+makes row 0 the last row, an empty second line column 0 the last
+column.  On first use it is built with the system C compiler -- ``$CC``
 if set, else ``cc`` -- as ``cc -O2 -shared -fPIC`` into a per-user
 cache directory, ``$XDG_CACHE_HOME/wsadist`` (default
 ``~/.cache/wsadist``), and loaded with ``ctypes``.  The library's file
@@ -42,7 +44,7 @@ threshold 0, which rules nothing out, so their distances are exact.
 
 Every caller goes through one helper, ``score_document``: detection's
 document, the line pairs of ``wsadist dist`` interleaved into one
-document, and a single pair (``dp``).  It encodes the whole text once
+document, and a single pair.  It encodes the whole text once
 into one ``model_alphabet``, whose first m codes are the characters of
 the text that lead a ``model.replace_costs`` key, builds the model's
 tables once (``alphabet_costs``) and makes one ``dp_pairs`` call.  The
@@ -222,24 +224,12 @@ def score_document(text: str, offsets, want: bytes, model: CostModel, ws_agnosti
     ``text[offsets[i]:offsets[i + 1]]``.  ``text`` is encoded once into
     ``model_alphabet(model, text)``, ``model``'s tables are built once
     over it, and ``dp_pairs`` weighs every line and scores each pair that
-    ``want`` flags, up to ``threshold``.  Returns ``(weights, dists,
-    codes, offsets, costs)``: ``dp_pairs``'s results, then its inputs,
-    ``costs`` being what ``alphabet_costs`` returns."""
+    ``want`` flags, up to ``threshold``.  Returns ``dp_pairs``'s
+    ``(weights, dists)``."""
     alphabet = model_alphabet(model, text)
     m = len(alphabet)
-    codes = encode(text, alphabet)
-    offsets = array("q", offsets)
-    costs = alphabet_costs(alphabet, m, model)
-    return (*dp_pairs(codes, offsets, want, m, *costs, ws_agnostic, threshold), codes, offsets,
-            costs)
-
-
-def dp(s1: str, s2: str, model: CostModel, ws_agnostic: bool) -> int:
-    """Weighted distance between non-empty ``s1`` and ``s2`` under
-    ``model``; with ``ws_agnostic``, both count as padded by imagined
-    trailing whitespace.  The pair is scored as a document of two lines."""
-    text = s1 + s2
-    return score_document(text, (0, len(s1), len(text)), b"\1", model, ws_agnostic, 0.0)[1][0]
+    return dp_pairs(encode(text, alphabet), array("q", offsets), want, m,
+                    *alphabet_costs(alphabet, m, model), ws_agnostic, threshold)
 
 
 def _refusal(result: int, n: int) -> Exception:
@@ -247,7 +237,7 @@ def _refusal(result: int, n: int) -> Exception:
     if result == -1:
         return MemoryError(f"DP kernel could not allocate two rows of {n + 1}")
     return RuntimeError("DP kernel refused a symbol code outside its alphabet, an m outside "
-                        "[0, k], an offset, an empty wanted line or a threshold outside [0, 1]")
+                        "[0, k], an offset or a threshold outside [0, 1]")
 
 
 def dp_pairs(codes, offsets, want: bytes, m: int, indel, ws_del, ws_ins, rep, dearest: int,
@@ -259,10 +249,10 @@ def dp_pairs(codes, offsets, want: bytes, m: int, indel, ws_del, ws_ins, rep, de
     Line i is ``codes[offsets[i]:offsets[i + 1]]`` (array('I') and
     array('q')), in one ``model_alphabet`` of size m; the tables and
     ``dearest`` are as ``alphabet_costs`` returns them.  ``want`` holds
-    one byte per adjacent pair, and a pair whose byte is non-zero must
-    have two non-empty lines.  Returns ``(weights, dists)``: weights[i]
-    is the sum of ``ws_del`` over line i, and dists[i] the distance d from
-    line i to line i + 1 for each wanted pair, else 0.
+    one byte per adjacent pair; either line of a wanted pair may be
+    empty.  Returns ``(weights, dists)``: weights[i] is the sum of
+    ``ws_del`` over line i, and dists[i] the distance d from line i to
+    line i + 1 for each wanted pair, else 0.
 
     ``threshold``, in [0, 1], is detection's: the compiled kernel may
     write -1 in place of d for a pair whose ``1.0 - d / D``, D the
@@ -305,16 +295,16 @@ def dp_interpreted(code1, code2, indel, ws_del, ws_ins, rep, m: int, ws_agnostic
     row-major order, k to a row: row a for a row symbol a < m, and row
     m, with column a taken as 0, for one from m on.  m is in [0, k].
     With ``ws_agnostic`` the last row and last column charge the
-    whitespace costs for insertions and deletions.  Requires n1 >= 1 and
-    n2 >= 1.
+    whitespace costs for insertions and deletions: with n1 = 0, row 0 is
+    the last row, and with n2 = 0, column 0 the last column.
     """
     n1, n2, k = len(code1), len(code2), len(indel)
-    ins = [indel[b] for b in code2]
+    ins = [(ws_ins if ws_agnostic and n1 == 0 else indel)[b] for b in code2]
     prev = [0]
     for cost in ins:
         prev.append(prev[-1] + cost)
     for i, a in enumerate(code1, 1):
-        dcost = indel[a]
+        dcost = ws_del[a] if ws_agnostic and n2 == 0 else indel[a]
         if ws_agnostic and i == n1:
             ins = [ws_ins[b] for b in code2]
         shared = min(a, m)

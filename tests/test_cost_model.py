@@ -204,6 +204,10 @@ class TestInvariants:
     def test_symmetric_declaration_validated(self):
         with pytest.raises(ModelValidationError, match="symmetric"):
             CostModel(replace_costs={("x", "y"): 3, ("y", "x"): 4})
+        # one direction alone would replace y with x at the default, where a
+        # round trip through JSON gives it the listed cost
+        with pytest.raises(ModelValidationError, match="is missing: model is declared symmetric"):
+            CostModel(indel_default=5, replace_default=5, replace_costs={("x", "y"): 1})
 
     def test_all_query_results_non_negative(self, appendix):
         for a in ALPHABET + "z@":

@@ -205,6 +205,10 @@ def test_c_kernel_refuses_threshold_outside_0_1():
         assert c_pair([0, 1], [0, 1, 2], 2, 0, ws_agnostic, 1.0) == (0, -1)
         # an identical pair reaches every threshold
         assert c_pair([0, 0], [0, 1, 2], 2, 0, ws_agnostic, 1.0) == (0, 0)
+        # d = D = 2 for an empty line against two characters, either way round
+        assert c_pair([0, 1], [0, 0, 2], 2, 0, ws_agnostic, 1e-300) == (0, -1)
+        assert c_pair([0, 1], [0, 2, 2], 2, 0, ws_agnostic, 1e-300) == (0, -1)
+        assert c_pair([], [0, 0, 0], 2, 0, ws_agnostic, 1.0) == (0, 0)
 
 
 @needs_compiler
@@ -279,27 +283,31 @@ def encode_document(doc, model, leads=None):
 
 
 def assert_pairs_match(doc, model, want):
-    """The batch entry on ``doc`` against ``line_whitespace_cost``, the
-    single-pair distance and, on short pairs, the padded oracle."""
-    weights, dists, *_ = kernel.score_document("".join(doc), accumulate(map(len, doc), initial=0),
-                                               want, model, True, 0.0)
-    assert list(weights) == [line_whitespace_cost(line, model) for line in doc], doc
-    for j, wanted in enumerate(want):
-        if not wanted:
-            assert dists[j] == 0
-            continue
-        assert dists[j] == levenshtein_ws_agnostic(doc[j], doc[j + 1], model), (doc, j, model)
-        if len(doc[j]) + len(doc[j + 1]) <= 24:
-            assert dists[j] == ws_agnostic_naive(doc[j], doc[j + 1], model), (doc, j, model)
+    """The batch entry on ``doc``, ws-agnostic and classical, against
+    ``line_whitespace_cost``, the single-pair distances and, on short
+    pairs, the padded oracle (with no padding for the classical)."""
+    for ws_agnostic, single, padding in ((True, levenshtein_ws_agnostic, {}),
+                                         (False, levenshtein_standard, {"pad_limit": 0})):
+        weights, dists = kernel.score_document("".join(doc), accumulate(map(len, doc), initial=0),
+                                               want, model, ws_agnostic, 0.0)
+        assert list(weights) == [line_whitespace_cost(line, model) for line in doc], doc
+        for j, wanted in enumerate(want):
+            if not wanted:
+                assert dists[j] == 0
+                continue
+            assert dists[j] == single(doc[j], doc[j + 1], model), (doc, j, model)
+            if len(doc[j]) + len(doc[j + 1]) <= 24:
+                assert dists[j] == ws_agnostic_naive(doc[j], doc[j + 1], model, **padding), (
+                    doc, j, model)
 
 
 def assert_batch_matches(seed):
     rng = random.Random(seed)
     for model in [*MODELS, LIST_TABLES]:
         for doc in [*EDGE_DOCUMENTS, *(random_document(rng) for _ in range(40))]:
-            # every pair of non-empty lines, and a random part of them
+            # every pair, empty lines included, and a random part of them
             for keep in (1.0, 0.6):
-                want = bytes(bool(a and b) and rng.random() < keep for a, b in pairwise(doc))
+                want = bytes(rng.random() < keep for _ in pairwise(doc))
                 assert_pairs_match(doc, model, want)
 
 
@@ -340,10 +348,16 @@ def test_c_batch_refuses_code_outside_its_alphabet_or_m():
         assert c_pair([0, 2], [0, 1, 2], 2, 0, ws_agnostic)[0] == -2
         assert c_pair([0, 1], [0, 1, 2], 2, -1, ws_agnostic)[0] == -2
         assert c_pair([0, 1], [0, 1, 2], 2, 3, ws_agnostic)[0] == -2
-        # offsets beyond the codes, out of order, or an empty wanted line
+        # offsets beyond the codes, or out of order
         assert c_pair([0], [0, 1, 2], 2, 0, ws_agnostic)[0] == -2
         assert c_pair([0, 1], [0, 2, 1], 2, 0, ws_agnostic)[0] == -2
-        assert c_pair([0], [0, 0, 1], 2, 0, ws_agnostic)[0] == -2
+        # an empty wanted line is scored in the lattice, every cost 1: an
+        # empty first line, an empty second line, both
+        padding = {} if ws_agnostic else {"pad_limit": 0}
+        for codes, offsets, s1, s2 in (([0], [0, 0, 1], "", "a"), ([1, 0], [0, 2, 2], "ba", ""),
+                                       ([], [0, 0, 0], "", "")):
+            assert c_pair(codes, offsets, 2, 0, ws_agnostic) == (
+                0, ws_agnostic_naive(s1, s2, CostModel(), **padding))
 
 
 SANITIZED_RUN = """
@@ -389,7 +403,8 @@ for model in MODELS:
 # `dist --files`: every line pair of two files in one kernel call
 with tempfile.TemporaryDirectory() as tmp:
     paths = [os.path.join(tmp, name) for name in ("left", "right", "model.json")]
-    for path, part in zip(paths, (docs[:30], docs[30:60])):
+    # the first three pairs: an empty left line, an empty right line, both
+    for path, part in zip(paths, ([["", "A 9", ""]] + docs[:30], [["a", "", ""]] + docs[30:60])):
         with open(path, "w", encoding="utf-8") as fh:
             fh.writelines(line + "\\n" for doc in part for line in doc)
     for model in [*MODELS, big]:
@@ -466,15 +481,20 @@ print(sorted(set(forbidden) & set(sys.modules)))
 
 
 def test_import_needs_neither_numpy_nor_numba(tmp_path):
-    """Nor dataclasses, inspect, logging or platform, after ``import
-    wsadist.cli`` and a run of ``detect`` and of ``dist --files`` on tiny
-    files, in a fresh process."""
+    """Nor dataclasses, inspect, logging, platform or importlib.resources,
+    after ``import wsadist.cli`` and a run of ``detect`` and of ``dist
+    --files`` on tiny files, in a fresh process.  It runs under ``python
+    -S``, so that no ``site`` hook (a ``.pth`` file) loads any of them
+    first: the appendix preset is read next to the package's
+    ``__file__``, without ``importlib.resources`` and the ``zipfile`` and
+    ``tempfile`` that it pulls in."""
     files = [tmp_path / name for name in ("doc", "left", "right")]
     for path, text in zip(files, ("a 1\tb\nc 2\td\ne 3\tf\n", "x 1\n\ny\n", "x 2\nz\n")):
         path.write_text(text, encoding="utf-8")
-    forbidden = ["numpy", "numba", "dataclasses", "inspect", "logging", "platform"]
+    forbidden = ["numpy", "numba", "dataclasses", "inspect", "logging", "platform",
+                 "importlib.resources", "zipfile", "tempfile"]
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    out = subprocess.run([sys.executable, "-c", IMPORT_GUARD, *map(str, files), *forbidden],
-                         env=env, capture_output=True, text=True, check=True).stdout
+    out = subprocess.run([sys.executable, "-S", "-c", IMPORT_GUARD, *map(str, files),
+                          *forbidden], env=env, capture_output=True, text=True, check=True).stdout
     assert out.splitlines()[0] == "0 2 1.0000"
     assert out.splitlines()[-1] == "[]"
