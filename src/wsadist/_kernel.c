@@ -137,8 +137,9 @@ static int64_t lattice(int64_t n1, const uint32_t *code1, int64_t n2, const uint
  * dists[i]: ws-agnostic (deletions against ws_del, insertions against
  * ws_ins) when ws_agnostic is set, else the classical one.  With a
  * threshold above 0, a pair that cannot reach it gets -1 there instead.
- * Either line of a pair may be empty.  Returns 0, or -1 or -2 as the
- * header says. */
+ * Either line of a pair may be empty.  codes may not be NULL, even with
+ * ncodes 0, since each line forms codes + offsets[i].  Returns 0, or -1
+ * or -2 as the header says. */
 int64_t wsadist_pairs(int64_t lines, const int64_t *offsets, int64_t ncodes,
                       const uint32_t *codes, int64_t k, const int64_t *indel,
                       const int64_t *ws_del, const int64_t *ws_ins, const int64_t *rep,

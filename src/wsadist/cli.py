@@ -1,13 +1,18 @@
-"""Command-line surface: ``wsadist dist|normalize|detect``.
+r"""Command-line surface: ``wsadist dist|normalize|detect``.
 
 Exit codes: 0 success, 2 bad flags or bad cost-model document,
-3 unreadable input, 4 a distance exceeds its size limit (``dist``).
+3 unreadable input, 4 a distance exceeds its size limit (``dist``),
+5 standard output could not be written.
+
+A line of input ends at "\n", which the last line may lack; one "\r"
+before it is dropped.  No other character breaks a line.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import cache
 from itertools import chain, zip_longest
@@ -21,6 +26,8 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INPUT = 3
 EXIT_SIZE = 4
+EXIT_OUTPUT = 5
+
 
 def _resolve_model(spec: str) -> CostModel:
     if spec == "unit":
@@ -33,8 +40,21 @@ def _resolve_model(spec: str) -> CostModel:
 def _read_text(operand: str) -> str:
     if operand == "-":
         return sys.stdin.read()
-    with open(operand, "r", encoding="utf-8") as fh:
+    # newline="": "\r" reaches split_lines as it is in the file, as on stdin
+    with open(operand, "r", encoding="utf-8", newline="") as fh:
         return fh.read()
+
+
+def split_lines(text: str) -> list[str]:
+    r"""The lines of ``text``: each ends at "\n", which the last may lack,
+    and one "\r" at its end is dropped.  Unlike ``str.splitlines``, no
+    other character ends a line."""
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    if "\r" in text:
+        lines = [line.removesuffix("\r") for line in lines]
+    return lines
 
 
 def tab_width(text: str) -> int:
@@ -54,18 +74,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p, with_model=True):
+    def add_common(p, run, scores=True):
+        p.set_defaults(run=run)
         p.add_argument(
             "--normalize",
             choices=[m.value for m in NormalizationMode],
             default="cased",
             help="shape normalization applied to inputs (default: cased)",
         )
-        p.add_argument(
-            "--format", choices=["text", "json"], default="text",
-            help="output format (default: text)",
-        )
-        if with_model:
+        if scores:
+            p.add_argument(
+                "--format", choices=["text", "json"], default="text",
+                help="output format (default: text)",
+            )
             p.add_argument(
                 "--model", default="appendix-a",
                 help="cost model: 'unit', 'appendix-a', or a path to a "
@@ -81,24 +102,24 @@ def build_parser() -> argparse.ArgumentParser:
         "('-' reads standard input)",
     )
     p_dist.add_argument("--tab-width", type=tab_width, default=8)
-    add_common(p_dist)
+    add_common(p_dist, _run_dist)
     p_dist.add_argument("left")
     p_dist.add_argument("right")
 
     p_norm = sub.add_parser("normalize", help="normalize a text stream")
-    add_common(p_norm, with_model=False)
+    add_common(p_norm, _run_normalize, scores=False)
     p_norm.add_argument("input", nargs="?", default="-")
 
     p_det = sub.add_parser("detect", help="detect table regions in a text stream")
     p_det.add_argument("--threshold", type=float, default=0.5)
     p_det.add_argument("--min-rows", type=int, default=3)
     p_det.add_argument("--tab-width", type=tab_width, default=8)
-    add_common(p_det)
+    add_common(p_det, _run_detect)
     p_det.add_argument("input", nargs="?", default="-")
     return parser
 
 
-def _run_dist(args) -> int:
+def _run_dist(args) -> str:
     algorithm = Algorithm(args.mode)
     model = _resolve_model(args.model)
     mode = NormalizationMode(args.normalize)
@@ -107,8 +128,8 @@ def _run_dist(args) -> int:
     elif args.left == args.right == "-":
         raise ValueError("--files can read standard input ('-') for one operand only")
     else:
-        lines1 = _read_text(args.left).splitlines()
-        lines2 = _read_text(args.right).splitlines()
+        lines1 = split_lines(_read_text(args.left))
+        lines2 = split_lines(_read_text(args.right))
     # the pairs interleaved as one document: left 0, right 0, left 1, ...
     lines = [line.expandtabs(args.tab_width)
              for line in chain.from_iterable(zip_longest(lines1, lines2, fillvalue=""))]
@@ -125,24 +146,19 @@ def _run_dist(args) -> int:
     total = sum(costs)
     if args.format == "json":
         pairs = [{"line": k, "cost": cost} for k, cost in enumerate(costs)]
-        print(json.dumps({"pairs": pairs, "total": total}))
-    elif args.files:
-        for k, cost in enumerate(costs):
-            print(f"{k}\t{cost}")
-        print(f"total\t{total}")
-    else:
-        print(total)
-    return EXIT_OK
+        return json.dumps({"pairs": pairs, "total": total}) + "\n"
+    if args.files:
+        return "".join(f"{k}\t{cost}\n" for k, cost in enumerate(costs)) + f"total\t{total}\n"
+    return f"{total}\n"
 
 
-def _run_normalize(args) -> int:
+def _run_normalize(args) -> str:
     mode = NormalizationMode(args.normalize)
     # line breaks map to themselves, so the text normalizes as a whole
-    sys.stdout.write(normalize_line(_read_text(args.input), mode))
-    return EXIT_OK
+    return normalize_line(_read_text(args.input), mode)
 
 
-def _run_detect(args) -> int:
+def _run_detect(args) -> str:
     config = DetectConfig(
         threshold=args.threshold,
         min_rows=args.min_rows,
@@ -150,18 +166,36 @@ def _run_detect(args) -> int:
         model=_resolve_model(args.model),
         tab_width=args.tab_width,
     )
-    lines = _read_text(args.input).splitlines()
-    regions = detect_tables(lines, config)
+    regions = detect_tables(split_lines(_read_text(args.input)), config)
     if args.format == "json":
-        print(json.dumps({
+        return json.dumps({
             "regions": [
                 {"start_line": r.start_line, "end_line": r.end_line, "score": r.score}
                 for r in regions
             ]
-        }))
-    else:
-        for r in regions:
-            print(f"{r.start_line} {r.end_line} {r.score:.4f}")
+        }) + "\n"
+    return "".join(f"{r.start_line} {r.end_line} {r.score:.4f}\n" for r in regions)
+
+
+def _write(output: str) -> int:
+    """Write ``output`` to standard output: EXIT_OK, or EXIT_OUTPUT when
+    that fails.  A reader that closed the pipe early is not reported."""
+    try:
+        sys.stdout.write(output)
+        sys.stdout.flush()
+    except OSError as exc:
+        if not isinstance(exc, BrokenPipeError):
+            print(f"wsadist: cannot write output: {exc}", file=sys.stderr)
+        # Python flushes standard output again at exit, where what is left in
+        # its buffer would fail with an "Exception ignored" message
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError):  # no file behind it
+            return EXIT_OUTPUT
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+        return EXIT_OUTPUT
     return EXIT_OK
 
 
@@ -169,11 +203,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.subcommand == "dist":
-            return _run_dist(args)
-        if args.subcommand == "normalize":
-            return _run_normalize(args)
-        return _run_detect(args)
+        output = args.run(args)
     except ModelError as exc:
         print(f"wsadist: bad cost model: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -186,6 +216,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"wsadist: cannot read input: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    return _write(output)
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ is validated when the model is built.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from functools import cache
 from pathlib import Path
 
@@ -79,6 +80,33 @@ class _Record:
         return self.__class__, self._values()
 
 
+class _Table(dict):
+    """A cost model's read-only copy of one of its tables.  Every mutator
+    raises TypeError; repr, ``==``, the TypeError from ``hash()`` and
+    iteration are a dict's.  Pickling and copying give a plain dict,
+    which the model's constructor wraps again."""
+
+    __slots__ = ()
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a cost model's tables are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = update = setdefault = pop = popitem = clear = _refuse
+
+    def __reduce__(self):
+        return dict, (dict(self),)
+
+
+_EMPTY = _Table()  # an omitted table
+
+
+def _read_only(table, message: str) -> _Table:
+    """A read-only copy of ``table``, which must be a mapping."""
+    if not isinstance(table, Mapping):
+        raise ModelValidationError(message)
+    return _Table(table)
+
+
 class CostModel(_Record):
     """Immutable edit-cost model.
 
@@ -89,8 +117,12 @@ class CostModel(_Record):
     replacing a character with itself is always free regardless of the
     table; a ``symmetric`` model lists each pair in both orders, at one
     cost.  ``whitespace_char`` is the one character that matches the
-    imagined trailing whitespace for free.  An omitted table is a new
-    empty dict.
+    imagined trailing whitespace for free.
+
+    The constructor validates every value, and keeps a read-only copy of
+    each table: an omitted table is empty, every mutator of a table
+    raises TypeError, and changing the mapping a model was built from
+    leaves the model as it was.
     """
 
     __match_args__ = ("indel_default", "replace_default", "indel_costs", "replace_costs",
@@ -98,16 +130,17 @@ class CostModel(_Record):
     __slots__ = (*__match_args__, "_replace_rows")
 
     def __init__(self, indel_default: int = 1, replace_default: int = 1,
-                 indel_costs: dict[str, int] | None = None,
-                 replace_costs: dict[tuple[str, str], int] | None = None,
+                 indel_costs: Mapping[str, int] = _EMPTY,
+                 replace_costs: Mapping[tuple[str, str], int] = _EMPTY,
                  whitespace_char: str = " ", symmetric: bool = True):
-        indel_costs = {} if indel_costs is None else indel_costs
-        replace_costs = {} if replace_costs is None else replace_costs
-        self._set(indel_default, replace_default, indel_costs, replace_costs, whitespace_char,
-                  symmetric)
         _check_cost(indel_default, "indel_default")
         _check_cost(replace_default, "replace_default")
         _check_char(whitespace_char, "whitespace_char")
+        if not isinstance(symmetric, bool):
+            raise ModelValidationError(f"symmetric: expected a boolean, got {symmetric!r}")
+        indel_costs = _read_only(indel_costs, "indel: expected an object of char -> cost")
+        replace_costs = _read_only(replace_costs,
+                                   "replace: expected a mapping of (a, b) -> cost")
         for c, cost in indel_costs.items():
             _check_char(c, "indel")
             _check_cost(cost, f"indel[{c!r}]")
@@ -120,16 +153,16 @@ class CostModel(_Record):
                 raise ModelValidationError(
                     f"replace[{a!r},{a!r}] = {cost}: identity replacement must cost 0"
                 )
-            rows.setdefault(a, {})[b] = cost
-        if symmetric:
-            for (a, b), cost in replace_costs.items():
+            if symmetric and replace_costs.get((b, a)) != cost:
                 other = replace_costs.get((b, a))
-                if other != cost:
-                    found = "is missing" if other is None else f"= {other}"
-                    raise ModelValidationError(
-                        f"replace[{a!r},{b!r}] = {cost} but replace[{b!r},{a!r}] {found}: "
-                        "model is declared symmetric"
-                    )
+                found = "is missing" if other is None else f"= {other}"
+                raise ModelValidationError(
+                    f"replace[{a!r},{b!r}] = {cost} but replace[{b!r},{a!r}] {found}: "
+                    "model is declared symmetric"
+                )
+            rows.setdefault(a, {})[b] = cost
+        self._set(indel_default, replace_default, indel_costs, replace_costs, whitespace_char,
+                  symmetric)
         object.__setattr__(self, "_replace_rows", rows)
 
     def indel(self, c: str) -> int:
@@ -160,15 +193,11 @@ class CostModel(_Record):
         return min(self.indel(c), self.replace(self.whitespace_char, c))
 
     def to_dict(self) -> dict:
-        """Serializable form; inverse of :func:`model_from_dict`."""
-        replace_entries = []
-        seen = set()
-        for (a, b), cost in sorted(self.replace_costs.items()):
-            if self.symmetric:
-                if (b, a) in seen:
-                    continue
-                seen.add((a, b))
-            replace_entries.append({"a": a, "b": b, "cost": cost})
+        """Serializable form; inverse of :func:`model_from_dict`.  A
+        symmetric model lists each pair once, with ``a <= b``."""
+        replace_entries = [{"a": a, "b": b, "cost": cost}
+                           for (a, b), cost in sorted(self.replace_costs.items())
+                           if not self.symmetric or a <= b]
         return {
             "indel_default": self.indel_default,
             "indel": dict(sorted(self.indel_costs.items())),
@@ -184,6 +213,10 @@ def serialize_model(model: CostModel) -> str:
 
 
 def model_from_dict(doc: dict) -> CostModel:
+    """Parse a model document into a :class:`CostModel`, whose
+    constructor validates the costs, defaults and characters.  Here:
+    the document's fields, ``replace_identity``, and the ``replace``
+    entries, which a symmetric model applies in both orders."""
     if not isinstance(doc, dict):
         raise ModelValidationError(f"model document must be an object, got {type(doc).__name__}")
     known = {
@@ -199,16 +232,6 @@ def model_from_dict(doc: dict) -> CostModel:
         )
 
     symmetric = doc.get("symmetric", True)
-    if not isinstance(symmetric, bool):
-        raise ModelValidationError(f"symmetric: expected a boolean, got {symmetric!r}")
-
-    indel_costs = {}
-    indel_doc = doc.get("indel", {})
-    if not isinstance(indel_doc, dict):
-        raise ModelValidationError("indel: expected an object of char -> cost")
-    for c, cost in indel_doc.items():
-        indel_costs[_check_char(c, "indel")] = _check_cost(cost, f"indel[{c!r}]")
-
     replace_costs = {}
     replace_doc = doc.get("replace", [])
     if not isinstance(replace_doc, list):
@@ -216,23 +239,23 @@ def model_from_dict(doc: dict) -> CostModel:
     for entry in replace_doc:
         if not isinstance(entry, dict) or set(entry) != {"a", "b", "cost"}:
             raise ModelValidationError(f"replace entry must be {{a, b, cost}}, got {entry!r}")
+        # the characters become keys, so they are checked before use
         a = _check_char(entry["a"], "replace.a")
         b = _check_char(entry["b"], "replace.b")
-        cost = _check_cost(entry["cost"], f"replace[{a!r},{b!r}]")
+        cost = entry["cost"]
         for key in ((a, b), (b, a)) if symmetric else ((a, b),):
-            if key in replace_costs and replace_costs[key] != cost:
+            if replace_costs.setdefault(key, cost) != cost:
                 raise ModelValidationError(
                     f"replace[{key[0]!r},{key[1]!r}]: conflicting costs "
                     f"{replace_costs[key]} and {cost}"
                 )
-            replace_costs[key] = cost
 
     return CostModel(
-        indel_default=_check_cost(doc.get("indel_default", 1), "indel_default"),
-        replace_default=_check_cost(doc.get("replace_default", 1), "replace_default"),
-        indel_costs=indel_costs,
+        indel_default=doc.get("indel_default", 1),
+        replace_default=doc.get("replace_default", 1),
+        indel_costs=doc.get("indel", {}),
         replace_costs=replace_costs,
-        whitespace_char=_check_char(doc.get("whitespace_char", " "), "whitespace_char"),
+        whitespace_char=doc.get("whitespace_char", " "),
         symmetric=symmetric,
     )
 
@@ -262,5 +285,5 @@ def appendix_model() -> CostModel:
     """The shipped 8-symbol preset over {a, A, 9, (, ), ',', $, space}:
     unit insertion/deletion, graded replacement costs, 999 for pairs
     outside the table.  Parsed once per process: every call returns the
-    same shared instance, which must not be mutated."""
+    same shared, read-only instance."""
     return load_model_file(Path(__file__).with_name("presets") / "appendix_a.json")

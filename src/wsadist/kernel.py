@@ -275,8 +275,11 @@ def dp_pairs(codes, offsets, want: bytes, m: int, indel, ws_del, ws_ins, rep, de
                  for wanted, a, b, c in zip(want, offsets, offsets[1:], offsets[2:])]
         return weights, dists
     weights, dists = array("q", [0]) * lines, array("q", [0]) * len(want)
+    # An empty array's address is 0, and C may not add even offset 0 to a
+    # null pointer: a document of empty lines passes one unread code.
+    buffer = codes or array("I", [0])
     result = lib.wsadist_pairs(
-        lines, offsets.buffer_info()[0], len(codes), codes.buffer_info()[0], len(indel),
+        lines, offsets.buffer_info()[0], len(codes), buffer.buffer_info()[0], len(indel),
         *(t.buffer_info()[0] for t in (indel, ws_del, ws_ins, rep)), m, want,
         weights.buffer_info()[0], dists.buffer_info()[0], ws_agnostic, threshold,
     )

@@ -12,14 +12,16 @@ import pytest
 
 from wsadist import (
     Algorithm,
+    DetectConfig,
     NormalizationMode,
     appendix_model,
+    detect_tables,
     distance,
     kernel_backend,
     normalize_line,
     serialize_model,
 )
-from wsadist.cli import build_parser, main
+from wsadist.cli import build_parser, main, split_lines
 from wsadist.distance import _DISPATCH
 from test_kernel import LIST_TABLES
 from test_table_detect import MODELS, PIECES
@@ -31,6 +33,14 @@ THREE_ROW_TABLE = (
     "Tina Fey\t5 ft 5 inches\t\n"
     "Mike Fox\t5 ft 4 inches\t130 lb\n"
 )
+
+
+def cli_env():
+    """The environment of a fresh ``wsadist`` process.  Without
+    PYTHONUNBUFFERED: unbuffered, CPython's text layer takes a short write
+    to a pipe whose reader has left as complete, and reports nothing."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    return dict(env, PYTHONPATH=str(SRC))
 
 
 def run(capsys, *argv):
@@ -149,6 +159,16 @@ class TestNormalize:
         code, out, _ = run(capsys, "normalize")
         assert out == "a\ta\n"
 
+    def test_file_line_breaks_kept_verbatim(self, capsys, tmp_path):
+        doc = tmp_path / "doc.txt"
+        doc.write_bytes("Ab1\r\nc\rD2\n\u2028e\r".encode())
+        assert run(capsys, "normalize", str(doc)) == (0, "Aa9\r\na\rA9\n\u2028a\r", "")
+
+    def test_takes_no_format_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["normalize", "--format", "json", "-"])
+        assert exc.value.code == 2
+
 
 class TestDetect:
     def test_three_row_table(self, capsys, monkeypatch):
@@ -186,6 +206,63 @@ class TestDetect:
         monkeypatch.setattr("sys.stdin", io.StringIO("one line of text\nand a different shape 99\n"))
         code, out, _ = run(capsys, "detect")
         assert (code, out) == (0, "")
+
+
+# Every character that str.splitlines breaks at besides "\n" and "\r\n";
+# the CLI keeps each inside its line.
+NOT_LINE_BREAKS = {"cr": "\r", "vt": "\x0b", "ff": "\x0c", "fs": "\x1c", "gs": "\x1d",
+                   "rs": "\x1e", "nel": "\x85", "ls": "\u2028", "ps": "\u2029"}
+
+
+class TestLines:
+    r"""A line ends at "\n", and one "\r" before it is dropped."""
+
+    @pytest.mark.parametrize("char", NOT_LINE_BREAKS.values(), ids=NOT_LINE_BREAKS.keys())
+    def test_detect_breaks_only_at_newline(self, capsys, tmp_path, char):
+        doc = tmp_path / "doc.txt"
+        doc.write_text(f"a 1\tb\nc 2\td{char}.\ne 3\tf\n", encoding="utf-8", newline="")
+        code, out, _ = run(capsys, "detect", "--format", "json", "--min-rows", "3", str(doc))
+        # split at the character, "." would be a line between two rows, and
+        # no region of three
+        lines = ["a 1\tb", f"c 2\td{char}.", "e 3\tf"]
+        regions = detect_tables(lines, DetectConfig(min_rows=3, model=appendix_model()))
+        assert code == 0 and [r.end_line for r in regions] == [2]
+        assert json.loads(out)["regions"] == [
+            {"start_line": r.start_line, "end_line": r.end_line, "score": r.score}
+            for r in regions]
+
+    @pytest.mark.parametrize("char", NOT_LINE_BREAKS.values(), ids=NOT_LINE_BREAKS.keys())
+    def test_dist_files_breaks_only_at_newline(self, capsys, tmp_path, char):
+        left, right = tmp_path / "left.txt", tmp_path / "right.txt"
+        left.write_text(f"a{char}9\nb\n", encoding="utf-8", newline="")
+        right.write_text("a\nb\n", encoding="utf-8", newline="")
+        code, out, _ = run(capsys, "dist", "--files", "--format", "json", "--normalize", "none",
+                           str(left), str(right))
+        first = distance(f"a{char}9", "a", appendix_model()).cost
+        assert (code, json.loads(out)["pairs"]) == (
+            0, [{"line": 0, "cost": first}, {"line": 1, "cost": 0}])
+
+    @pytest.mark.parametrize("subcommand", ["detect", "dist"])
+    def test_crlf_is_one_break(self, capsys, monkeypatch, tmp_path, subcommand):
+        r"""A "\r\n" document reads as its "\n" twin, from a file or stdin."""
+        crlf = THREE_ROW_TABLE.replace("\n", "\r\n")
+        lf = tmp_path / "lf.txt"
+        lf.write_text(THREE_ROW_TABLE, encoding="utf-8")
+        (tmp_path / "crlf.txt").write_bytes(crlf.encode())
+        # dist compares each document with the "\n" one
+        argv = [subcommand] if subcommand == "detect" else [subcommand, "--files"]
+        other = [] if subcommand == "detect" else [str(lf)]
+        outputs = []
+        for operand in (lf, tmp_path / "crlf.txt", "-"):
+            monkeypatch.setattr("sys.stdin", io.StringIO(crlf))
+            outputs.append(run(capsys, *argv, str(operand), *other))
+        assert outputs[0][0] == 0 and outputs[0][1] and outputs.count(outputs[0]) == 3
+
+    def test_split_lines(self):
+        assert split_lines("") == []
+        assert split_lines("\n") == [""]
+        assert split_lines("a\r\n\r\nb\r\r\nc\r") == ["a", "", "b\r", "c"]
+        assert split_lines("a\n\nb") == ["a", "", "b"]
 
 
 class TestExitCodes:
@@ -263,6 +340,53 @@ class TestExitCodes:
     def test_missing_model_file_exits_3(self, capsys, tmp_path):
         code, _, _ = run(capsys, "dist", "--model", str(tmp_path / "nope.json"), "a", "b")
         assert code == 3
+
+    @pytest.mark.parametrize("error, message", [
+        (BrokenPipeError(32, "Broken pipe"), ""),
+        (OSError(28, "No space left on device"),
+         "wsadist: cannot write output: [Errno 28] No space left on device\n"),
+    ], ids=["closed-pipe", "disk-full"])
+    def test_output_failure_exits_5(self, capsys, monkeypatch, error, message):
+        class Failing(io.StringIO):
+            def write(self, text):
+                raise error
+
+        monkeypatch.setattr("sys.stdout", Failing())
+        assert main(["dist", "a", "b"]) == 5
+        assert capsys.readouterr().err == message
+
+    @pytest.mark.parametrize("subcommand", ["detect", "dist"])
+    def test_reader_closing_early_exits_5_quietly(self, tmp_path, subcommand):
+        """``| head -1``: stdout fails, not the input, and no traceback or
+        "Exception ignored" follows at exit.  The output is larger than a
+        pipe holds, so the reader is gone before it is all written."""
+        doc = tmp_path / "doc.txt"
+        if subcommand == "detect":
+            doc.write_text((THREE_ROW_TABLE + "\n") * 6000, encoding="utf-8")
+            argv, want = ["detect", str(doc)], b"0 2 0.7727\n"
+        else:
+            doc.write_text("".join(f"aa {k}\tbb\n" for k in range(20000)), encoding="utf-8")
+            argv, want = ["dist", "--files", str(doc), str(doc)], b"0\t0\n"
+        proc = subprocess.Popen([sys.executable, "-m", "wsadist.cli", *argv],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env())
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (first, proc.wait(timeout=60), err) == (want, 5, b"")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("argv", [["detect"], ["dist", "--files"], ["normalize"]],
+                             ids=["detect", "dist", "normalize"])
+    def test_full_device_exits_5(self, tmp_path, argv):
+        doc = tmp_path / "doc.txt"
+        doc.write_text(THREE_ROW_TABLE, encoding="utf-8")
+        operands = [str(doc)] * (2 if "--files" in argv else 1)
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "wsadist.cli", *argv, *operands],
+                                  stdout=full, stderr=subprocess.PIPE, text=True, env=cli_env())
+        assert (proc.returncode, proc.stderr) == (
+            5, "wsadist: cannot write output: [Errno 28] No space left on device\n")
 
 
 class TestParserOnce:

@@ -10,9 +10,12 @@ from wsadist import (
     ModelParseError,
     ModelValidationError,
     appendix_model,
+    levenshtein_standard,
+    levenshtein_ws_agnostic,
     load_model,
     serialize_model,
     unit_model,
+    ws_agnostic_naive,
 )
 
 ALPHABET = "aA9(),$ "
@@ -140,6 +143,29 @@ class TestLoadModel:
         with pytest.raises(ModelValidationError, match="replace_identity"):
             load_model('{"replace_identity": 1}')
 
+    @pytest.mark.parametrize("doc, message", [
+        ('[1, 2]', "model document must be an object, got list"),
+        ('{"symmetric": "no"}', "symmetric: expected a boolean, got 'no'"),
+        ('{"indel": [["x", 1]]}', "indel: expected an object of char -> cost"),
+        ('{"indel": null}', "indel: expected an object of char -> cost"),
+        ('{"replace": {"a": "x"}}', "replace: expected a list of {a, b, cost} entries"),
+        ('{"replace": [{"a": "x", "b": "y"}]}', "replace entry must be {a, b, cost}"),
+        ('{"replace": [{"a": "x", "b": "y", "cost": 1}, {"a": "y", "b": "x", "cost": 2}]}',
+         "replace['y','x']: conflicting costs 1 and 2"),
+        ('{"indel": {"x": 1.5}}', "indel['x']: cost must be an integer, got 1.5"),
+        ('{"replace": [{"a": "x", "b": "y", "cost": true}]}',
+         "replace['x','y']: cost must be an integer, got True"),
+        ('{"whitespace_char": "  "}', "whitespace_char: expected a single character"),
+        ('{"replace": [{"a": "xy", "b": "y", "cost": 1}]}', "replace.a: expected a single"),
+    ], ids=["not-object", "symmetric", "indel", "indel-null", "replace", "entry", "conflict", "float-cost",
+            "bool-cost", "whitespace-char", "entry-char"])
+    def test_malformed_document_rejected(self, doc, message):
+        """Each message is the one the document's parser gave when it
+        checked every value itself, before the constructor did."""
+        with pytest.raises(ModelValidationError) as exc:
+            load_model(doc)
+        assert str(exc.value).startswith(message)
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("factory", [unit_model, appendix_model])
@@ -200,7 +226,69 @@ class TestRecord:
             assert copied.replace("a", "A") == 2 and copied.replace("(", "a") == 999
 
 
+MUTATORS = {
+    "setitem": lambda table: table.__setitem__("x", 1),
+    "delitem": lambda table: table.__delitem__(next(iter(table), "x")),
+    "ior": lambda table: table.__ior__({}),
+    "update": lambda table: table.update({}),
+    "setdefault": lambda table: table.setdefault("x", 1),
+    "pop": lambda table: table.pop("x", None),
+    "popitem": lambda table: table.popitem(),
+    "clear": lambda table: table.clear(),
+}
+
+
+class TestReadOnly:
+    @pytest.mark.parametrize("mutate", MUTATORS.values(), ids=MUTATORS.keys())
+    def test_every_mutator_raises(self, mutate, unit, appendix):
+        custom = CostModel(indel_costs={"x": 2}, replace_costs={("x", "y"): 3, ("y", "x"): 3})
+        for model in (unit, appendix, custom):
+            for copied in (model, copy.copy(model), copy.deepcopy(model),
+                           pickle.loads(pickle.dumps(model))):
+                for table in (copied.indel_costs, copied.replace_costs):
+                    before = dict(table)
+                    with pytest.raises(TypeError, match="read-only"):
+                        mutate(table)
+                    assert table == before
+
+    def test_source_tables_are_copied(self):
+        indel, replace = {"q": 3}, {("x", "y"): 1, ("y", "x"): 1}
+        model = CostModel(indel_costs=indel, replace_costs=replace)
+        indel["q"] = -3
+        replace[("x", "y")] = 7
+        assert model.indel("q") == 3 and model.replace("x", "y") == 1
+        assert levenshtein_standard("q", "", model) == 3
+
+    def test_distances_agree_with_replace_after_mutation_attempts(self):
+        model = CostModel(indel_default=5, replace_default=5)
+        for key in (("x", "y"), ("y", "x")):
+            with pytest.raises(TypeError):
+                model.replace_costs[key] = 1
+        assert model.replace("x", "y") == levenshtein_standard("x", "y", model) == 5
+        assert levenshtein_ws_agnostic("xa", "ya", model) == ws_agnostic_naive("xa", "ya", model)
+
+    def test_read_only_tables_keep_a_dicts_behaviour(self, appendix):
+        table = appendix.replace_costs
+        assert table == dict(table) and repr(table) == repr(dict(table))
+        for copied in (copy.copy(table), copy.deepcopy(table), pickle.loads(pickle.dumps(table))):
+            assert type(copied) is dict and copied == table
+        with pytest.raises(TypeError):
+            hash(table)
+
+
 class TestInvariants:
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"symmetric": "no"}, "symmetric: expected a boolean, got 'no'"),
+        ({"symmetric": 1}, "symmetric: expected a boolean, got 1"),
+        ({"indel_costs": [("x", 1)]}, "indel: expected an object of char -> cost"),
+        ({"indel_costs": None}, "indel: expected an object of char -> cost"),
+        ({"replace_costs": "xy"}, "replace: expected a mapping of (a, b) -> cost"),
+    ], ids=["symmetric-str", "symmetric-int", "indel-list", "indel-none", "replace-str"])
+    def test_constructor_refuses(self, kwargs, message):
+        with pytest.raises(ModelValidationError) as exc:
+            CostModel(**kwargs)
+        assert str(exc.value) == message
+
     def test_symmetric_declaration_validated(self):
         with pytest.raises(ModelValidationError, match="symmetric"):
             CostModel(replace_costs={("x", "y"): 3, ("y", "x"): 4})

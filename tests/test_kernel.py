@@ -70,6 +70,20 @@ def test_fallback_matches_oracle_and_warns_once(fresh_kernel, monkeypatch, caplo
     assert "/nonexistent/cc" in warnings[0].getMessage()
 
 
+@pytest.mark.skipif(shutil.which("false") is None, reason="no `false` command")
+def test_compiler_exiting_non_zero_falls_back(fresh_kernel, monkeypatch, caplog, unit):
+    """A compiler that runs but fails: one warning names the command and
+    its status, and the build's temporary file is gone."""
+    monkeypatch.setenv("CC", "false")
+    with caplog.at_level(logging.WARNING, logger="wsadist"):
+        assert kernel_backend() == "interpreted"
+        assert levenshtein_ws_agnostic("a9 ", "A", unit) == ws_agnostic_naive("a9 ", "A", unit)
+    warnings = [r.getMessage() for r in caplog.records if r.name == "wsadist"]
+    assert len(warnings) == 1
+    assert "false -O2 -shared -fPIC -o " in warnings[0] and " exited 1" in warnings[0]
+    assert list(fresh_kernel.iterdir()) == []
+
+
 MIXED_DOCUMENT = [
     "Quarterly figures, as reported:",
     "",
@@ -407,6 +421,12 @@ with tempfile.TemporaryDirectory() as tmp:
     for path, part in zip(paths, ([["", "A 9", ""]] + docs[:30], [["a", "", ""]] + docs[30:60])):
         with open(path, "w", encoding="utf-8") as fh:
             fh.writelines(line + "\\n" for doc in part for line in doc)
+    # documents of empty lines alone, whose codes are an empty array
+    print(detect_tables(["", "", ""]))
+    blank = os.path.join(tmp, "blank")
+    with open(blank, "w", encoding="utf-8") as fh:
+        fh.write("\\n" * 3)
+    assert main(["dist", "--files", "--format", "json", blank, blank]) == 0
     for model in [*MODELS, big]:
         with open(paths[2], "w", encoding="utf-8") as fh:
             fh.write(serialize_model(model))
