@@ -1,27 +1,32 @@
 /* Two-row DP over the (n1+1) x (n2+1) edit lattice: the compiled form of
  * wsadist.kernel.dp_interpreted, whose docstring documents the cost
- * tables and m.  One entry, wsadist_pairs, scores the adjacent pairs of a
- * document; a single pair is a document of two lines.  A pair with an
- * empty line is scored in the lattice too: an empty first line makes row 0
- * the last row, an empty second line column 0 the last column.
+ * tables and m.  There is one lattice: its last column charges a deletion
+ * ws_del, its last row an insertion ws_ins, and every other move indel or
+ * rep.  Edge tables of whitespace costs give the ws-agnostic distance,
+ * the indel table as both the classical one.  One entry, wsadist_pairs,
+ * scores the adjacent pairs of a document; a single pair is a document of
+ * two lines.  A pair with an empty line is scored in the lattice too: an
+ * empty first line makes row 0 the last row, an empty second line column
+ * 0 the last column.
  *
  * Given a detection threshold in (0, 1], it computes d exactly only for
  * the pairs that can reach it, and marks the rest -1.  A pair's cutoff
  * T is the largest d with 1.0 - d / D >= threshold, D the heavier line's
  * weight, as Python computes it.  A pair is ruled out with no DP when its
  * length bound -- every character of one line that no diagonal move
- * takes pays at least its whitespace cost -- exceeds T.  The rest run in
- * a band: an interior cell with |i - j| * min_indel > T, min_indel the
+ * takes pays at least its edge cost -- exceeds T.  The rest run in a
+ * band: an interior cell with |i - j| * min_indel > T, min_indel the
  * cheapest indel cost, is skipped; the last row and the last column stay
- * full, since whitespace moves there can be free.  Threshold 0 is no
- * cutoff: every d is exact.
+ * full, since edge moves there can be free.  Threshold 0 is no cutoff:
+ * every d is exact.
  *
- * Requires non-negative costs and every path sum to fit in int64 (the
- * caller checks); the cells skipped by a cutoff hold T + 1 <= D, which
- * adds no larger sum.  Returns -1 when out of memory, or -2 when a symbol
- * code lies outside the alphabet, m is not in [0, k], the line offsets
- * fall outside the codes or out of order, or the threshold is outside
- * [0, 1].
+ * Requires non-negative costs, no edge cost above its symbol's indel cost
+ * (the length bound rests on it, for any such edge tables), and every path
+ * sum to fit in int64 (the caller checks); the cells skipped by a cutoff
+ * hold T + 1 <= D, which adds no larger sum.  Returns -1 when out of
+ * memory, or -2 when a symbol code lies outside the alphabet, m is not in
+ * [0, k], the line offsets fall outside the codes or out of order, or the
+ * threshold is outside [0, 1].
  */
 #include <float.h>
 #include <stdint.h>
@@ -68,12 +73,11 @@ static int64_t cutoff(double threshold, int64_t heavier)
  * as it was found. */
 static int64_t lattice(int64_t n1, const uint32_t *code1, int64_t n2, const uint32_t *code2,
                        int64_t k, const int64_t *indel, const int64_t *ws_del,
-                       const int64_t *ws_ins, const int64_t *rep, int64_t m, int ws_agnostic,
-                       int64_t limit, int64_t width, int64_t *prev, int64_t *cur,
-                       int64_t *scratch)
+                       const int64_t *ws_ins, const int64_t *rep, int64_t m, int64_t limit,
+                       int64_t width, int64_t *prev, int64_t *cur, int64_t *scratch)
 {
-    /* with n1 = 0, row 0 is the last row: insertions meet imagined whitespace */
-    const int64_t *first = ws_agnostic && n1 == 0 ? ws_ins : indel;
+    /* with n1 = 0, row 0 is the last row */
+    const int64_t *first = n1 == 0 ? ws_ins : indel;
     prev[0] = 0;
     for (int64_t j = 1; j <= n2; j++)
         prev[j] = prev[j - 1] + first[code2[j - 1]];
@@ -83,8 +87,7 @@ static int64_t lattice(int64_t n1, const uint32_t *code1, int64_t n2, const uint
         uint32_t a = code1[i - 1];
         int64_t dcost = indel[a];
         if (n2 == 0) {
-            /* column 0 is the last column: deletions meet imagined whitespace */
-            prev[0] += ws_agnostic ? ws_del[a] : dcost;
+            prev[0] += ws_del[a];  /* column 0 is the last column */
             continue;
         }
         const int64_t *icost = indel;
@@ -99,9 +102,7 @@ static int64_t lattice(int64_t n1, const uint32_t *code1, int64_t n2, const uint
                 prev[j] = limit;
             lo = 1;
             hi = n2 - 1;
-            /* on the last row, insertions meet imagined whitespace */
-            if (ws_agnostic)
-                icost = ws_ins;
+            icost = ws_ins;
         }
         /* a symbol from m on reads the shared row, with its own column 0 */
         const int64_t *row = a < m ? rep + a * k : scratch;
@@ -117,10 +118,8 @@ static int64_t lattice(int64_t n1, const uint32_t *code1, int64_t n2, const uint
             cur[n2 - 1] = limit;  /* the band has passed the last interior column */
         else if (hi < n2 - 1)
             cur[hi + 1] = cur[n2 - 1] = limit;  /* ... or not reached it */
-        /* on the last column, deletions meet imagined whitespace */
         uint32_t b = code2[n2 - 1];
-        cur[n2] = cell(prev[n2], ws_agnostic ? ws_del[a] : dcost, cur[n2 - 1], icost[b],
-                       prev[n2 - 1], row[b]);
+        cur[n2] = cell(prev[n2], ws_del[a], cur[n2 - 1], icost[b], prev[n2 - 1], row[b]);
         if (a >= m)
             scratch[a] = rep[m * k + a];
         int64_t *tmp = prev;
@@ -133,10 +132,9 @@ static int64_t lattice(int64_t n1, const uint32_t *code1, int64_t n2, const uint
 /* A document of `lines` lines, line i being codes[offsets[i]:offsets[i+1]]
  * of the ncodes codes, all in one alphabet of k symbols.  Writes each
  * line's weight, the sum of ws_del over its codes, to weights[i], and for
- * each pair i with want[i] set, the distance from line i to line i + 1 to
- * dists[i]: ws-agnostic (deletions against ws_del, insertions against
- * ws_ins) when ws_agnostic is set, else the classical one.  With a
- * threshold above 0, a pair that cannot reach it gets -1 there instead.
+ * each pair i with want[i] set, the distance from line i to line i + 1 over
+ * the edge tables ws_del and ws_ins to dists[i].  With a threshold above
+ * 0, a pair that cannot reach it gets -1 there instead.
  * Either line of a pair may be empty.  codes may not be NULL, even with
  * ncodes 0, since each line forms codes + offsets[i].  Returns 0, or -1
  * or -2 as the header says. */
@@ -144,7 +142,7 @@ int64_t wsadist_pairs(int64_t lines, const int64_t *offsets, int64_t ncodes,
                       const uint32_t *codes, int64_t k, const int64_t *indel,
                       const int64_t *ws_del, const int64_t *ws_ins, const int64_t *rep,
                       int64_t m, const unsigned char *want, int64_t *weights, int64_t *dists,
-                      int ws_agnostic, double threshold)
+                      double threshold)
 {
     if (m < 0 || m > k || lines < 0 || offsets[0] < 0 || !(threshold >= 0.0 && threshold <= 1.0))
         return -2;
@@ -200,8 +198,8 @@ int64_t wsadist_pairs(int64_t lines, const int64_t *offsets, int64_t ncodes,
             if (min_indel > 0)
                 width = (limit - 1) / min_indel;
         }
-        dists[i] = lattice(n1, code1, n2, code2, k, indel, ws_del, ws_ins, rep, m, ws_agnostic,
-                           limit, width, base, base + n2 + 1, base + 2 * (longest + 1));
+        dists[i] = lattice(n1, code1, n2, code2, k, indel, ws_del, ws_ins, rep, m, limit, width,
+                           base, base + n2 + 1, base + 2 * (longest + 1));
     }
     free(base);
     return 0;

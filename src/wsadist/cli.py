@@ -180,16 +180,25 @@ def _run_detect(args) -> str:
 def _write(output: str) -> int:
     """Write ``output`` to standard output: EXIT_OK, or EXIT_OUTPUT when
     that fails.  A reader that closed the pipe early is not reported."""
+    stream = sys.stdout
     try:
-        sys.stdout.write(output)
-        sys.stdout.flush()
+        if hasattr(stream, "buffer"):
+            # unbuffered (python -u), the bytes go to the raw file, which may take
+            # part of a write: the rest is written again, and a failure raises
+            data = memoryview(output.encode(stream.encoding, stream.errors))
+            stream.flush()
+            while data:
+                data = data[stream.buffer.write(data):]
+        else:  # a text stream with no bytes beneath it
+            stream.write(output)
+        stream.flush()
     except OSError as exc:
         if not isinstance(exc, BrokenPipeError):
             print(f"wsadist: cannot write output: {exc}", file=sys.stderr)
         # Python flushes standard output again at exit, where what is left in
         # its buffer would fail with an "Exception ignored" message
         try:
-            fd = sys.stdout.fileno()
+            fd = stream.fileno()
         except (AttributeError, OSError):  # no file behind it
             return EXIT_OUTPUT
         devnull = os.open(os.devnull, os.O_WRONLY)

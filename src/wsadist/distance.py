@@ -16,11 +16,9 @@ The two reference oracles used for differential testing live in
 ``wsadist.oracles``; ``ws_agnostic_naive`` is also the ``naive-oracle``
 ``Algorithm``.
 
-Both production paths run the DP kernel of ``wsadist.kernel``: C,
-compiled on first use with the system C compiler into a per-user cache
-directory, or, when that fails, the same recurrence interpreted, after
-one logged warning (see ``kernel_backend()``).  On the compiled kernel a
-4000x4000-character pair takes 22-36 ms on a 2-vCPU VM.
+Both production paths run the one DP kernel of ``wsadist.kernel``, C or,
+when that cannot be built, interpreted (see ``kernel_backend()``).  On the
+compiled kernel a 4000x4000-character pair takes 22-36 ms on a 2-vCPU VM.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from enum import Enum
 from itertools import accumulate
 
 from .cost_model import CostModel, _Record, unit_model
-from .kernel import score_document
+from .kernel import edge_costs, score_document
 from .oracles import SizeLimitError, ws_agnostic_naive
 
 DEFAULT_MAX_CELLS = 1 << 26
@@ -63,13 +61,11 @@ def _pair_distance(s1: str, s2: str, model: CostModel | None, max_cells: int,
     lines."""
     model = model if model is not None else unit_model()
     _check_cells(len(s1), len(s2), max_cells)
-    # The kernel scores a pair with an empty line too, but building the
-    # cost tables costs more than this sum: every character of the other
-    # string against whitespace on its side, or inserted or deleted.
+    # The kernel scores a pair with an empty line too, but building the cost
+    # tables costs more than this sum of the other string's edge costs.
     if not (s1 and s2):
-        if ws_agnostic:
-            return sum(map(model.whitespace_cost, s1)) + sum(map(model.whitespace_insert_cost, s2))
-        return sum(map(model.indel, s1 + s2))
+        del_cost, ins_cost = edge_costs(ws_agnostic)
+        return sum(del_cost(model, c) for c in s1) + sum(ins_cost(model, c) for c in s2)
     text = s1 + s2
     return score_document(text, (0, len(s1), len(text)), b"\1", model, ws_agnostic, 0.0)[1][0]
 

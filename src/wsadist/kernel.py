@@ -1,14 +1,17 @@
 """The DP kernel behind both production distances and table detection.
 
 There is one kernel, written in C (``_kernel.c``, shipped inside the
-package), with one entry, ``wsadist_pairs`` (``dp_pairs``): it weighs
-every line of a document and scores every adjacent pair that the caller
-asks for, in one call.  A single pair is a document of two lines.  A
-pair with an empty line runs in the same lattice: an empty first line
-makes row 0 the last row, an empty second line column 0 the last
-column.  On first use it is built with the system C compiler -- ``$CC``
-if set, else ``cc`` -- as ``cc -O2 -shared -fPIC`` into a per-user
-cache directory, ``$XDG_CACHE_HOME/wsadist`` (default
+package), with one entry, ``wsadist_pairs`` (``dp_pairs``): in one call
+it weighs every line of a document and scores each adjacent pair asked
+for in one lattice, whose last column and last row, where a string has
+run out, charge the edge tables ``ws_del`` and ``ws_ins``.
+``edge_costs`` picks the ``CostModel`` methods that fill them: the
+whitespace costs for the ws-agnostic distance, ``indel`` for the
+classical one.
+
+On first use the kernel is built with the system C compiler -- ``$CC``
+if set, else ``cc`` -- as ``cc -O2 -falign-loops=32 -shared -fPIC``
+into a per-user cache directory, ``$XDG_CACHE_HOME/wsadist`` (default
 ``~/.cache/wsadist``), and loaded with ``ctypes``.  The library's file
 name is keyed by a hash of the source, the compiler command and the
 platform, ``os.uname()``'s ``sysname`` and ``machine``, so a changed
@@ -27,29 +30,14 @@ A document whose path sums could exceed int64 -- twice its longest line
 times the dearest cost -- always takes the interpreted kernel, which
 computes over Python ints; a single pair is such a document.
 
-Imagined whitespace is priced per side: a character of the first string
-meeting the second's padding costs ``model.whitespace_cost`` (the
-deletion side), one of the second string meeting the first's padding
-``model.whitespace_insert_cost`` (the insertion side).
-
-Detection passes its threshold to the kernel, which then computes d
-exactly only for the pairs that can reach it (see ``dp_pairs``).  A pair
-whose length bound -- each character of one line that no diagonal move
-takes pays at least its whitespace cost -- already puts it below the
-threshold gets no DP.  The rest run in a diagonal band: an interior cell
-i, j with |i - j| times the cheapest indel cost above the cutoff is
-skipped, and the last row and the last column, where whitespace moves
-can be free, stay full.  ``wsadist dist`` and single pairs pass
-threshold 0, which rules nothing out, so their distances are exact.
-
-Every caller goes through one helper, ``score_document``: detection's
-document, the line pairs of ``wsadist dist`` interleaved into one
-document, and a single pair.  It encodes the whole text once
-into one ``model_alphabet``, whose first m codes are the characters of
-the text that lead a ``model.replace_costs`` key, builds the model's
-tables once (``alphabet_costs``) and makes one ``dp_pairs`` call.  The
-replacement table has m + 1 rows of k: a row symbol a below m reads row
-a, and one from m on reads row m with column a taken as 0.
+Detection's document, the line pairs of ``wsadist dist`` interleaved
+into one document, and a single pair all go through ``score_document``:
+one encoding, one set of tables and one ``dp_pairs`` call.  Detection
+passes its threshold, and the kernel then computes d exactly only for
+the pairs that can reach it: a length bound rules some out with no DP,
+and the rest run in a diagonal band (see ``dp_pairs`` and
+``_kernel.c``).  ``wsadist dist`` and single pairs pass threshold 0,
+which rules nothing out, so their distances are exact.
 """
 
 from __future__ import annotations
@@ -61,21 +49,24 @@ import shlex
 import sys
 import threading
 from array import array
-from itertools import chain
+from functools import partial
+from itertools import accumulate, chain
 from operator import sub
 from pathlib import Path
 
 from .cost_model import CostModel
 
 _SOURCE = Path(__file__).with_name("_kernel.c")
-_FLAGS = ("-O2", "-shared", "-fPIC")
+# -falign-loops=32 keeps the inner loop of `lattice` on a 32-byte boundary; an edit
+# elsewhere that left it across three 32-byte blocks, not two, cost up to 11% on
+# long pairs and 13% in detection (gcc 12, x86-64).  gcc and clang 13+ take it.
+_FLAGS = ("-O2", "-falign-loops=32", "-shared", "-fPIC")
 _INT64_MAX = (1 << 63) - 1
 _UTF32 = "utf-32-le" if sys.byteorder == "little" else "utf-32-be"
 _I64, _PTR = ctypes.c_int64, ctypes.c_void_p
-# lines, offsets, ncodes, codes, k, indel, ws_del, ws_ins, rep, m, want, weights, dists,
-# ws_agnostic, threshold
+# lines, offsets, ncodes, codes, k, indel, ws_del, ws_ins, rep, m, want, weights, dists, threshold
 _PAIRS_ARGTYPES = [_I64, _PTR, _I64, _PTR, _I64, _PTR, _PTR, _PTR, _PTR, _I64, ctypes.c_char_p,
-                   _PTR, _PTR, ctypes.c_int, ctypes.c_double]
+                   _PTR, _PTR, ctypes.c_double]
 
 _UNTRIED = object()
 _compiled = _UNTRIED  # the loaded C library, or None once it failed
@@ -196,24 +187,33 @@ def model_alphabet(model: CostModel, text: str) -> Alphabet:
     return alphabet
 
 
-def alphabet_costs(alphabet: Alphabet, m: int, model: CostModel):
+def edge_costs(ws_agnostic: bool):
+    """The ``CostModel`` methods that price the lattice's last column and
+    last row: the whitespace costs with ``ws_agnostic``, else ``indel``."""
+    if ws_agnostic:
+        return CostModel.whitespace_cost, CostModel.whitespace_insert_cost
+    return CostModel.indel, CostModel.indel
+
+
+def alphabet_costs(alphabet: Alphabet, m: int, model: CostModel, ws_agnostic: bool):
     """``model``'s costs over ``alphabet``, a ``model_alphabet`` of size m
     that both lines of each pair are encoded in: per-symbol indel costs,
-    deletion-side and insertion-side whitespace costs, the (m+1) x k
-    replacement costs (a to b at row a, column b; row m is the default
-    everywhere), and the dearest of them.  The tables are array('q') when
-    every cost fits int64, else lists."""
+    the deletion-side and insertion-side ``edge_costs`` (the indel table
+    itself for ``indel``), the (m+1) x k replacement costs (a to b at row
+    a, column b; row m is the default everywhere), and the dearest of them.
+    The tables are array('q') when every cost fits int64, else lists."""
     chars = [chr(point) for point in alphabet]
     indel = [model.indel(c) for c in chars]
-    ws_del = [model.whitespace_cost(c) for c in chars]
-    ws_ins = [model.whitespace_insert_cost(c) for c in chars]
     default, rows = model.replace_default, model._replace_rows
     rep = [0 if a == b else rows[a].get(b, default) for a in chars[:m] for b in chars]
     rep += [default] * len(chars)
-    # a whitespace cost is never above its indel cost
+    # an edge cost is never above its indel cost
     dearest = max(chain(indel, rep), default=0)
-    if dearest <= _INT64_MAX:
-        indel, ws_del, ws_ins, rep = (array("q", t) for t in (indel, ws_del, ws_ins, rep))
+    table = partial(array, "q") if dearest <= _INT64_MAX else list
+    indel, rep = table(indel), table(rep)
+    del_cost, ins_cost = edge_costs(ws_agnostic)
+    ws_del = indel if del_cost is CostModel.indel else table([del_cost(model, c) for c in chars])
+    ws_ins = indel if ins_cost is CostModel.indel else table([ins_cost(model, c) for c in chars])
     return indel, ws_del, ws_ins, rep, dearest
 
 
@@ -222,14 +222,14 @@ def score_document(text: str, offsets, want: bytes, model: CostModel, ws_agnosti
     """One kernel call over a document of lines, given as ``text``, the
     lines joined, and ``offsets``, ints from 0 to ``len(text)``: line i is
     ``text[offsets[i]:offsets[i + 1]]``.  ``text`` is encoded once into
-    ``model_alphabet(model, text)``, ``model``'s tables are built once
-    over it, and ``dp_pairs`` weighs every line and scores each pair that
-    ``want`` flags, up to ``threshold``.  Returns ``dp_pairs``'s
-    ``(weights, dists)``."""
+    ``model_alphabet(model, text)``, ``model``'s tables for the distance
+    that ``ws_agnostic`` picks are built once over it, and ``dp_pairs``
+    weighs every line and scores each pair that ``want`` flags, up to
+    ``threshold``.  Returns ``dp_pairs``'s ``(weights, dists)``."""
     alphabet = model_alphabet(model, text)
     m = len(alphabet)
     return dp_pairs(encode(text, alphabet), array("q", offsets), want, m,
-                    *alphabet_costs(alphabet, m, model), ws_agnostic, threshold)
+                    *alphabet_costs(alphabet, m, model, ws_agnostic), threshold)
 
 
 def _refusal(result: int, n: int) -> Exception:
@@ -241,18 +241,18 @@ def _refusal(result: int, n: int) -> Exception:
 
 
 def dp_pairs(codes, offsets, want: bytes, m: int, indel, ws_del, ws_ins, rep, dearest: int,
-             ws_agnostic: bool, threshold: float):
+             threshold: float):
     """Every line's weight and the distance of each wanted adjacent pair
-    of one document, in one call; ws-agnostic with ``ws_agnostic``, else
-    the classical distance.
+    of one document, in one call.
 
     Line i is ``codes[offsets[i]:offsets[i + 1]]`` (array('I') and
     array('q')), in one ``model_alphabet`` of size m; the tables and
     ``dearest`` are as ``alphabet_costs`` returns them.  ``want`` holds
     one byte per adjacent pair; either line of a wanted pair may be
-    empty.  Returns ``(weights, dists)``: weights[i] is the sum of
-    ``ws_del`` over line i, and dists[i] the distance d from line i to
-    line i + 1 for each wanted pair, else 0.
+    empty.  Returns ``(weights, dists)``: weights[i] is the sum of the
+    edge table ``ws_del`` over line i (of indel costs, which nothing
+    reads, for the classical distance), and dists[i] the distance d from
+    line i to line i + 1 for each wanted pair, else 0.
 
     ``threshold``, in [0, 1], is detection's: the compiled kernel may
     write -1 in place of d for a pair whose ``1.0 - d / D``, D the
@@ -270,8 +270,8 @@ def dp_pairs(codes, offsets, want: bytes, m: int, indel, ws_del, ws_ins, rep, de
     # tables (a cost beyond int64) stay interpreted even with no pair.
     if lib is None or dearest > _INT64_MAX or 2 * longest * dearest > _INT64_MAX:
         weights = [sum(ws_del[c] for c in codes[a:b]) for a, b in zip(offsets, offsets[1:])]
-        dists = [dp_interpreted(codes[a:b], codes[b:c], indel, ws_del, ws_ins, rep, m,
-                                ws_agnostic) if wanted else 0
+        dists = [dp_interpreted(codes[a:b], codes[b:c], indel, ws_del, ws_ins, rep, m)
+                 if wanted else 0
                  for wanted, a, b, c in zip(want, offsets, offsets[1:], offsets[2:])]
         return weights, dists
     weights, dists = array("q", [0]) * lines, array("q", [0]) * len(want)
@@ -281,34 +281,30 @@ def dp_pairs(codes, offsets, want: bytes, m: int, indel, ws_del, ws_ins, rep, de
     result = lib.wsadist_pairs(
         lines, offsets.buffer_info()[0], len(codes), buffer.buffer_info()[0], len(indel),
         *(t.buffer_info()[0] for t in (indel, ws_del, ws_ins, rep)), m, want,
-        weights.buffer_info()[0], dists.buffer_info()[0], ws_agnostic, threshold,
+        weights.buffer_info()[0], dists.buffer_info()[0], threshold,
     )
     if result < 0:
         raise _refusal(result, longest)
     return weights, dists
 
 
-def dp_interpreted(code1, code2, indel, ws_del, ws_ins, rep, m: int, ws_agnostic: bool) -> int:
+def dp_interpreted(code1, code2, indel, ws_del, ws_ins, rep, m: int) -> int:
     """Two-row DP over the (n1+1) x (n2+1) lattice, in plain Python.
 
     code1 and code2 index one alphabet of size k; ``indel`` holds
-    per-symbol indel costs, ``ws_del``/``ws_ins`` per-symbol costs
-    against imagined whitespace on the first and the second side (only
-    read when ``ws_agnostic``), and ``rep`` the replacement costs in
-    row-major order, k to a row: row a for a row symbol a < m, and row
-    m, with column a taken as 0, for one from m on.  m is in [0, k].
-    With ``ws_agnostic`` the last row and last column charge the
-    whitespace costs for insertions and deletions: with n1 = 0, row 0 is
-    the last row, and with n2 = 0, column 0 the last column.
+    per-symbol indel costs, ``ws_del``/``ws_ins`` the edge costs of the
+    last column and the last row (``edge_costs``), and ``rep`` the
+    replacement costs in row-major order, k to a row: row a for a row
+    symbol a < m, and row m, with column a taken as 0, for one from m on.
+    m is in [0, k].  With n1 = 0, row 0 is the last row, and with n2 = 0,
+    column 0 the last column.
     """
     n1, n2, k = len(code1), len(code2), len(indel)
-    ins = [(ws_ins if ws_agnostic and n1 == 0 else indel)[b] for b in code2]
-    prev = [0]
-    for cost in ins:
-        prev.append(prev[-1] + cost)
+    ins = [(ws_ins if n1 == 0 else indel)[b] for b in code2]
+    prev = list(accumulate(ins, initial=0))
     for i, a in enumerate(code1, 1):
-        dcost = ws_del[a] if ws_agnostic and n2 == 0 else indel[a]
-        if ws_agnostic and i == n1:
+        dcost = ws_del[a] if n2 == 0 else indel[a]
+        if i == n1:
             ins = [ws_ins[b] for b in code2]
         shared = min(a, m)
         row = rep[shared * k:(shared + 1) * k]
@@ -317,7 +313,7 @@ def dp_interpreted(code1, code2, indel, ws_del, ws_ins, rep, m: int, ws_agnostic
         left = prev[0] + dcost
         cur = [left]
         for j in range(1, n2 + 1):
-            if ws_agnostic and j == n2:
+            if j == n2:
                 dcost = ws_del[a]
             left = min(prev[j] + dcost, left + ins[j - 1], prev[j - 1] + row[code2[j - 1]])
             cur.append(left)

@@ -86,9 +86,8 @@ def _pair_scores(lines: list[str], mode: NormalizationMode, model: CostModel,
     blank = [not line.strip() for line in lines]
     want = bytes(not (blank1 or blank2) and n1 * n2 <= DEFAULT_MAX_CELLS
                  for blank1, blank2, n1, n2 in zip(blank, blank[1:], lengths, lengths[1:]))
-    weights, dists, *_ = score_document(normalize_line("".join(lines), mode),
-                                        accumulate(lengths, initial=0), want, model, True,
-                                        threshold)
+    weights, dists = score_document(normalize_line("".join(lines), mode),
+                                    accumulate(lengths, initial=0), want, model, True, threshold)
     for j, wanted in enumerate(want):
         heavier = max(weights[j], weights[j + 1])
         d = dists[j] if wanted and dists[j] >= 0 else None

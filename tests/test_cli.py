@@ -1,8 +1,11 @@
+import errno
 import io
 import json
 import logging
 import os
 import random
+import resource
+import signal
 import subprocess
 import sys
 from itertools import zip_longest
@@ -36,11 +39,30 @@ THREE_ROW_TABLE = (
 
 
 def cli_env():
-    """The environment of a fresh ``wsadist`` process.  Without
-    PYTHONUNBUFFERED: unbuffered, CPython's text layer takes a short write
-    to a pipe whose reader has left as complete, and reports nothing."""
+    """The environment of a fresh ``wsadist`` process, buffered as by
+    default: without PYTHONUNBUFFERED, which the tests of unbuffered
+    output set themselves."""
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
     return dict(env, PYTHONPATH=str(SRC))
+
+
+def close_after_first_line(argv, env):
+    """Run ``wsadist`` on ``argv`` in a fresh process with ``env``, read one
+    line of its output and close the pipe: that line, the exit status and
+    standard error."""
+    proc = subprocess.Popen([sys.executable, "-m", "wsadist.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    return first, proc.wait(timeout=60), err
+
+
+def write_dist_document(path):
+    """20,000 lines, whose ``dist --files`` output against themselves is
+    about 149 KB: more than a pipe holds."""
+    path.write_text("".join(f"aa {k}\tbb\n" for k in range(20000)), encoding="utf-8")
 
 
 def run(capsys, *argv):
@@ -365,15 +387,40 @@ class TestExitCodes:
             doc.write_text((THREE_ROW_TABLE + "\n") * 6000, encoding="utf-8")
             argv, want = ["detect", str(doc)], b"0 2 0.7727\n"
         else:
-            doc.write_text("".join(f"aa {k}\tbb\n" for k in range(20000)), encoding="utf-8")
+            write_dist_document(doc)
             argv, want = ["dist", "--files", str(doc), str(doc)], b"0\t0\n"
-        proc = subprocess.Popen([sys.executable, "-m", "wsadist.cli", *argv],
-                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env())
-        first = proc.stdout.readline()
-        proc.stdout.close()
-        err = proc.stderr.read()
-        proc.stderr.close()
-        assert (first, proc.wait(timeout=60), err) == (want, 5, b"")
+        assert close_after_first_line(argv, cli_env()) == (want, 5, b"")
+
+    def test_reader_closing_early_unbuffered_exits_5_quietly(self, tmp_path):
+        """Under PYTHONUNBUFFERED the bytes go straight to the pipe, which
+        takes part of the write when the reader leaves; the rest is
+        written again, and that write fails."""
+        doc = tmp_path / "doc.txt"
+        write_dist_document(doc)
+        env = dict(cli_env(), PYTHONUNBUFFERED="1")
+        assert close_after_first_line(["dist", "--files", str(doc), str(doc)], env) == (
+            b"0\t0\n", 5, b"")
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_file_size_limit_exits_5(self, tmp_path, unbuffered):
+        """A file size limit below the output: the first write to the file
+        is cut short at the limit, and the next fails with EFBIG."""
+        doc, out = tmp_path / "doc.txt", tmp_path / "out.txt"
+        write_dist_document(doc)
+        limit = 100_000
+
+        def limit_file_size():  # in the child only
+            resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+            signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+
+        env = dict(cli_env(), PYTHONUNBUFFERED="1") if unbuffered else cli_env()
+        with open(out, "wb") as fh:
+            proc = subprocess.run([sys.executable, "-m", "wsadist.cli", "dist", "--files",
+                                   str(doc), str(doc)], stdout=fh, stderr=subprocess.PIPE,
+                                  env=env, preexec_fn=limit_file_size, text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (
+            5, f"wsadist: cannot write output: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}\n")
+        assert out.stat().st_size == limit
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
     @pytest.mark.parametrize("argv", [["detect"], ["dist", "--files"], ["normalize"]],

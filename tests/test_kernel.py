@@ -80,7 +80,7 @@ def test_compiler_exiting_non_zero_falls_back(fresh_kernel, monkeypatch, caplog,
         assert levenshtein_ws_agnostic("a9 ", "A", unit) == ws_agnostic_naive("a9 ", "A", unit)
     warnings = [r.getMessage() for r in caplog.records if r.name == "wsadist"]
     assert len(warnings) == 1
-    assert "false -O2 -shared -fPIC -o " in warnings[0] and " exited 1" in warnings[0]
+    assert f"false {shlex.join(kernel._FLAGS)} -o " in warnings[0] and " exited 1" in warnings[0]
     assert list(fresh_kernel.iterdir()) == []
 
 
@@ -179,50 +179,78 @@ def test_path_sums_beyond_int64_are_exact():
     )
 
 
-def c_pair(codes, offsets, k, m, ws_agnostic, threshold=0.0):
+def c_pair(codes, offsets, k, m, threshold=0.0, edges=(1, 1)):
     """The C entry on a document whose one adjacent pair is wanted, every
-    cost 1: its return value and that pair's distance (-1 when the pair
-    cannot reach ``threshold``)."""
+    indel and replacement cost 1, and the edge costs ``edges`` (deletion
+    side, insertion side) in tables of their own: its return value and that
+    pair's distance (-1 when the pair cannot reach ``threshold``)."""
     fn = kernel._compiled_library().wsadist_pairs
     codes, offsets = array("I", codes), array("q", offsets)
-    ones, weights, dists = array("q", [1] * (k + 1) * k), array("q", [0, 0]), array("q", [0])
-    c = ones.buffer_info()[0]
+    ones = array("q", [1] * (k + 1) * k)
+    ws_del, ws_ins = (array("q", [edge] * k) for edge in edges)
+    weights, dists = array("q", [0, 0]), array("q", [0])
     result = fn(len(offsets) - 1, offsets.buffer_info()[0], len(codes), codes.buffer_info()[0],
-                k, c, c, c, c, m, b"\x01", weights.buffer_info()[0], dists.buffer_info()[0],
-                ws_agnostic, threshold)
+                k, *(t.buffer_info()[0] for t in (ones, ws_del, ws_ins, ones)), m, b"\x01",
+                weights.buffer_info()[0], dists.buffer_info()[0], threshold)
     return result, dists[0]
 
 
 @needs_compiler
 def test_c_kernel_refuses_code_outside_its_alphabet():
-    for ws_agnostic in (0, 1):
-        assert c_pair([5, 0], [0, 1, 2], 1, 1, ws_agnostic)[0] == -2
-        assert c_pair([0, 5], [0, 1, 2], 1, 1, ws_agnostic)[0] == -2
-        # m outside [0, k]
-        assert c_pair([0, 0], [0, 1, 2], 1, -1, ws_agnostic)[0] == -2
-        assert c_pair([0, 0], [0, 1, 2], 1, 2, ws_agnostic)[0] == -2
-        # a valid m: row 0 of the table, or the shared row with its own column free
-        assert c_pair([0, 0], [0, 1, 2], 1, 1, ws_agnostic) == (0, 1)
-        assert c_pair([0, 0], [0, 1, 2], 1, 0, ws_agnostic) == (0, 0)
+    assert c_pair([5, 0], [0, 1, 2], 1, 1)[0] == -2
+    assert c_pair([0, 5], [0, 1, 2], 1, 1)[0] == -2
+    # m outside [0, k]
+    assert c_pair([0, 0], [0, 1, 2], 1, -1)[0] == -2
+    assert c_pair([0, 0], [0, 1, 2], 1, 2)[0] == -2
+    # a valid m: row 0 of the table, or the shared row with its own column free
+    assert c_pair([0, 0], [0, 1, 2], 1, 1) == (0, 1)
+    assert c_pair([0, 0], [0, 1, 2], 1, 0) == (0, 0)
 
 
 @needs_compiler
 def test_c_kernel_refuses_threshold_outside_0_1():
-    for ws_agnostic in (0, 1):
-        for threshold in (-0.5, -1.0, 1.5, float("inf"), float("nan")):
-            assert c_pair([0, 1], [0, 1, 2], 2, 0, ws_agnostic, threshold)[0] == -2
-        # d = 1 and D = 1: the pair reaches any threshold up to 0, and is
-        # ruled out above it; threshold 0 is no cutoff
-        assert c_pair([0, 1], [0, 1, 2], 2, 0, ws_agnostic, 0.0) == (0, 1)
-        assert c_pair([0, 1], [0, 1, 2], 2, 0, ws_agnostic, -0.0) == (0, 1)
-        assert c_pair([0, 1], [0, 1, 2], 2, 0, ws_agnostic, 1e-300) == (0, -1)
-        assert c_pair([0, 1], [0, 1, 2], 2, 0, ws_agnostic, 1.0) == (0, -1)
-        # an identical pair reaches every threshold
-        assert c_pair([0, 0], [0, 1, 2], 2, 0, ws_agnostic, 1.0) == (0, 0)
-        # d = D = 2 for an empty line against two characters, either way round
-        assert c_pair([0, 1], [0, 0, 2], 2, 0, ws_agnostic, 1e-300) == (0, -1)
-        assert c_pair([0, 1], [0, 2, 2], 2, 0, ws_agnostic, 1e-300) == (0, -1)
-        assert c_pair([], [0, 0, 0], 2, 0, ws_agnostic, 1.0) == (0, 0)
+    for threshold in (-0.5, -1.0, 1.5, float("inf"), float("nan")):
+        assert c_pair([0, 1], [0, 1, 2], 2, 0, threshold)[0] == -2
+    # d = 1 and D = 1: the pair reaches any threshold up to 0, and is
+    # ruled out above it; threshold 0 is no cutoff
+    assert c_pair([0, 1], [0, 1, 2], 2, 0, 0.0) == (0, 1)
+    assert c_pair([0, 1], [0, 1, 2], 2, 0, -0.0) == (0, 1)
+    assert c_pair([0, 1], [0, 1, 2], 2, 0, 1e-300) == (0, -1)
+    assert c_pair([0, 1], [0, 1, 2], 2, 0, 1.0) == (0, -1)
+    # an identical pair reaches every threshold
+    assert c_pair([0, 0], [0, 1, 2], 2, 0, 1.0) == (0, 0)
+    # d = D = 2 for an empty line against two characters, either way round
+    assert c_pair([0, 1], [0, 0, 2], 2, 0, 1e-300) == (0, -1)
+    assert c_pair([0, 1], [0, 2, 2], 2, 0, 1e-300) == (0, -1)
+    assert c_pair([], [0, 0, 0], 2, 0, 1.0) == (0, 0)
+
+
+# edge tables (deletion side, insertion side) with the models and oracle
+# paddings that give them over codes 0 and 1, "a" and "b", at indel 1: free
+# against whitespace on both sides, on the deletion side only, and the
+# indel cost, which is the classical distance
+EDGE_CASES = [
+    ((0, 0), CostModel(replace_costs={p: 0 for c in "ab" for p in ((c, " "), (" ", c))}), {}),
+    ((0, 1), CostModel(symmetric=False, replace_costs={("a", " "): 0, ("b", " "): 0}), {}),
+    ((1, 1), CostModel(), {"pad_limit": 0}),
+]
+
+
+@needs_compiler
+@pytest.mark.parametrize("codes, offsets, s1, s2", [
+    ([0, 1], [0, 0, 2], "", "ab"), ([1, 0], [0, 2, 2], "ba", ""), ([], [0, 0, 0], "", ""),
+    ([0, 1, 0], [0, 2, 3], "ab", "a"), ([0, 0, 1], [0, 1, 3], "a", "ab"),
+], ids=["empty-first", "empty-second", "both-empty", "longer-first", "longer-second"])
+def test_c_kernel_reads_its_edge_tables(codes, offsets, s1, s2):
+    """The last row and the last column charge the edge tables, on an
+    empty line too, and the two sides' tables are read apart."""
+    for edges, model, padding in EDGE_CASES:
+        assert model.whitespace_cost("a") == edges[0]
+        assert model.whitespace_insert_cost("a") == edges[1]
+        assert c_pair(codes, offsets, 2, 0, edges=edges) == (
+            0, ws_agnostic_naive(s1, s2, model, **padding)), (edges, s1, s2)
+    distances = {c_pair(codes, offsets, 2, 0, edges=edges)[1] for edges, _, _ in EDGE_CASES}
+    assert len(distances) == (1 if s1 == s2 == "" else 2)
 
 
 @needs_compiler
@@ -254,11 +282,13 @@ def assert_model_alphabet_matches_oracle(seed):
             m = len(alphabet)
             codes = kernel.encode(s1 + s2, alphabet)
             offsets = array("q", [0, len(s1), len(s1) + len(s2)])
-            costs = kernel.alphabet_costs(alphabet, m, model)
-            assert len(costs[3]) == (m + 1) * len(alphabet)
-            ws_d, std_d = (kernel.dp_pairs(codes, offsets, b"\x01", m, *costs, ws_agnostic,
-                                           0.0)[1][0]
-                           for ws_agnostic in (True, False))
+            ws_costs, std_costs = (kernel.alphabet_costs(alphabet, m, model, ws_agnostic)
+                                   for ws_agnostic in (True, False))
+            assert len(ws_costs[3]) == (m + 1) * len(alphabet)
+            # classical: the indel table is both edge tables
+            assert std_costs[0] is std_costs[1] is std_costs[2]
+            ws_d, std_d = (kernel.dp_pairs(codes, offsets, b"\x01", m, *costs, 0.0)[1][0]
+                           for costs in (ws_costs, std_costs))
             assert ws_d == levenshtein_ws_agnostic(s1, s2, model), (s1, s2, model)
             assert std_d == levenshtein_standard(s1, s2, model), (s1, s2, model)
             # with no padding the oracle is the classical distance
@@ -284,27 +314,34 @@ LIST_TABLES = CostModel(replace_costs={("a", "9"): 1 << 64, ("9", "a"): 1 << 64}
 EDGE_DOCUMENTS = [[], ["a"], ["a", "9"], ["", "  ", "\t", ""], ["a", "", "a"], ["", ""]]
 
 
-def encode_document(doc, model, leads=None):
+def encode_document(doc, model, ws_agnostic, leads=None):
     """``doc``'s codes in one ``model_alphabet`` of ``leads`` (default: the
     whole document), its line offsets, m, and the model's cost tables over
-    that alphabet."""
+    that alphabet for the ws-agnostic or the classical distance."""
     text = "".join(doc)
     alphabet = kernel.model_alphabet(model, text if leads is None else leads)
     m = len(alphabet)
     codes = kernel.encode(text, alphabet)
     offsets = array("q", accumulate(map(len, doc), initial=0))
-    return codes, offsets, m, kernel.alphabet_costs(alphabet, m, model)
+    return codes, offsets, m, kernel.alphabet_costs(alphabet, m, model, ws_agnostic)
+
+
+def indel_sum(line, model):
+    return sum(map(model.indel, line))
 
 
 def assert_pairs_match(doc, model, want):
-    """The batch entry on ``doc``, ws-agnostic and classical, against
-    ``line_whitespace_cost``, the single-pair distances and, on short
-    pairs, the padded oracle (with no padding for the classical)."""
-    for ws_agnostic, single, padding in ((True, levenshtein_ws_agnostic, {}),
-                                         (False, levenshtein_standard, {"pad_limit": 0})):
+    """The batch entry on ``doc``, ws-agnostic and classical, against the
+    weights, ``line_whitespace_cost`` for the ws-agnostic distance and the
+    sum of indel costs, which nothing reads, for the classical one; the
+    single-pair distances; and, on short pairs, the padded oracle (with no
+    padding for the classical)."""
+    for ws_agnostic, weight, single, padding in (
+            (True, line_whitespace_cost, levenshtein_ws_agnostic, {}),
+            (False, indel_sum, levenshtein_standard, {"pad_limit": 0})):
         weights, dists = kernel.score_document("".join(doc), accumulate(map(len, doc), initial=0),
                                                want, model, ws_agnostic, 0.0)
-        assert list(weights) == [line_whitespace_cost(line, model) for line in doc], doc
+        assert list(weights) == [weight(line, model) for line in doc], doc
         for j, wanted in enumerate(want):
             if not wanted:
                 assert dists[j] == 0
@@ -341,37 +378,28 @@ def test_batch_on_interpreted_kernel_matches_single_pairs_and_oracle(fresh_kerne
 
 def test_batch_takes_list_tables_with_every_line_empty():
     # the leads of LIST_TABLES give its rows, and so its cost beyond int64
-    codes, offsets, m, costs = encode_document(["", "", ""], LIST_TABLES, leads="a9")
-    assert isinstance(costs[3], list)
     for ws_agnostic in (True, False):
-        assert kernel.dp_pairs(codes, offsets, bytes(2), m, *costs, ws_agnostic, 0.0) == (
-            [0, 0, 0], [0, 0])
+        codes, offsets, m, costs = encode_document(["", "", ""], LIST_TABLES, ws_agnostic,
+                                                   leads="a9")
+        assert isinstance(costs[3], list)
+        assert kernel.dp_pairs(codes, offsets, bytes(2), m, *costs, 0.0) == ([0, 0, 0], [0, 0])
 
 
 def test_batch_refuses_flags_that_do_not_match_the_lines():
-    codes, offsets, m, costs = encode_document(["a", "9"], MODELS[0])
-    for ws_agnostic in (True, False):
-        with pytest.raises(ValueError):
-            kernel.dp_pairs(codes, offsets, bytes(2), m, *costs, ws_agnostic, 0.0)
+    codes, offsets, m, costs = encode_document(["a", "9"], MODELS[0], True)
+    with pytest.raises(ValueError):
+        kernel.dp_pairs(codes, offsets, bytes(2), m, *costs, 0.0)
 
 
 @needs_compiler
 def test_c_batch_refuses_code_outside_its_alphabet_or_m():
-    for ws_agnostic in (0, 1):
-        assert c_pair([0, 1], [0, 1, 2], 2, 0, ws_agnostic) == (0, 1)
-        assert c_pair([0, 2], [0, 1, 2], 2, 0, ws_agnostic)[0] == -2
-        assert c_pair([0, 1], [0, 1, 2], 2, -1, ws_agnostic)[0] == -2
-        assert c_pair([0, 1], [0, 1, 2], 2, 3, ws_agnostic)[0] == -2
-        # offsets beyond the codes, or out of order
-        assert c_pair([0], [0, 1, 2], 2, 0, ws_agnostic)[0] == -2
-        assert c_pair([0, 1], [0, 2, 1], 2, 0, ws_agnostic)[0] == -2
-        # an empty wanted line is scored in the lattice, every cost 1: an
-        # empty first line, an empty second line, both
-        padding = {} if ws_agnostic else {"pad_limit": 0}
-        for codes, offsets, s1, s2 in (([0], [0, 0, 1], "", "a"), ([1, 0], [0, 2, 2], "ba", ""),
-                                       ([], [0, 0, 0], "", "")):
-            assert c_pair(codes, offsets, 2, 0, ws_agnostic) == (
-                0, ws_agnostic_naive(s1, s2, CostModel(), **padding))
+    assert c_pair([0, 1], [0, 1, 2], 2, 0) == (0, 1)
+    assert c_pair([0, 2], [0, 1, 2], 2, 0)[0] == -2
+    assert c_pair([0, 1], [0, 1, 2], 2, -1)[0] == -2
+    assert c_pair([0, 1], [0, 1, 2], 2, 3)[0] == -2
+    # offsets beyond the codes, or out of order
+    assert c_pair([0], [0, 1, 2], 2, 0)[0] == -2
+    assert c_pair([0, 1], [0, 2, 1], 2, 0)[0] == -2
 
 
 SANITIZED_RUN = """
@@ -470,7 +498,7 @@ def test_pair_of_distinct_symbols_has_one_shared_row():
     alphabet = kernel.model_alphabet(model, s1)
     m = len(alphabet)
     kernel.encode(s1 + s2, alphabet)
-    rep = kernel.alphabet_costs(alphabet, m, model)[3]
+    rep = kernel.alphabet_costs(alphabet, m, model, True)[3]
     assert m == 0 and len(rep) == (m + 1) * len(alphabet) == 4000
     tracemalloc.start()
     try:

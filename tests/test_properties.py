@@ -68,10 +68,10 @@ def test_ws_agnostic_matches_padded_oracle_under_asymmetric_models(s1, s2, model
     m = len(alphabet)
     codes = kernel.encode(s1 + s2, alphabet)
     offsets = array("q", [0, len(s1), len(s1) + len(s2)])
-    costs = kernel.alphabet_costs(alphabet, m, model)
-    assert kernel.dp_pairs(codes, offsets, b"\x01", m, *costs, True, 0.0)[1][0] == expected
-    assert kernel.dp_pairs(codes, offsets, b"\x01", m, *costs, False, 0.0)[1][0] == (
-        ws_agnostic_naive(s1, s2, model, pad_limit=0))
+    for ws_agnostic, padding in ((True, {}), (False, {"pad_limit": 0})):
+        costs = kernel.alphabet_costs(alphabet, m, model, ws_agnostic)
+        assert kernel.dp_pairs(codes, offsets, b"\x01", m, *costs, 0.0)[1][0] == (
+            ws_agnostic_naive(s1, s2, model, **padding))
 
 
 def length_bound(s1, s2, model):
