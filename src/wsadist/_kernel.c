@@ -4,10 +4,10 @@
  * ws_del, its last row an insertion ws_ins, and every other move indel or
  * rep.  Edge tables of whitespace costs give the ws-agnostic distance,
  * the indel table as both the classical one.  One entry, wsadist_pairs,
- * scores the adjacent pairs of a document; a single pair is a document of
- * two lines.  A pair with an empty line is scored in the lattice too: an
- * empty first line makes row 0 the last row, an empty second line column
- * 0 the last column.
+ * takes the four tables as one block and scores the adjacent pairs of a
+ * document; a single pair is a document of two lines.  A pair with an
+ * empty line is scored in the lattice too: an empty first line makes row
+ * 0 the last row, an empty second line column 0 the last column.
  *
  * Given a detection threshold in (0, 1], it computes d exactly only for
  * the pairs that can reach it, and marks the rest -1.  A pair's cutoff
@@ -130,20 +130,20 @@ static int64_t lattice(int64_t n1, const uint32_t *code1, int64_t n2, const uint
 }
 
 /* A document of `lines` lines, line i being codes[offsets[i]:offsets[i+1]]
- * of the ncodes codes, all in one alphabet of k symbols.  Writes each
- * line's weight, the sum of ws_del over its codes, to weights[i], and for
- * each pair i with want[i] set, the distance from line i to line i + 1 over
- * the edge tables ws_del and ws_ins to dists[i].  With a threshold above
- * 0, a pair that cannot reach it gets -1 there instead.
- * Either line of a pair may be empty.  codes may not be NULL, even with
- * ncodes 0, since each line forms codes + offsets[i].  Returns 0, or -1
- * or -2 as the header says. */
+ * of the ncodes codes, all in one alphabet of k symbols, and its cost
+ * tables in one block: indel, ws_del and ws_ins, k each, then the (m+1) x k
+ * rep.  Writes each line's weight, the sum of ws_del over its codes, to
+ * weights[i], and for each pair i with want[i] set, the distance from line
+ * i to line i + 1 to dists[i], or -1 for a pair that cannot reach a
+ * threshold above 0.  Either line of a pair may be empty.  codes may not
+ * be NULL, even with ncodes 0, since each line forms codes + offsets[i].
+ * Returns 0, or -1 or -2 as the header says. */
 int64_t wsadist_pairs(int64_t lines, const int64_t *offsets, int64_t ncodes,
-                      const uint32_t *codes, int64_t k, const int64_t *indel,
-                      const int64_t *ws_del, const int64_t *ws_ins, const int64_t *rep,
-                      int64_t m, const unsigned char *want, int64_t *weights, int64_t *dists,
+                      const uint32_t *codes, int64_t k, const int64_t *costs, int64_t m,
+                      const unsigned char *want, int64_t *weights, int64_t *dists,
                       double threshold)
 {
+    const int64_t *indel = costs, *ws_del = indel + k, *ws_ins = ws_del + k, *rep = ws_ins + k;
     if (m < 0 || m > k || lines < 0 || offsets[0] < 0 || !(threshold >= 0.0 && threshold <= 1.0))
         return -2;
     int64_t longest = 0;

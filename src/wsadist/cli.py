@@ -15,7 +15,7 @@ import json
 import os
 import sys
 from functools import cache
-from itertools import chain, zip_longest
+from itertools import zip_longest
 
 from .cost_model import CostModel, ModelError, appendix_model, load_model_file, unit_model
 from .distance import _DISPATCH, Algorithm, SizeLimitError, _paired_distances
@@ -130,19 +130,15 @@ def _run_dist(args) -> str:
     else:
         lines1 = split_lines(_read_text(args.left))
         lines2 = split_lines(_read_text(args.right))
-    # the pairs interleaved as one document: left 0, right 0, left 1, ...
-    lines = [line.expandtabs(args.tab_width)
-             for line in chain.from_iterable(zip_longest(lines1, lines2, fillvalue=""))]
+    pairs = [(a.expandtabs(args.tab_width), b.expandtabs(args.tab_width))
+             for a, b in zip_longest(lines1, lines2, fillvalue="")]
     if algorithm is Algorithm.NAIVE_ORACLE:
         # looked up on each call, so a function swapped into the table is used
         compute = _DISPATCH[algorithm]
         costs = [compute(normalize_line(a, mode), normalize_line(b, mode), model)
-                 for a, b in zip(lines[::2], lines[1::2])]
+                 for a, b in pairs]
     else:
-        # normalizing keeps each line's length
-        costs = _paired_distances(normalize_line("".join(lines), mode),
-                                  [len(line) for line in lines], model,
-                                  algorithm is Algorithm.WS_AGNOSTIC)
+        costs = _paired_distances(pairs, model, algorithm is Algorithm.WS_AGNOSTIC, mode)
     total = sum(costs)
     if args.format == "json":
         pairs = [{"line": k, "cost": cost} for k, cost in enumerate(costs)]

@@ -24,7 +24,6 @@ compiled kernel a 4000x4000-character pair takes 22-36 ms on a 2-vCPU VM.
 from __future__ import annotations
 
 from enum import Enum
-from itertools import accumulate
 
 from .cost_model import CostModel, _Record, unit_model
 from .kernel import edge_costs, score_document
@@ -56,9 +55,8 @@ def _check_cells(n1: int, n2: int, max_cells: int):
 
 def _pair_distance(s1: str, s2: str, model: CostModel | None, max_cells: int,
                    ws_agnostic: bool) -> int:
-    """``levenshtein_ws_agnostic`` (or, without ``ws_agnostic``,
-    ``levenshtein_standard``): the pair scored as a document of two
-    lines."""
+    """``levenshtein_ws_agnostic``, or without ``ws_agnostic``
+    ``levenshtein_standard``, on the pair as a document of two lines."""
     model = model if model is not None else unit_model()
     _check_cells(len(s1), len(s2), max_cells)
     # The kernel scores a pair with an empty line too, but building the cost
@@ -66,8 +64,7 @@ def _pair_distance(s1: str, s2: str, model: CostModel | None, max_cells: int,
     if not (s1 and s2):
         del_cost, ins_cost = edge_costs(ws_agnostic)
         return sum(del_cost(model, c) for c in s1) + sum(ins_cost(model, c) for c in s2)
-    text = s1 + s2
-    return score_document(text, (0, len(s1), len(text)), b"\1", model, ws_agnostic, 0.0)[1][0]
+    return score_document((s1, s2), b"\1", model, ws_agnostic, 0.0)[1][0]
 
 
 def levenshtein_standard(
@@ -85,19 +82,18 @@ def levenshtein_ws_agnostic(
     return _pair_distance(s1, s2, model, max_cells, True)
 
 
-def _paired_distances(text: str, lengths: list[int], model: CostModel, ws_agnostic: bool):
+def _paired_distances(pairs, model: CostModel, ws_agnostic: bool, mode):
     """``levenshtein_ws_agnostic`` (or, without ``ws_agnostic``,
-    ``levenshtein_standard``) of each pair of lines 2k and 2k + 1 of a
-    document given as ``text``, its lines joined, and their ``lengths``,
-    under the default cell limit, as a sequence of ints.  Every pair is
-    checked against the limit first; then one kernel call scores them
-    all."""
-    for n1, n2 in zip(lengths[::2], lengths[1::2]):
-        _check_cells(n1, n2, DEFAULT_MAX_CELLS)
-    # the pairs of lines 2k + 1 and 2k + 2 are never wanted
-    want = b"\1\0" * (len(lengths) // 2)
-    return score_document(text, accumulate(lengths, initial=0), want[:-1], model, ws_agnostic,
-                          0.0)[1][::2]
+    ``levenshtein_standard``) of each ``(left, right)`` pair of ``pairs``
+    normalized in ``mode``, under the default cell limit, as a sequence of
+    ints.  Every pair is checked against the limit first; then one kernel
+    call scores them all, interleaved as one document."""
+    for s1, s2 in pairs:
+        _check_cells(len(s1), len(s2), DEFAULT_MAX_CELLS)
+    # the pairs of right line k and left line k + 1 are never wanted
+    want = b"\1\0" * len(pairs)
+    return score_document([s for pair in pairs for s in pair], want[:-1], model, ws_agnostic,
+                          0.0, mode)[1][::2]
 
 
 # The one table from an algorithm to its function: ``distance()`` and

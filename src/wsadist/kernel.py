@@ -15,10 +15,11 @@ into a per-user cache directory, ``$XDG_CACHE_HOME/wsadist`` (default
 ``~/.cache/wsadist``), and loaded with ``ctypes``.  The library's file
 name is keyed by a hash of the source, the compiler command and the
 platform, ``os.uname()``'s ``sysname`` and ``machine``, so a changed
-source or compiler builds anew.  Each build goes to a temporary file
-that is then renamed into place, so concurrent processes may build at
-once.  The directory is created with mode 0700; one that another user
-owns, or that others may write to, is refused.
+source or compiler builds anew, and then deletes all but the four
+newest builds.  Each build goes to a temporary file that is then
+renamed into place, so concurrent processes may build at once.  The
+directory is created with mode 0700; one that another user owns, or
+that others may write to, is refused.
 
 When the build or the load fails, one warning on the ``wsadist`` logger
 gives the reason, and ``dp_interpreted`` -- the same recurrence in plain
@@ -28,11 +29,12 @@ slower.  ``kernel_backend()`` reports which of the two is in use.
 loads the compiled kernel starts without it.
 A document whose path sums could exceed int64 -- twice its longest line
 times the dearest cost -- always takes the interpreted kernel, which
-computes over Python ints; a single pair is such a document.
+computes over Python ints; ``dp_pairs`` alone decides this.
 
-Detection's document, the line pairs of ``wsadist dist`` interleaved
-into one document, and a single pair all go through ``score_document``:
-one encoding, one set of tables and one ``dp_pairs`` call.  Detection
+Only this module knows the kernel's input: detection's lines, the line
+pairs of ``wsadist dist`` interleaved, and a single pair all go through
+``score_document``, which joins, normalizes and encodes them once and
+builds one set of tables for one ``dp_pairs`` call.  Detection
 passes its threshold, and the kernel then computes d exactly only for
 the pairs that can reach it: a length bound rules some out with no DP,
 and the rest run in a diagonal band (see ``dp_pairs`` and
@@ -49,12 +51,12 @@ import shlex
 import sys
 import threading
 from array import array
-from functools import partial
 from itertools import accumulate, chain
 from operator import sub
 from pathlib import Path
 
 from .cost_model import CostModel
+from .normalizer import normalize_line
 
 _SOURCE = Path(__file__).with_name("_kernel.c")
 # -falign-loops=32 keeps the inner loop of `lattice` on a 32-byte boundary; an edit
@@ -63,10 +65,9 @@ _SOURCE = Path(__file__).with_name("_kernel.c")
 _FLAGS = ("-O2", "-falign-loops=32", "-shared", "-fPIC")
 _INT64_MAX = (1 << 63) - 1
 _UTF32 = "utf-32-le" if sys.byteorder == "little" else "utf-32-be"
-_I64, _PTR = ctypes.c_int64, ctypes.c_void_p
-# lines, offsets, ncodes, codes, k, indel, ws_del, ws_ins, rep, m, want, weights, dists, threshold
-_PAIRS_ARGTYPES = [_I64, _PTR, _I64, _PTR, _I64, _PTR, _PTR, _PTR, _PTR, _I64, ctypes.c_char_p,
-                   _PTR, _PTR, ctypes.c_double]
+_I64, _PTR, _F64 = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
+# lines, offsets, ncodes, codes, k, costs, m, want, weights, dists, threshold
+_PAIRS_ARGTYPES = [_I64, _PTR, _I64, _PTR, _I64, _PTR, _I64, ctypes.c_char_p, _PTR, _PTR, _F64]
 
 _UNTRIED = object()
 _compiled = _UNTRIED  # the loaded C library, or None once it failed
@@ -113,6 +114,20 @@ def _build(target: Path, command: list[str]) -> None:
             os.unlink(tmp)
 
 
+def _prune(keep: Path) -> None:
+    """Delete the ``kernel-*.so`` builds beside ``keep`` but the four most
+    recently modified, ``keep`` among them: two sources compared in one
+    process both load without a rebuild, and a process that loaded a
+    deleted build keeps its mapping."""
+    try:
+        builds = sorted(keep.parent.glob("kernel-*.so"), key=lambda p: p.stat().st_mtime)
+        for old in builds[:-4]:
+            if old != keep:
+                old.unlink()
+    except OSError:  # another process pruning at once
+        pass
+
+
 def _load():
     """Build the kernel if its cached library is missing, then load it."""
     command = [*shlex.split(os.environ.get("CC") or "cc"), *_FLAGS]
@@ -123,6 +138,7 @@ def _load():
     target = _private_dir(_cache_dir()) / f"kernel-{key.hexdigest()[:16]}.so"
     if not target.exists():
         _build(target, command)
+        _prune(target)
     lib = ctypes.CDLL(str(target))
     lib.wsadist_pairs.argtypes = _PAIRS_ARGTYPES
     lib.wsadist_pairs.restype = ctypes.c_int64
@@ -197,39 +213,34 @@ def edge_costs(ws_agnostic: bool):
 
 def alphabet_costs(alphabet: Alphabet, m: int, model: CostModel, ws_agnostic: bool):
     """``model``'s costs over ``alphabet``, a ``model_alphabet`` of size m
-    that both lines of each pair are encoded in: per-symbol indel costs,
-    the deletion-side and insertion-side ``edge_costs`` (the indel table
-    itself for ``indel``), the (m+1) x k replacement costs (a to b at row
-    a, column b; row m is the default everywhere), and the dearest of them.
-    The tables are array('q') when every cost fits int64, else lists."""
+    that both lines of each pair are encoded in, as four lists: per-symbol
+    indel costs, the deletion-side and insertion-side ``edge_costs`` (the
+    indel list itself for ``indel``), and the (m+1) x k replacement costs
+    (a to b at row a, column b; row m is the default everywhere)."""
     chars = [chr(point) for point in alphabet]
     indel = [model.indel(c) for c in chars]
     default, rows = model.replace_default, model._replace_rows
     rep = [0 if a == b else rows[a].get(b, default) for a in chars[:m] for b in chars]
     rep += [default] * len(chars)
-    # an edge cost is never above its indel cost
-    dearest = max(chain(indel, rep), default=0)
-    table = partial(array, "q") if dearest <= _INT64_MAX else list
-    indel, rep = table(indel), table(rep)
     del_cost, ins_cost = edge_costs(ws_agnostic)
-    ws_del = indel if del_cost is CostModel.indel else table([del_cost(model, c) for c in chars])
-    ws_ins = indel if ins_cost is CostModel.indel else table([ins_cost(model, c) for c in chars])
-    return indel, ws_del, ws_ins, rep, dearest
+    ws_del = indel if del_cost is CostModel.indel else [del_cost(model, c) for c in chars]
+    ws_ins = indel if ins_cost is CostModel.indel else [ins_cost(model, c) for c in chars]
+    return indel, ws_del, ws_ins, rep
 
 
-def score_document(text: str, offsets, want: bytes, model: CostModel, ws_agnostic: bool,
-                   threshold: float):
-    """One kernel call over a document of lines, given as ``text``, the
-    lines joined, and ``offsets``, ints from 0 to ``len(text)``: line i is
-    ``text[offsets[i]:offsets[i + 1]]``.  ``text`` is encoded once into
-    ``model_alphabet(model, text)``, ``model``'s tables for the distance
-    that ``ws_agnostic`` picks are built once over it, and ``dp_pairs``
-    weighs every line and scores each pair that ``want`` flags, up to
-    ``threshold``.  Returns ``dp_pairs``'s ``(weights, dists)``."""
+def score_document(lines, want: bytes, model: CostModel, ws_agnostic: bool, threshold: float,
+                   mode=None):
+    """``dp_pairs``'s ``(weights, dists)`` for a document of ``lines``,
+    joined and, given a ``NormalizationMode``, normalized, which keeps each
+    line's length: one encoding into its ``model_alphabet``, ``model``'s
+    tables for the distance ``ws_agnostic`` picks, and one kernel call."""
+    text = "".join(lines)
+    if mode is not None:
+        text = normalize_line(text, mode)
     alphabet = model_alphabet(model, text)
     m = len(alphabet)
-    return dp_pairs(encode(text, alphabet), array("q", offsets), want, m,
-                    *alphabet_costs(alphabet, m, model, ws_agnostic), threshold)
+    return dp_pairs(encode(text, alphabet), array("q", accumulate(map(len, lines), initial=0)),
+                    want, m, *alphabet_costs(alphabet, m, model, ws_agnostic), threshold)
 
 
 def _refusal(result: int, n: int) -> Exception:
@@ -240,35 +251,36 @@ def _refusal(result: int, n: int) -> Exception:
                         "[0, k], an offset or a threshold outside [0, 1]")
 
 
-def dp_pairs(codes, offsets, want: bytes, m: int, indel, ws_del, ws_ins, rep, dearest: int,
-             threshold: float):
+def dp_pairs(codes, offsets, want: bytes, m: int, indel, ws_del, ws_ins, rep, threshold: float):
     """Every line's weight and the distance of each wanted adjacent pair
     of one document, in one call.
 
     Line i is ``codes[offsets[i]:offsets[i + 1]]`` (array('I') and
-    array('q')), in one ``model_alphabet`` of size m; the tables and
-    ``dearest`` are as ``alphabet_costs`` returns them.  ``want`` holds
-    one byte per adjacent pair; either line of a wanted pair may be
-    empty.  Returns ``(weights, dists)``: weights[i] is the sum of the
-    edge table ``ws_del`` over line i (of indel costs, which nothing
-    reads, for the classical distance), and dists[i] the distance d from
-    line i to line i + 1 for each wanted pair, else 0.
+    array('q')), in one ``model_alphabet`` of size m; the tables are as
+    ``alphabet_costs`` returns them.  ``want`` holds one byte per
+    adjacent pair; either line of a wanted pair may be empty.  Returns
+    ``(weights, dists)``: weights[i] is the sum of the edge table
+    ``ws_del`` over line i (of indel costs, which nothing reads, for the
+    classical distance), and dists[i] the distance d from line i to line
+    i + 1 for each wanted pair, else 0.
 
     ``threshold``, in [0, 1], is detection's: the compiled kernel may
     write -1 in place of d for a pair whose ``1.0 - d / D``, D the
     heavier line's weight, is sure to fall below it, and d is exact for
     every other pair.  Threshold 0 rules nothing out.  Runs the compiled
-    kernel when it is available and no path sum can exceed int64, else
-    ``dp_interpreted`` on each wanted pair, which computes every d.
+    kernel on the tables packed into one array('q') when it is available
+    and no path sum can exceed int64, else ``dp_interpreted`` on each
+    wanted pair, which computes every d over Python ints.
     """
     lines = len(offsets) - 1
     if lines < 0 or len(want) != max(lines - 1, 0):
         raise ValueError(f"{len(offsets)} offsets and {len(want)} wanted flags do not agree")
     lib = _compiled_library()
     longest = max(map(sub, offsets[1:], offsets), default=0)
-    # A pair's cells are at most (n1 + n2) steps of the dearest cost; list
-    # tables (a cost beyond int64) stay interpreted even with no pair.
-    if lib is None or dearest > _INT64_MAX or 2 * longest * dearest > _INT64_MAX:
+    # A pair's cells are at most (n1 + n2) steps of the dearest cost (no edge
+    # cost is above its indel); a cost beyond int64 stays interpreted anyway.
+    dearest = max(chain(indel, rep), default=0)
+    if lib is None or max(2 * longest, 1) * dearest > _INT64_MAX:
         weights = [sum(ws_del[c] for c in codes[a:b]) for a, b in zip(offsets, offsets[1:])]
         dists = [dp_interpreted(codes[a:b], codes[b:c], indel, ws_del, ws_ins, rep, m)
                  if wanted else 0
@@ -278,11 +290,10 @@ def dp_pairs(codes, offsets, want: bytes, m: int, indel, ws_del, ws_ins, rep, de
     # An empty array's address is 0, and C may not add even offset 0 to a
     # null pointer: a document of empty lines passes one unread code.
     buffer = codes or array("I", [0])
-    result = lib.wsadist_pairs(
-        lines, offsets.buffer_info()[0], len(codes), buffer.buffer_info()[0], len(indel),
-        *(t.buffer_info()[0] for t in (indel, ws_del, ws_ins, rep)), m, want,
-        weights.buffer_info()[0], dists.buffer_info()[0], threshold,
-    )
+    costs = array("q", indel + ws_del + ws_ins + rep)
+    result = lib.wsadist_pairs(lines, offsets.buffer_info()[0], len(codes),
+                               buffer.buffer_info()[0], len(indel), costs.buffer_info()[0], m,
+                               want, weights.buffer_info()[0], dists.buffer_info()[0], threshold)
     if result < 0:
         raise _refusal(result, longest)
     return weights, dists

@@ -10,12 +10,12 @@ are hard separators.
 
 from __future__ import annotations
 
-from itertools import accumulate, chain
+from itertools import chain
 
 from .cost_model import CostModel, _Record, appendix_model
 from .distance import DEFAULT_MAX_CELLS, levenshtein_ws_agnostic
 from .kernel import score_document
-from .normalizer import NormalizationMode, normalize_line
+from .normalizer import NormalizationMode
 
 
 class TableRegion(_Record):
@@ -75,19 +75,15 @@ def _pair_scores(lines: list[str], mode: NormalizationMode, model: CostModel,
     the pair was not scored, or when the kernel ruled it out at
     ``threshold``: its score is then sure to be below ``threshold``, and
     given as 0.0.  So d, and the score, are exact for every pair that can
-    reach ``threshold``.
-
-    The document is normalized and encoded once, into one
-    ``model_alphabet``, and one kernel call weighs every line and scores
-    every pair that needs it.
+    reach ``threshold``.  One ``score_document`` call weighs every line
+    and scores every pair that needs it.
     """
-    # normalizing keeps each line's length, and whitespace as it is
+    # normalizing keeps whitespace as it is
     lengths = [len(line) for line in lines]
     blank = [not line.strip() for line in lines]
     want = bytes(not (blank1 or blank2) and n1 * n2 <= DEFAULT_MAX_CELLS
                  for blank1, blank2, n1, n2 in zip(blank, blank[1:], lengths, lengths[1:]))
-    weights, dists = score_document(normalize_line("".join(lines), mode),
-                                    accumulate(lengths, initial=0), want, model, True, threshold)
+    weights, dists = score_document(lines, want, model, True, threshold, mode)
     for j, wanted in enumerate(want):
         heavier = max(weights[j], weights[j + 1])
         d = dists[j] if wanted and dists[j] >= 0 else None

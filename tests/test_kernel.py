@@ -11,6 +11,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import time
 import tracemalloc
 from array import array
 from itertools import accumulate, pairwise
@@ -29,7 +30,7 @@ from wsadist import (
     line_whitespace_cost,
     ws_agnostic_naive,
 )
-from wsadist.normalizer import NormalizationMode
+from wsadist.normalizer import NormalizationMode, normalize_line
 from wsadist.table_detect import _pair_scores
 from test_table_detect import MODELS, PIECES, assert_cutoff_keeps_decisions, random_document
 
@@ -132,6 +133,25 @@ def test_build_from_empty_cache_matches_oracle(fresh_kernel, unit, appendix):
 
 
 @needs_compiler
+def test_build_prunes_all_but_the_four_newest_builds(fresh_kernel, unit, appendix):
+    """A build deletes the older ``kernel-*.so`` files but the three most
+    recently modified, and touches no other file."""
+    fresh_kernel.mkdir(mode=0o700, parents=True)
+    now = time.time()
+    dummies = [fresh_kernel / f"kernel-dummy{i}.so" for i in range(6)]
+    for i, path in enumerate(dummies):  # newest first
+        path.write_bytes(b"")
+        os.utime(path, (now - 1000 * (i + 1),) * 2)
+    (fresh_kernel / "notes.txt").write_text("not a build", encoding="utf-8")
+    assert kernel_backend() == "compiled"
+    built = [p.name for p in fresh_kernel.glob("kernel-*.so") if p not in dummies]
+    assert len(built) == 1
+    assert sorted(p.name for p in fresh_kernel.iterdir()) == sorted(
+        [*built, *(p.name for p in dummies[:3]), "notes.txt"])
+    assert_matches_oracle(unit, appendix, 20261025)
+
+
+@needs_compiler
 def test_cutoff_on_a_native_build(fresh_kernel, monkeypatch, appendix):
     """``-march=native`` may set FLT_EVAL_METHOD to 16 (GCC, with
     AVX512-FP16), which still evaluates double as double: the cutoff stays
@@ -179,19 +199,40 @@ def test_path_sums_beyond_int64_are_exact():
     )
 
 
+@needs_compiler
+@pytest.mark.parametrize("cost, interpreted", [((1 << 62) - 1, 0), (1 << 62, 2)])
+def test_int64_guard_at_its_edge(monkeypatch, cost, interpreted):
+    """Two 1-character lines, whose path sums reach twice the dearest cost:
+    2 ** 63 - 2 fits int64 and runs compiled, 2 ** 63 runs interpreted."""
+    assert kernel_backend() == "compiled"
+    calls, dp_interpreted = [], kernel.dp_interpreted
+
+    def counted(*args):
+        calls.append(args)
+        return dp_interpreted(*args)
+
+    monkeypatch.setattr(kernel, "dp_interpreted", counted)
+    model = CostModel(indel_default=cost, replace_default=cost)
+    assert levenshtein_ws_agnostic("a", "b", model) == ws_agnostic_naive("a", "b", model)
+    assert levenshtein_standard("a", "b", model) == ws_agnostic_naive("a", "b", model,
+                                                                      pad_limit=0)
+    assert len(calls) == interpreted
+
+
 def c_pair(codes, offsets, k, m, threshold=0.0, edges=(1, 1)):
     """The C entry on a document whose one adjacent pair is wanted, every
     indel and replacement cost 1, and the edge costs ``edges`` (deletion
-    side, insertion side) in tables of their own: its return value and that
-    pair's distance (-1 when the pair cannot reach ``threshold``)."""
+    side, insertion side) in tables of their own, all in one block: its
+    return value and that pair's distance (-1 when the pair cannot reach
+    ``threshold``)."""
     fn = kernel._compiled_library().wsadist_pairs
     codes, offsets = array("I", codes), array("q", offsets)
-    ones = array("q", [1] * (k + 1) * k)
-    ws_del, ws_ins = (array("q", [edge] * k) for edge in edges)
+    # indel, ws_del, ws_ins and a replacement table of k + 1 rows
+    costs = array("q", [1] * k + [edges[0]] * k + [edges[1]] * k + [1] * (k + 1) * k)
     weights, dists = array("q", [0, 0]), array("q", [0])
     result = fn(len(offsets) - 1, offsets.buffer_info()[0], len(codes), codes.buffer_info()[0],
-                k, *(t.buffer_info()[0] for t in (ones, ws_del, ws_ins, ones)), m, b"\x01",
-                weights.buffer_info()[0], dists.buffer_info()[0], threshold)
+                k, costs.buffer_info()[0], m, b"\x01", weights.buffer_info()[0],
+                dists.buffer_info()[0], threshold)
     return result, dists[0]
 
 
@@ -339,8 +380,7 @@ def assert_pairs_match(doc, model, want):
     for ws_agnostic, weight, single, padding in (
             (True, line_whitespace_cost, levenshtein_ws_agnostic, {}),
             (False, indel_sum, levenshtein_standard, {"pad_limit": 0})):
-        weights, dists = kernel.score_document("".join(doc), accumulate(map(len, doc), initial=0),
-                                               want, model, ws_agnostic, 0.0)
+        weights, dists = kernel.score_document(doc, want, model, ws_agnostic, 0.0)
         assert list(weights) == [weight(line, model) for line in doc], doc
         for j, wanted in enumerate(want):
             if not wanted:
@@ -415,13 +455,19 @@ from test_table_detect import MODELS, random_document, skewed_document
 print(kernel_backend())
 rng = random.Random(20261024)
 docs = [random_document(rng) for _ in range(60)] + [["a", "9"], ["Ab 9", "A 99"], ["x", "", "y"]]
-# two 1-character lines reach 2 ** 63 here: past int64 in C
+# two 1-character lines reach 2 ** 63 here: past int64 in C; and 2 ** 63 - 2
+# at the edge, where they run compiled
 big = CostModel(indel_default=1 << 62, replace_default=1 << 62)
+edge = CostModel(indel_default=(1 << 62) - 1, replace_default=(1 << 62) - 1)
 for model in [*MODELS, big]:
     print([detect_tables(doc, DetectConfig(threshold=0.0, min_rows=2, model=model))
            for doc in docs])
 print(levenshtein_standard("aaa", "bbb", big), levenshtein_ws_agnostic("aaa", "bbbb", big),
       levenshtein_ws_agnostic("a", "b", big))
+print([(levenshtein_standard(a, b, edge), levenshtein_ws_agnostic(a, b, edge))
+       for a, b in [("a", "b"), ("a", "a"), ("a", " "), (" ", "b")]],
+      [list(_pair_scores(["a", "b", " a"][:n], NormalizationMode.NONE, edge, threshold))
+       for n in (2, 3) for threshold in (0.0, 0.5)])
 # detection's cutoff at several thresholds, on skewed line lengths too, and
 # under a model whose indels and replacements come near the int64 guard
 # (2 * 60 * 2 ** 56 < 2 ** 63) while its whitespace costs keep D small, so
@@ -486,6 +532,32 @@ def test_kernel_under_sanitizers(tmp_path):
     local = subprocess.run([sys.executable, "-c", SANITIZED_RUN], capture_output=True, text=True,
                            env=dict(env, CC=cc), timeout=300)
     assert local.stdout.splitlines() == ["compiled", *results]
+
+
+def random_lines(rng, count):
+    """Lines of letters and digits, ASCII or not, with tabs expanded and a
+    "\r" inside some of them."""
+    pieces = [*PIECES, "x\ry", "\r", "9\t\r", "Ǆ", "ß", "𝔸", "²"]
+    return ["".join(rng.choice(pieces) for _ in range(rng.randint(0, 6))).expandtabs(4)
+            for _ in range(count)]
+
+
+@needs_compiler
+@pytest.mark.parametrize("mode", list(NormalizationMode))
+def test_score_document_normalizes_as_each_line_would(mode):
+    """Normalizing the joined document keeps every line where it was: the
+    weights and distances equal those of the lines normalized one by one."""
+    assert kernel_backend() == "compiled"
+    rng = random.Random(20261026)
+    for _ in range(30):
+        lines = random_lines(rng, rng.randint(0, 8))
+        want = bytes(rng.random() < 0.8 for _ in pairwise(lines))
+        for model in MODELS:
+            for threshold in (0.0, 0.5):
+                scored = kernel.score_document(lines, want, model, True, threshold, mode)
+                expected = kernel.score_document([normalize_line(line, mode) for line in lines],
+                                                 want, model, True, threshold)
+                assert [list(r) for r in scored] == [list(r) for r in expected], (lines, model)
 
 
 def test_pair_of_distinct_symbols_has_one_shared_row():
