@@ -20,8 +20,14 @@
  * full, since edge moves there can be free.  Threshold 0 is no cutoff:
  * every d is exact.
  *
- * Requires non-negative costs, no edge cost above its symbol's indel cost
- * (the length bound rests on it, for any such edge tables), and every path
+ * A wanted pair of two identical lines gets d = 0 with no DP: most line
+ * pairs of two versions of a text are unchanged.
+ *
+ * Requires non-negative costs, a symbol replaced by itself to cost 0 (in
+ * its own row of rep, and in its own column of the shared row m, as
+ * wsadist.kernel.alphabet_costs builds them; the shortcut for identical
+ * lines rests on it), no edge cost above its symbol's indel cost (the
+ * length bound rests on it, for any such edge tables), and every path
  * sum to fit in int64 (the caller checks); the cells skipped by a cutoff
  * hold T + 1 <= D, which adds no larger sum.  Returns -1 when out of
  * memory, or -2 when a symbol code lies outside the alphabet, m is not in
@@ -135,7 +141,8 @@ static int64_t lattice(int64_t n1, const uint32_t *code1, int64_t n2, const uint
  * rep.  Writes each line's weight, the sum of ws_del over its codes, to
  * weights[i], and for each pair i with want[i] set, the distance from line
  * i to line i + 1 to dists[i], or -1 for a pair that cannot reach a
- * threshold above 0.  Either line of a pair may be empty.  codes may not
+ * threshold above 0.  Either line of a pair may be empty; two identical
+ * lines, empty ones too, get 0 with no DP.  codes may not
  * be NULL, even with ncodes 0, since each line forms codes + offsets[i].
  * Returns 0, or -1 or -2 as the header says. */
 int64_t wsadist_pairs(int64_t lines, const int64_t *offsets, int64_t ncodes,
@@ -177,6 +184,10 @@ int64_t wsadist_pairs(int64_t lines, const int64_t *offsets, int64_t ncodes,
             continue;
         const uint32_t *code1 = codes + offsets[i], *code2 = codes + offsets[i + 1];
         int64_t n1 = offsets[i + 1] - offsets[i], n2 = offsets[i + 2] - offsets[i + 1];
+        if (n1 == n2 && memcmp(code1, code2, (size_t)n1 * sizeof *code1) == 0) {
+            dists[i] = 0;
+            continue;
+        }
         int64_t limit = cutoff(threshold, weights[i] > weights[i + 1] ? weights[i] : weights[i + 1]);
         int64_t width = INT64_MAX;
         if (limit < INT64_MAX) {

@@ -24,6 +24,7 @@ compiled kernel a 4000x4000-character pair takes 22-36 ms on a 2-vCPU VM.
 from __future__ import annotations
 
 from enum import Enum
+from operator import mul
 
 from .cost_model import CostModel, _Record, unit_model
 from .kernel import edge_costs, score_document
@@ -82,18 +83,21 @@ def levenshtein_ws_agnostic(
     return _pair_distance(s1, s2, model, max_cells, True)
 
 
-def _paired_distances(pairs, model: CostModel, ws_agnostic: bool, mode):
+def _paired_distances(left, right, model: CostModel, ws_agnostic: bool, mode):
     """``levenshtein_ws_agnostic`` (or, without ``ws_agnostic``,
-    ``levenshtein_standard``) of each ``(left, right)`` pair of ``pairs``
-    normalized in ``mode``, under the default cell limit, as a sequence of
-    ints.  Every pair is checked against the limit first; then one kernel
-    call scores them all, interleaved as one document."""
-    for s1, s2 in pairs:
-        _check_cells(len(s1), len(s2), DEFAULT_MAX_CELLS)
+    ``levenshtein_standard``) of each line of ``left`` against the line of
+    ``right`` at its index, the two lists being of one length, normalized
+    in ``mode``, under the default cell limit, as a sequence of ints.  Every
+    pair is checked against the limit first; then one kernel call scores
+    them all, interleaved as one document."""
+    if max(map(mul, map(len, left), map(len, right)), default=0) > DEFAULT_MAX_CELLS:
+        for s1, s2 in zip(left, right):  # the first pair over the limit raises
+            _check_cells(len(s1), len(s2), DEFAULT_MAX_CELLS)
+    lines = [""] * (2 * len(left))
+    lines[::2], lines[1::2] = left, right
     # the pairs of right line k and left line k + 1 are never wanted
-    want = b"\1\0" * len(pairs)
-    return score_document([s for pair in pairs for s in pair], want[:-1], model, ws_agnostic,
-                          0.0, mode)[1][::2]
+    want = b"\1\0" * len(left)
+    return score_document(lines, want[:-1], model, ws_agnostic, 0.0, mode)[1][::2]
 
 
 # The one table from an algorithm to its function: ``distance()`` and

@@ -27,9 +27,11 @@ Python -- runs instead, once for each pair.  It is orders of magnitude
 slower.  ``kernel_backend()`` reports which of the two is in use.
 ``logging`` is imported only to give that warning: a fresh process that
 loads the compiled kernel starts without it.
-A document whose path sums could exceed int64 -- twice its longest line
-times the dearest cost -- always takes the interpreted kernel, which
-computes over Python ints; ``dp_pairs`` alone decides this.
+A document whose path sums could exceed int64 -- its number of codes
+(at least 1) times the dearest cost, which bounds every pair's sums, since
+a pair's two lines hold no more codes than the document -- always takes
+the interpreted kernel, which computes over Python ints; ``dp_pairs``
+alone decides this.
 
 Only this module knows the kernel's input: detection's lines, the line
 pairs of ``wsadist dist`` interleaved, and a single pair all go through
@@ -239,14 +241,17 @@ def score_document(lines, want: bytes, model: CostModel, ws_agnostic: bool, thre
         text = normalize_line(text, mode)
     alphabet = model_alphabet(model, text)
     m = len(alphabet)
-    return dp_pairs(encode(text, alphabet), array("q", accumulate(map(len, lines), initial=0)),
-                    want, m, *alphabet_costs(alphabet, m, model, ws_agnostic), threshold)
+    # array() takes a list faster than an iterator
+    offsets = array("q", list(accumulate(map(len, lines), initial=0)))
+    return dp_pairs(encode(text, alphabet), offsets, want, m,
+                    *alphabet_costs(alphabet, m, model, ws_agnostic), threshold)
 
 
-def _refusal(result: int, n: int) -> Exception:
-    """The error for the kernel's negative ``result`` on rows of ``n + 1``."""
+def _refusal(result: int, offsets) -> Exception:
+    """The error for the kernel's negative ``result`` on lines at ``offsets``."""
     if result == -1:
-        return MemoryError(f"DP kernel could not allocate two rows of {n + 1}")
+        longest = max(map(sub, offsets[1:], offsets), default=0)
+        return MemoryError(f"DP kernel could not allocate two rows of {longest + 1}")
     return RuntimeError("DP kernel refused a symbol code outside its alphabet, an m outside "
                         "[0, k], an offset or a threshold outside [0, 1]")
 
@@ -270,17 +275,18 @@ def dp_pairs(codes, offsets, want: bytes, m: int, indel, ws_del, ws_ins, rep, th
     every other pair.  Threshold 0 rules nothing out.  Runs the compiled
     kernel on the tables packed into one array('q') when it is available
     and no path sum can exceed int64, else ``dp_interpreted`` on each
-    wanted pair, which computes every d over Python ints.
+    wanted pair, which computes every d over Python ints.  A pair's path
+    sums are at most n1 + n2 steps of the dearest cost, and n1 + n2 is at
+    most ``len(codes)``, with equality for a single pair: the route is
+    decided on ``len(codes)``, at no cost per line.
     """
     lines = len(offsets) - 1
     if lines < 0 or len(want) != max(lines - 1, 0):
         raise ValueError(f"{len(offsets)} offsets and {len(want)} wanted flags do not agree")
     lib = _compiled_library()
-    longest = max(map(sub, offsets[1:], offsets), default=0)
-    # A pair's cells are at most (n1 + n2) steps of the dearest cost (no edge
-    # cost is above its indel); a cost beyond int64 stays interpreted anyway.
+    # no edge cost is above its indel; a cost beyond int64 stays interpreted anyway
     dearest = max(chain(indel, rep), default=0)
-    if lib is None or max(2 * longest, 1) * dearest > _INT64_MAX:
+    if lib is None or max(len(codes), 1) * dearest > _INT64_MAX:
         weights = [sum(ws_del[c] for c in codes[a:b]) for a, b in zip(offsets, offsets[1:])]
         dists = [dp_interpreted(codes[a:b], codes[b:c], indel, ws_del, ws_ins, rep, m)
                  if wanted else 0
@@ -295,7 +301,7 @@ def dp_pairs(codes, offsets, want: bytes, m: int, indel, ws_del, ws_ins, rep, th
                                buffer.buffer_info()[0], len(indel), costs.buffer_info()[0], m,
                                want, weights.buffer_info()[0], dists.buffer_info()[0], threshold)
     if result < 0:
-        raise _refusal(result, longest)
+        raise _refusal(result, offsets)
     return weights, dists
 
 

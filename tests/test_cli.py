@@ -15,6 +15,7 @@ import pytest
 
 from wsadist import (
     Algorithm,
+    CostModel,
     DetectConfig,
     NormalizationMode,
     appendix_model,
@@ -138,10 +139,12 @@ class TestDist:
         assert (code, json.loads(out)["total"]) == (0, cost)
 
     def test_empty_files(self, capsys, tmp_path):
-        empty = tmp_path / "e.txt"
+        empty, other = tmp_path / "e.txt", tmp_path / "f.txt"
         empty.write_text("")
-        code, out, _ = run(capsys, "dist", "--files", "--format", "json", str(empty), str(empty))
+        other.write_text("")
+        code, out, _ = run(capsys, "dist", "--files", "--format", "json", str(empty), str(other))
         assert (code, out) == (0, '{"pairs": [], "total": 0}\n')
+        assert run(capsys, "dist", "--files", str(empty), str(other)) == (0, "total\t0\n", "")
 
     def test_custom_model_file(self, capsys, tmp_path):
         model = tmp_path / "m.json"
@@ -352,6 +355,15 @@ class TestExitCodes:
         assert (code, out) == (4, "")
         assert "9000 x 9000" in err
 
+    def test_size_limit_names_the_first_pair_over_it(self, capsys, tmp_path):
+        # lines 1 and 2 are both over the limit, line 2 by more
+        left, right = tmp_path / "a.txt", tmp_path / "b.txt"
+        left.write_text("aa\n" + "a" * 8193 + "\n" + "a" * 9000 + "\n")
+        right.write_text("aa\n" + "b" * 8193 + "\n" + "b" * 9000 + "\n")
+        code, out, err = run(capsys, "dist", "--files", str(left), str(right))
+        assert (code, out, err) == (
+            4, "", "wsadist: 8193 x 8193 exceeds the 67108864-cell limit\n")
+
     def test_bad_model_file_exits_2(self, capsys, tmp_path):
         model = tmp_path / "bad.json"
         model.write_text('{"indel_default": -5}')
@@ -472,9 +484,11 @@ class TestParserOnce:
             assert run(capsys, *argv) == (0, fresh, ""), argv
 
 
-def random_lines(rng):
-    """Lines for ``dist --files``: empty, whitespace-only and ones built
-    from ``PIECES``, which hold tabs."""
+def random_text(rng):
+    r"""A file for ``dist --files``: empty, whitespace-only lines and ones
+    built from ``PIECES``, which hold tabs, some with a "\r" in mid-line
+    before a tab; each line ends in "\n", or each in "\r\n", and the last
+    may lack its ending."""
     lines = []
     for _ in range(rng.randint(0, 9)):
         kind = rng.random()
@@ -483,12 +497,17 @@ def random_lines(rng):
         elif kind < 0.4:
             lines.append(rng.choice([" ", "\t", "   ", " \t "]))
         else:
-            lines.append("".join(rng.choice(PIECES) for _ in range(rng.randint(1, 8))))
-    return lines
+            lines.append("".join(rng.choice([*PIECES, "a\r\t"])
+                                 for _ in range(rng.randint(1, 8))))
+    end = rng.choice(["\n", "\r\n"])
+    text = "".join(line + end for line in lines)
+    return text.removesuffix(end) if rng.random() < 0.3 else text
 
 
 def reference_output(left, right, model, mode, fmt, tab_width, normalize):
-    """``dist --files``'s stdout, computed one pair at a time through the
+    """``dist --files``'s stdout for files of the texts ``left`` and
+    ``right``, their lines split as ``split_lines`` does, then each
+    tab-expanded on its own and scored one pair at a time through the
     mode table."""
     compute = _DISPATCH[Algorithm(mode)]
     norm = NormalizationMode(normalize)
@@ -497,7 +516,7 @@ def reference_output(left, right, model, mode, fmt, tab_width, normalize):
         return normalize_line(s.expandtabs(tab_width), norm)
 
     costs = [compute(prepare(a), prepare(b), model)
-             for a, b in zip_longest(left, right, fillvalue="")]
+             for a, b in zip_longest(split_lines(left), split_lines(right), fillvalue="")]
     if fmt == "json":
         return json.dumps({"pairs": [{"line": k, "cost": c} for k, c in enumerate(costs)],
                            "total": sum(costs)}) + "\n"
@@ -514,9 +533,9 @@ def assert_file_mode_matches_pairs(capsys, tmp_path, seed):
         paths[2].write_text(serialize_model(model))
         for tab_width in (1, 4, 8):
             for normalize in (m.value for m in NormalizationMode):
-                left, right = random_lines(rng), random_lines(rng)
-                for path, lines in zip(paths, (left, right)):
-                    path.write_text("".join(line + "\n" for line in lines))
+                left, right = random_text(rng), random_text(rng)
+                for path, text in zip(paths, (left, right)):
+                    path.write_bytes(text.encode())
                 for mode in ("ws-agnostic", "standard"):
                     for fmt in ("text", "json"):
                         argv = ["dist", "--files", "--mode", mode, "--model", str(paths[2]),
@@ -525,6 +544,10 @@ def assert_file_mode_matches_pairs(capsys, tmp_path, seed):
                         want = reference_output(left, right, model, mode, fmt, tab_width,
                                                 normalize)
                         assert run(capsys, *argv) == (0, want, ""), (argv, left, right, n)
+
+
+# path sums of 2 ** 64 and more
+BIG = CostModel(indel_default=1 << 62, replace_default=1 << 62)
 
 
 class TestFileModeOneKernelCall:
@@ -539,3 +562,21 @@ class TestFileModeOneKernelCall:
         with caplog.at_level(logging.WARNING, logger="wsadist"):
             assert kernel_backend() == "interpreted"
             assert_file_mode_matches_pairs(capsys, tmp_path, 20261102)
+
+    @pytest.mark.parametrize("mode, model", [
+        ("naive-oracle", appendix_model()),
+        ("ws-agnostic", BIG), ("standard", BIG), ("naive-oracle", BIG),
+    ], ids=["naive-oracle", "big-ws-agnostic", "big-standard", "big-naive-oracle"])
+    def test_json_is_json_dumps(self, capsys, tmp_path, mode, model):
+        """The JSON output, written without ``json``, is byte for byte
+        ``json.dumps``'s, for the naive oracle and for costs past int64."""
+        left, right = "aaa\nAb 9\n\n\tx\n", "bbbb\nAb 9\nx\ty\n"
+        paths = [tmp_path / name for name in ("left.txt", "right.txt", "model.json")]
+        for path, text in zip(paths, (left, right, serialize_model(model))):
+            path.write_text(text)
+        argv = ["dist", "--files", "--mode", mode, "--model", str(paths[2]), "--format", "json",
+                "--normalize", "none", str(paths[0]), str(paths[1])]
+        want = reference_output(left, right, model, mode, "json", 8, "none")
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (0, want, "")
+        assert json.loads(out)["total"] >= (1 << 64 if model is BIG else 1)

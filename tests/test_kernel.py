@@ -219,6 +219,29 @@ def test_int64_guard_at_its_edge(monkeypatch, cost, interpreted):
     assert len(calls) == interpreted
 
 
+@needs_compiler
+def test_int64_guard_counts_every_code(monkeypatch):
+    """Three 1-character lines at 2 ** 62 - 1: each pair alone would fit
+    int64, but the guard bounds every pair by the document's 3 codes, so
+    they run interpreted, and stay exact."""
+    assert kernel_backend() == "compiled"
+    calls, dp_interpreted = [], kernel.dp_interpreted
+
+    def counted(*args):
+        calls.append(args)
+        return dp_interpreted(*args)
+
+    monkeypatch.setattr(kernel, "dp_interpreted", counted)
+    cost = (1 << 62) - 1
+    model = CostModel(indel_default=cost, replace_default=cost)
+    doc = ["a", "b", "c"]
+    for ws_agnostic, padding in ((True, {}), (False, {"pad_limit": 0})):
+        dists = kernel.score_document(doc, b"\1\1", model, ws_agnostic, 0.0)[1]
+        assert list(dists) == [ws_agnostic_naive(a, b, model, **padding)
+                               for a, b in pairwise(doc)]
+    assert len(calls) == 4
+
+
 def c_pair(codes, offsets, k, m, threshold=0.0, edges=(1, 1)):
     """The C entry on a document whose one adjacent pair is wanted, every
     indel and replacement cost 1, and the edge costs ``edges`` (deletion
@@ -243,9 +266,10 @@ def test_c_kernel_refuses_code_outside_its_alphabet():
     # m outside [0, k]
     assert c_pair([0, 0], [0, 1, 2], 1, -1)[0] == -2
     assert c_pair([0, 0], [0, 1, 2], 1, 2)[0] == -2
-    # a valid m: row 0 of the table, or the shared row with its own column free
-    assert c_pair([0, 0], [0, 1, 2], 1, 1) == (0, 1)
-    assert c_pair([0, 0], [0, 1, 2], 1, 0) == (0, 0)
+    # a valid m: row 0 of the table, or the shared row with its own column
+    # free (an identical pair would get 0 with no DP, so one line is longer)
+    assert c_pair([0, 0, 0], [0, 1, 3], 1, 1) == (0, 2)
+    assert c_pair([0, 0, 0], [0, 1, 3], 1, 0) == (0, 1)
 
 
 @needs_compiler
@@ -470,8 +494,9 @@ print([(levenshtein_standard(a, b, edge), levenshtein_ws_agnostic(a, b, edge))
        for n in (2, 3) for threshold in (0.0, 0.5)])
 # detection's cutoff at several thresholds, on skewed line lengths too, and
 # under a model whose indels and replacements come near the int64 guard
-# (2 * 60 * 2 ** 56 < 2 ** 63) while its whitespace costs keep D small, so
-# that the band is the diagonal alone and the cutoff sits next to huge costs
+# (a document of up to 127 characters runs compiled: 127 * 2 ** 56 < 2 ** 63)
+# while its whitespace costs keep D small, so that the band is the diagonal
+# alone and the cutoff sits next to huge costs
 skewed = [skewed_document(rng) for _ in range(30)]
 near = CostModel(indel_default=1 << 56, replace_default=1 << 56,
                  replace_costs={p: 1 for c in "aA9b" for p in ((c, " "), (" ", c))})
@@ -491,8 +516,11 @@ for model in MODELS:
 # `dist --files`: every line pair of two files in one kernel call
 with tempfile.TemporaryDirectory() as tmp:
     paths = [os.path.join(tmp, name) for name in ("left", "right", "model.json")]
-    # the first three pairs: an empty left line, an empty right line, both
-    for path, part in zip(paths, ([["", "A 9", ""]] + docs[:30], [["a", "", ""]] + docs[30:60])):
+    # the first five pairs: an empty left line, an empty right line, both,
+    # two identical lines, and two of one length that differ in their last
+    # character
+    for path, part in zip(paths, ([["", "A 9", "", "Ab 9", "Ab 9"]] + docs[:30],
+                                  [["a", "", "", "Ab 9", "Ab 8"]] + docs[30:60])):
         with open(path, "w", encoding="utf-8") as fh:
             fh.writelines(line + "\\n" for doc in part for line in doc)
     # documents of empty lines alone, whose codes are an empty array
@@ -558,6 +586,43 @@ def test_score_document_normalizes_as_each_line_would(mode):
                 expected = kernel.score_document([normalize_line(line, mode) for line in lines],
                                                  want, model, True, threshold)
                 assert [list(r) for r in scored] == [list(r) for r in expected], (lines, model)
+
+
+def assert_identical_lines_score_zero(seed):
+    """A pair of identical lines, which the compiled kernel scores 0 with
+    no DP, is 0 under every model, at threshold 0 and 1, with an empty
+    line too; the same line with one character changed, at its start or
+    its end, still equals the oracle."""
+    rng = random.Random(seed)
+    lines = [""] + ["".join(rng.choice(PIECES) for _ in range(rng.randint(1, 3)))
+                    for _ in range(12)]
+    for model in MODELS:
+        for line in lines:
+            # the line with its first, or its last, character changed
+            others = [line[:k] + ("a" if line[k] != "a" else "9") + line[k + 1:]
+                      for k in {0, len(line) - 1}] if line else [line]
+            for changed in others:
+                doc = [line, line, changed]
+                for ws_agnostic, padding in ((True, {}), (False, {"pad_limit": 0})):
+                    exact, cut = (kernel.score_document(doc, b"\1\1", model, ws_agnostic,
+                                                        threshold)[1]
+                                  for threshold in (0.0, 1.0))
+                    assert exact[0] == cut[0] == 0, (line, model)
+                    assert exact[1] == ws_agnostic_naive(line, changed, model, **padding), (
+                        line, changed, model)
+
+
+@needs_compiler
+def test_identical_lines_on_compiled_kernel_score_zero():
+    assert kernel_backend() == "compiled"
+    assert_identical_lines_score_zero(20261103)
+
+
+def test_identical_lines_on_interpreted_kernel_score_zero(fresh_kernel, monkeypatch, caplog):
+    monkeypatch.setenv("CC", "/nonexistent/cc")
+    with caplog.at_level(logging.WARNING, logger="wsadist"):
+        assert kernel_backend() == "interpreted"
+        assert_identical_lines_score_zero(20261104)
 
 
 def test_pair_of_distinct_symbols_has_one_shared_row():
