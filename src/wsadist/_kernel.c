@@ -31,8 +31,8 @@
  * sum to fit in int64 (the caller checks); the cells skipped by a cutoff
  * hold T + 1 <= D, which adds no larger sum.  Returns -1 when out of
  * memory, or -2 when a symbol code lies outside the alphabet, m is not in
- * [0, k], the line offsets fall outside the codes or out of order, or the
- * threshold is outside [0, 1].
+ * [0, k], a line length is negative or the lengths add up to more than the
+ * codes, or the threshold is outside [0, 1].
  */
 #include <float.h>
 #include <stdint.h>
@@ -135,33 +135,32 @@ static int64_t lattice(int64_t n1, const uint32_t *code1, int64_t n2, const uint
     return prev[n2] < limit ? prev[n2] : -1;
 }
 
-/* A document of `lines` lines, line i being codes[offsets[i]:offsets[i+1]]
- * of the ncodes codes, all in one alphabet of k symbols, and its cost
+/* A document of `lines` lines, line i being the next lengths[i] of the
+ * ncodes codes, all in one alphabet of k symbols, and its cost
  * tables in one block: indel, ws_del and ws_ins, k each, then the (m+1) x k
  * rep.  Writes each line's weight, the sum of ws_del over its codes, to
  * weights[i], and for each pair i with want[i] set, the distance from line
  * i to line i + 1 to dists[i], or -1 for a pair that cannot reach a
  * threshold above 0.  Either line of a pair may be empty; two identical
- * lines, empty ones too, get 0 with no DP.  codes may not
- * be NULL, even with ncodes 0, since each line forms codes + offsets[i].
+ * lines, empty ones too, get 0 with no DP.
  * Returns 0, or -1 or -2 as the header says. */
-int64_t wsadist_pairs(int64_t lines, const int64_t *offsets, int64_t ncodes,
+int64_t wsadist_pairs(int64_t lines, const int64_t *lengths, int64_t ncodes,
                       const uint32_t *codes, int64_t k, const int64_t *costs, int64_t m,
                       const unsigned char *want, int64_t *weights, int64_t *dists,
                       double threshold)
 {
     const int64_t *indel = costs, *ws_del = indel + k, *ws_ins = ws_del + k, *rep = ws_ins + k;
-    if (m < 0 || m > k || lines < 0 || offsets[0] < 0 || !(threshold >= 0.0 && threshold <= 1.0))
+    if (m < 0 || m > k || lines < 0 || !(threshold >= 0.0 && threshold <= 1.0))
         return -2;
     int64_t longest = 0;
-    for (int64_t i = 0; i < lines; i++) {
-        int64_t n = offsets[i + 1] - offsets[i], weight = 0;
-        if (n < 0 || offsets[i + 1] > ncodes)
+    for (int64_t i = 0, at = 0; i < lines; i++) {
+        int64_t n = lengths[i], weight = 0;
+        if (n < 0 || n > ncodes - at)
             return -2;
-        for (const uint32_t *c = codes + offsets[i]; c < codes + offsets[i + 1]; c++) {
-            if (*c >= k)
+        for (int64_t end = at + n; at < end; at++) {
+            if (codes[at] >= k)
                 return -2;
-            weight += ws_del[*c];
+            weight += ws_del[codes[at]];
         }
         weights[i] = weight;
         if (n > longest)
@@ -179,11 +178,12 @@ int64_t wsadist_pairs(int64_t lines, const int64_t *offsets, int64_t ncodes,
         return -1;
     if (m < k)
         memcpy(base + 2 * (longest + 1), rep + m * k, (size_t)k * sizeof *base);
-    for (int64_t i = 0; i + 1 < lines; i++) {
+    const uint32_t *code1 = codes;
+    for (int64_t i = 0; i + 1 < lines; code1 += lengths[i++]) {
         if (!want[i])
             continue;
-        const uint32_t *code1 = codes + offsets[i], *code2 = codes + offsets[i + 1];
-        int64_t n1 = offsets[i + 1] - offsets[i], n2 = offsets[i + 2] - offsets[i + 1];
+        int64_t n1 = lengths[i], n2 = lengths[i + 1];
+        const uint32_t *code2 = code1 + n1;
         if (n1 == n2 && memcmp(code1, code2, (size_t)n1 * sizeof *code1) == 0) {
             dists[i] = 0;
             continue;

@@ -38,8 +38,10 @@ def _resolve_model(spec: str) -> CostModel:
 
 def _read_text(operand: str) -> str:
     if operand == "-":
-        return sys.stdin.read()
-    # newline="": "\r" reaches split_lines as it is in the file, as on stdin
+        # strict UTF-8 with "\r" kept, as a file is read; bare text streams as text
+        stdin = sys.stdin
+        return stdin.buffer.read().decode() if hasattr(stdin, "buffer") else stdin.read()
+    # newline="": "\r" reaches split_lines as it is in the file
     with open(operand, "r", encoding="utf-8", newline="") as fh:
         return fh.read()
 
@@ -58,8 +60,8 @@ def split_lines(text: str) -> list[str]:
 
 def tab_width(text: str) -> int:
     width = int(text)
-    if width < 1:
-        raise argparse.ArgumentTypeError(f"tab width must be >= 1, got {width}")
+    if not 1 <= width < 1 << 31:  # str.expandtabs takes a C int
+        raise argparse.ArgumentTypeError(f"tab width must be >= 1 and < 2**31, got {width}")
     return width
 
 
@@ -192,7 +194,7 @@ def _write(output: str) -> int:
         else:  # a text stream with no bytes beneath it
             stream.write(output)
         stream.flush()
-    except OSError as exc:
+    except (OSError, UnicodeEncodeError) as exc:  # a character stdout's encoding lacks
         if not isinstance(exc, BrokenPipeError):
             print(f"wsadist: cannot write output: {exc}", file=sys.stderr)
         # Python flushes standard output again at exit, where what is left in

@@ -35,13 +35,13 @@ alone decides this.
 
 Only this module knows the kernel's input: detection's lines, the line
 pairs of ``wsadist dist`` interleaved, and a single pair all go through
-``score_document``, which joins, normalizes and encodes them once and
-builds one set of tables for one ``dp_pairs`` call.  Detection
-passes its threshold, and the kernel then computes d exactly only for
-the pairs that can reach it: a length bound rules some out with no DP,
-and the rest run in a diagonal band (see ``dp_pairs`` and
-``_kernel.c``).  ``wsadist dist`` and single pairs pass threshold 0,
-which rules nothing out, so their distances are exact.
+``score_document``, which joins, normalizes and encodes them once, into
+bytes the kernel reads in place beside the line lengths, and builds one
+set of tables for one ``dp_pairs`` call.  Detection passes its
+threshold, and the kernel then computes d exactly only for the pairs
+that can reach it: a length bound rules some out with no DP, and the
+rest run in a diagonal band (see ``dp_pairs`` and ``_kernel.c``).
+``wsadist dist`` and single pairs pass threshold 0: every d is exact.
 """
 
 from __future__ import annotations
@@ -53,8 +53,7 @@ import shlex
 import sys
 import threading
 from array import array
-from itertools import accumulate, chain
-from operator import sub
+from itertools import accumulate, chain, pairwise
 from pathlib import Path
 
 from .cost_model import CostModel
@@ -68,7 +67,7 @@ _FLAGS = ("-O2", "-falign-loops=32", "-shared", "-fPIC")
 _INT64_MAX = (1 << 63) - 1
 _UTF32 = "utf-32-le" if sys.byteorder == "little" else "utf-32-be"
 _I64, _PTR, _F64 = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
-# lines, offsets, ncodes, codes, k, costs, m, want, weights, dists, threshold
+# lines, lengths, ncodes, codes, k, costs, m, want, weights, dists, threshold
 _PAIRS_ARGTYPES = [_I64, _PTR, _I64, _PTR, _I64, _PTR, _I64, ctypes.c_char_p, _PTR, _PTR, _F64]
 
 _UNTRIED = object()
@@ -181,14 +180,14 @@ class Alphabet(dict):
         return index
 
 
-def encode(s: str, alphabet: Alphabet) -> array:
+def encode(s: str, alphabet: Alphabet) -> bytes:
     """``s`` as codes into ``alphabet``, which gains the characters it
-    lacked."""
+    lacked: native uint32, four bytes to a code."""
     # str.translate swaps each character for the one whose code point is
     # its index, at C speed; UTF-32 then gives the codes as uint32.
     # Indices stay below 0x110000, since no alphabet is larger, and
     # "surrogatepass" lets those in the surrogate range through.
-    return array("I", s.translate(alphabet).encode(_UTF32, "surrogatepass"))
+    return s.translate(alphabet).encode(_UTF32, "surrogatepass")
 
 
 def model_alphabet(model: CostModel, text: str) -> Alphabet:
@@ -242,27 +241,27 @@ def score_document(lines, want: bytes, model: CostModel, ws_agnostic: bool, thre
     alphabet = model_alphabet(model, text)
     m = len(alphabet)
     # array() takes a list faster than an iterator
-    offsets = array("q", list(accumulate(map(len, lines), initial=0)))
-    return dp_pairs(encode(text, alphabet), offsets, want, m,
+    lengths = array("q", list(map(len, lines)))
+    return dp_pairs(encode(text, alphabet), lengths, want, m,
                     *alphabet_costs(alphabet, m, model, ws_agnostic), threshold)
 
 
-def _refusal(result: int, offsets) -> Exception:
-    """The error for the kernel's negative ``result`` on lines at ``offsets``."""
+def _refusal(result: int, lengths) -> Exception:
+    """The error for the kernel's negative ``result`` on lines of ``lengths``."""
     if result == -1:
-        longest = max(map(sub, offsets[1:], offsets), default=0)
+        longest = max(lengths, default=0)
         return MemoryError(f"DP kernel could not allocate two rows of {longest + 1}")
     return RuntimeError("DP kernel refused a symbol code outside its alphabet, an m outside "
-                        "[0, k], an offset or a threshold outside [0, 1]")
+                        "[0, k], line lengths outside its codes or a threshold outside [0, 1]")
 
 
-def dp_pairs(codes, offsets, want: bytes, m: int, indel, ws_del, ws_ins, rep, threshold: float):
+def dp_pairs(codes, lengths, want: bytes, m: int, indel, ws_del, ws_ins, rep, threshold: float):
     """Every line's weight and the distance of each wanted adjacent pair
     of one document, in one call.
 
-    Line i is ``codes[offsets[i]:offsets[i + 1]]`` (array('I') and
-    array('q')), in one ``model_alphabet`` of size m; the tables are as
-    ``alphabet_costs`` returns them.  ``want`` holds one byte per
+    ``codes`` is ``encode``'s bytes, in one ``model_alphabet`` of size m,
+    and line i the next ``lengths[i]`` codes (array('q')); the tables are
+    as ``alphabet_costs`` returns them.  ``want`` holds one byte per
     adjacent pair; either line of a wanted pair may be empty.  Returns
     ``(weights, dists)``: weights[i] is the sum of the edge table
     ``ws_del`` over line i (of indel costs, which nothing reads, for the
@@ -277,31 +276,30 @@ def dp_pairs(codes, offsets, want: bytes, m: int, indel, ws_del, ws_ins, rep, th
     and no path sum can exceed int64, else ``dp_interpreted`` on each
     wanted pair, which computes every d over Python ints.  A pair's path
     sums are at most n1 + n2 steps of the dearest cost, and n1 + n2 is at
-    most ``len(codes)``, with equality for a single pair: the route is
-    decided on ``len(codes)``, at no cost per line.
+    most the number of codes, with equality for a single pair: the route
+    is decided on that number, at no cost per line.
     """
-    lines = len(offsets) - 1
-    if lines < 0 or len(want) != max(lines - 1, 0):
-        raise ValueError(f"{len(offsets)} offsets and {len(want)} wanted flags do not agree")
+    lines, ncodes = len(lengths), len(codes) // 4
+    if len(want) != max(lines - 1, 0):
+        raise ValueError(f"{lines} lines and {len(want)} wanted flags do not agree")
     lib = _compiled_library()
     # no edge cost is above its indel; a cost beyond int64 stays interpreted anyway
     dearest = max(chain(indel, rep), default=0)
-    if lib is None or max(len(codes), 1) * dearest > _INT64_MAX:
-        weights = [sum(ws_del[c] for c in codes[a:b]) for a, b in zip(offsets, offsets[1:])]
+    if lib is None or max(ncodes, 1) * dearest > _INT64_MAX:
+        codes = memoryview(codes).cast("I")
+        offsets = list(accumulate(lengths, initial=0))
+        weights = [sum(ws_del[c] for c in codes[a:b]) for a, b in pairwise(offsets)]
         dists = [dp_interpreted(codes[a:b], codes[b:c], indel, ws_del, ws_ins, rep, m)
                  if wanted else 0
                  for wanted, a, b, c in zip(want, offsets, offsets[1:], offsets[2:])]
         return weights, dists
     weights, dists = array("q", [0]) * lines, array("q", [0]) * len(want)
-    # An empty array's address is 0, and C may not add even offset 0 to a
-    # null pointer: a document of empty lines passes one unread code.
-    buffer = codes or array("I", [0])
     costs = array("q", indel + ws_del + ws_ins + rep)
-    result = lib.wsadist_pairs(lines, offsets.buffer_info()[0], len(codes),
-                               buffer.buffer_info()[0], len(indel), costs.buffer_info()[0], m,
-                               want, weights.buffer_info()[0], dists.buffer_info()[0], threshold)
+    result = lib.wsadist_pairs(lines, lengths.buffer_info()[0], ncodes, codes, len(indel),
+                               costs.buffer_info()[0], m, want, weights.buffer_info()[0],
+                               dists.buffer_info()[0], threshold)
     if result < 0:
-        raise _refusal(result, offsets)
+        raise _refusal(result, lengths)
     return weights, dists
 
 

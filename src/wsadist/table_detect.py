@@ -42,8 +42,8 @@ class DetectConfig(_Record):
             raise ValueError(f"threshold must be in [0, 1], got {threshold}")
         if min_rows < 2:
             raise ValueError(f"min_rows must be >= 2, got {min_rows}")
-        if tab_width < 1:
-            raise ValueError(f"tab_width must be >= 1, got {tab_width}")
+        if not 1 <= tab_width < 1 << 31:  # str.expandtabs takes a C int
+            raise ValueError(f"tab_width must be >= 1 and < 2**31, got {tab_width}")
 
 
 def line_whitespace_cost(line: str, model: CostModel) -> int:

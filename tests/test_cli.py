@@ -340,6 +340,53 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "tab width must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("width", ["2147483648", "99999999999999999999"])
+    @pytest.mark.parametrize("argv", [["dist", "a\tb", "a"], ["detect"]], ids=["dist", "detect"])
+    def test_tab_width_past_a_c_int_exits_2(self, capsys, argv, width):
+        # str.expandtabs takes a C int
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], "--tab-width", width, *argv[1:]])
+        assert exc.value.code == 2
+        assert "tab width must be >= 1 and < 2**31" in capsys.readouterr().err
+
+    def test_largest_tab_width_is_taken(self, capsys):
+        assert run(capsys, "dist", "--tab-width", str((1 << 31) - 1), "ab", "ab") == (0, "0\n", "")
+
+    @pytest.mark.parametrize("argv", [["detect", "-"], ["dist", "--files", "-"]],
+                             ids=["detect", "dist"])
+    def test_non_utf8_stdin_exits_3(self, capsys, monkeypatch, tmp_path, argv):
+        """Standard input is decoded as strict UTF-8, as a file is, whatever
+        error handler the stream itself has."""
+        other = tmp_path / "ok.txt"
+        other.write_text("ab\n", encoding="utf-8")
+        operands = [str(other)] if "--files" in argv else []
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"ab\xff\n"),
+                                                          errors="surrogateescape"))
+        code, out, err = run(capsys, *argv, *operands)
+        assert (code, out) == (3, "")
+        assert "cannot read input" in err
+
+    def test_stdin_bytes_read_as_a_file_is(self, capsys, monkeypatch, tmp_path):
+        r"""A "\r", alone or before "\n", reaches the output from standard
+        input as from a file, where a text stream would translate it."""
+        data = "Ab1\r\nc\rD2\n\u0416 z".encode()
+        doc = tmp_path / "doc.txt"
+        doc.write_bytes(data)
+        from_file = run(capsys, "normalize", str(doc))
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+        assert run(capsys, "normalize", "-") == from_file
+        assert from_file[0] == 0 and "\r\n" in from_file[1]
+
+    def test_output_stdout_cannot_encode_exits_5(self, capsys, monkeypatch, tmp_path):
+        doc = tmp_path / "doc.txt"
+        doc.write_text("5 \u20ac\n", encoding="utf-8")
+        stdout = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+        monkeypatch.setattr("sys.stdout", stdout)
+        assert main(["normalize", str(doc)]) == 5
+        assert capsys.readouterr().err.startswith(
+            "wsadist: cannot write output: 'ascii' codec can't encode character '\\u20ac'")
+        assert stdout.buffer.getvalue() == b""
+
     def test_size_limit_exits_4(self, capsys):
         code, _, err = run(capsys, "dist", "--mode", "naive-oracle", "a" * 300, "b" * 300)
         assert code == 4

@@ -14,7 +14,7 @@ import sys
 import time
 import tracemalloc
 from array import array
-from itertools import accumulate, pairwise
+from itertools import pairwise
 from pathlib import Path
 
 import pytest
@@ -242,52 +242,53 @@ def test_int64_guard_counts_every_code(monkeypatch):
     assert len(calls) == 4
 
 
-def c_pair(codes, offsets, k, m, threshold=0.0, edges=(1, 1)):
-    """The C entry on a document whose one adjacent pair is wanted, every
-    indel and replacement cost 1, and the edge costs ``edges`` (deletion
-    side, insertion side) in tables of their own, all in one block: its
-    return value and that pair's distance (-1 when the pair cannot reach
-    ``threshold``)."""
+def c_pair(codes, lengths, k, m, threshold=0.0, edges=(1, 1)):
+    """The C entry on a document of two lines of ``lengths`` codes, whose
+    one adjacent pair is wanted, every indel and replacement cost 1, and
+    the edge costs ``edges`` (deletion side, insertion side) in tables of
+    their own, all in one block: its return value and that pair's distance
+    (-1 when the pair cannot reach ``threshold``).  The codes go to the
+    kernel as bytes, as ``kernel.encode`` makes them."""
     fn = kernel._compiled_library().wsadist_pairs
-    codes, offsets = array("I", codes), array("q", offsets)
+    codes, lengths = array("I", codes).tobytes(), array("q", lengths)
     # indel, ws_del, ws_ins and a replacement table of k + 1 rows
     costs = array("q", [1] * k + [edges[0]] * k + [edges[1]] * k + [1] * (k + 1) * k)
     weights, dists = array("q", [0, 0]), array("q", [0])
-    result = fn(len(offsets) - 1, offsets.buffer_info()[0], len(codes), codes.buffer_info()[0],
-                k, costs.buffer_info()[0], m, b"\x01", weights.buffer_info()[0],
+    result = fn(len(lengths), lengths.buffer_info()[0], len(codes) // 4, codes, k,
+                costs.buffer_info()[0], m, b"\x01", weights.buffer_info()[0],
                 dists.buffer_info()[0], threshold)
     return result, dists[0]
 
 
 @needs_compiler
 def test_c_kernel_refuses_code_outside_its_alphabet():
-    assert c_pair([5, 0], [0, 1, 2], 1, 1)[0] == -2
-    assert c_pair([0, 5], [0, 1, 2], 1, 1)[0] == -2
+    assert c_pair([5, 0], [1, 1], 1, 1)[0] == -2
+    assert c_pair([0, 5], [1, 1], 1, 1)[0] == -2
     # m outside [0, k]
-    assert c_pair([0, 0], [0, 1, 2], 1, -1)[0] == -2
-    assert c_pair([0, 0], [0, 1, 2], 1, 2)[0] == -2
+    assert c_pair([0, 0], [1, 1], 1, -1)[0] == -2
+    assert c_pair([0, 0], [1, 1], 1, 2)[0] == -2
     # a valid m: row 0 of the table, or the shared row with its own column
     # free (an identical pair would get 0 with no DP, so one line is longer)
-    assert c_pair([0, 0, 0], [0, 1, 3], 1, 1) == (0, 2)
-    assert c_pair([0, 0, 0], [0, 1, 3], 1, 0) == (0, 1)
+    assert c_pair([0, 0, 0], [1, 2], 1, 1) == (0, 2)
+    assert c_pair([0, 0, 0], [1, 2], 1, 0) == (0, 1)
 
 
 @needs_compiler
 def test_c_kernel_refuses_threshold_outside_0_1():
     for threshold in (-0.5, -1.0, 1.5, float("inf"), float("nan")):
-        assert c_pair([0, 1], [0, 1, 2], 2, 0, threshold)[0] == -2
+        assert c_pair([0, 1], [1, 1], 2, 0, threshold)[0] == -2
     # d = 1 and D = 1: the pair reaches any threshold up to 0, and is
     # ruled out above it; threshold 0 is no cutoff
-    assert c_pair([0, 1], [0, 1, 2], 2, 0, 0.0) == (0, 1)
-    assert c_pair([0, 1], [0, 1, 2], 2, 0, -0.0) == (0, 1)
-    assert c_pair([0, 1], [0, 1, 2], 2, 0, 1e-300) == (0, -1)
-    assert c_pair([0, 1], [0, 1, 2], 2, 0, 1.0) == (0, -1)
+    assert c_pair([0, 1], [1, 1], 2, 0, 0.0) == (0, 1)
+    assert c_pair([0, 1], [1, 1], 2, 0, -0.0) == (0, 1)
+    assert c_pair([0, 1], [1, 1], 2, 0, 1e-300) == (0, -1)
+    assert c_pair([0, 1], [1, 1], 2, 0, 1.0) == (0, -1)
     # an identical pair reaches every threshold
-    assert c_pair([0, 0], [0, 1, 2], 2, 0, 1.0) == (0, 0)
+    assert c_pair([0, 0], [1, 1], 2, 0, 1.0) == (0, 0)
     # d = D = 2 for an empty line against two characters, either way round
-    assert c_pair([0, 1], [0, 0, 2], 2, 0, 1e-300) == (0, -1)
-    assert c_pair([0, 1], [0, 2, 2], 2, 0, 1e-300) == (0, -1)
-    assert c_pair([], [0, 0, 0], 2, 0, 1.0) == (0, 0)
+    assert c_pair([0, 1], [0, 2], 2, 0, 1e-300) == (0, -1)
+    assert c_pair([0, 1], [2, 0], 2, 0, 1e-300) == (0, -1)
+    assert c_pair([], [0, 0], 2, 0, 1.0) == (0, 0)
 
 
 # edge tables (deletion side, insertion side) with the models and oracle
@@ -302,19 +303,19 @@ EDGE_CASES = [
 
 
 @needs_compiler
-@pytest.mark.parametrize("codes, offsets, s1, s2", [
-    ([0, 1], [0, 0, 2], "", "ab"), ([1, 0], [0, 2, 2], "ba", ""), ([], [0, 0, 0], "", ""),
-    ([0, 1, 0], [0, 2, 3], "ab", "a"), ([0, 0, 1], [0, 1, 3], "a", "ab"),
+@pytest.mark.parametrize("codes, lengths, s1, s2", [
+    ([0, 1], [0, 2], "", "ab"), ([1, 0], [2, 0], "ba", ""), ([], [0, 0], "", ""),
+    ([0, 1, 0], [2, 1], "ab", "a"), ([0, 0, 1], [1, 2], "a", "ab"),
 ], ids=["empty-first", "empty-second", "both-empty", "longer-first", "longer-second"])
-def test_c_kernel_reads_its_edge_tables(codes, offsets, s1, s2):
+def test_c_kernel_reads_its_edge_tables(codes, lengths, s1, s2):
     """The last row and the last column charge the edge tables, on an
     empty line too, and the two sides' tables are read apart."""
     for edges, model, padding in EDGE_CASES:
         assert model.whitespace_cost("a") == edges[0]
         assert model.whitespace_insert_cost("a") == edges[1]
-        assert c_pair(codes, offsets, 2, 0, edges=edges) == (
+        assert c_pair(codes, lengths, 2, 0, edges=edges) == (
             0, ws_agnostic_naive(s1, s2, model, **padding)), (edges, s1, s2)
-    distances = {c_pair(codes, offsets, 2, 0, edges=edges)[1] for edges, _, _ in EDGE_CASES}
+    distances = {c_pair(codes, lengths, 2, 0, edges=edges)[1] for edges, _, _ in EDGE_CASES}
     assert len(distances) == (1 if s1 == s2 == "" else 2)
 
 
@@ -346,13 +347,13 @@ def assert_model_alphabet_matches_oracle(seed):
             alphabet = kernel.model_alphabet(model, s1 + s2)
             m = len(alphabet)
             codes = kernel.encode(s1 + s2, alphabet)
-            offsets = array("q", [0, len(s1), len(s1) + len(s2)])
+            lengths = array("q", [len(s1), len(s2)])
             ws_costs, std_costs = (kernel.alphabet_costs(alphabet, m, model, ws_agnostic)
                                    for ws_agnostic in (True, False))
             assert len(ws_costs[3]) == (m + 1) * len(alphabet)
             # classical: the indel table is both edge tables
             assert std_costs[0] is std_costs[1] is std_costs[2]
-            ws_d, std_d = (kernel.dp_pairs(codes, offsets, b"\x01", m, *costs, 0.0)[1][0]
+            ws_d, std_d = (kernel.dp_pairs(codes, lengths, b"\x01", m, *costs, 0.0)[1][0]
                            for costs in (ws_costs, std_costs))
             assert ws_d == levenshtein_ws_agnostic(s1, s2, model), (s1, s2, model)
             assert std_d == levenshtein_standard(s1, s2, model), (s1, s2, model)
@@ -381,14 +382,14 @@ EDGE_DOCUMENTS = [[], ["a"], ["a", "9"], ["", "  ", "\t", ""], ["a", "", "a"], [
 
 def encode_document(doc, model, ws_agnostic, leads=None):
     """``doc``'s codes in one ``model_alphabet`` of ``leads`` (default: the
-    whole document), its line offsets, m, and the model's cost tables over
+    whole document), its line lengths, m, and the model's cost tables over
     that alphabet for the ws-agnostic or the classical distance."""
     text = "".join(doc)
     alphabet = kernel.model_alphabet(model, text if leads is None else leads)
     m = len(alphabet)
     codes = kernel.encode(text, alphabet)
-    offsets = array("q", accumulate(map(len, doc), initial=0))
-    return codes, offsets, m, kernel.alphabet_costs(alphabet, m, model, ws_agnostic)
+    lengths = array("q", map(len, doc))
+    return codes, lengths, m, kernel.alphabet_costs(alphabet, m, model, ws_agnostic)
 
 
 def indel_sum(line, model):
@@ -443,27 +444,39 @@ def test_batch_on_interpreted_kernel_matches_single_pairs_and_oracle(fresh_kerne
 def test_batch_takes_list_tables_with_every_line_empty():
     # the leads of LIST_TABLES give its rows, and so its cost beyond int64
     for ws_agnostic in (True, False):
-        codes, offsets, m, costs = encode_document(["", "", ""], LIST_TABLES, ws_agnostic,
+        codes, lengths, m, costs = encode_document(["", "", ""], LIST_TABLES, ws_agnostic,
                                                    leads="a9")
         assert isinstance(costs[3], list)
-        assert kernel.dp_pairs(codes, offsets, bytes(2), m, *costs, 0.0) == ([0, 0, 0], [0, 0])
+        assert kernel.dp_pairs(codes, lengths, bytes(2), m, *costs, 0.0) == ([0, 0, 0], [0, 0])
+
+
+@needs_compiler
+def test_c_batch_scores_a_document_of_empty_lines_from_empty_bytes():
+    assert kernel_backend() == "compiled"
+    for ws_agnostic in (True, False):
+        codes, lengths, m, costs = encode_document(["", "", ""], MODELS[0], ws_agnostic)
+        assert codes == b""
+        weights, dists = kernel.dp_pairs(codes, lengths, bytes([1, 1]), m, *costs, 0.0)
+        assert (list(weights), list(dists)) == ([0, 0, 0], [0, 0])
 
 
 def test_batch_refuses_flags_that_do_not_match_the_lines():
-    codes, offsets, m, costs = encode_document(["a", "9"], MODELS[0], True)
+    codes, lengths, m, costs = encode_document(["a", "9"], MODELS[0], True)
     with pytest.raises(ValueError):
-        kernel.dp_pairs(codes, offsets, bytes(2), m, *costs, 0.0)
+        kernel.dp_pairs(codes, lengths, bytes(2), m, *costs, 0.0)
 
 
 @needs_compiler
 def test_c_batch_refuses_code_outside_its_alphabet_or_m():
-    assert c_pair([0, 1], [0, 1, 2], 2, 0) == (0, 1)
-    assert c_pair([0, 2], [0, 1, 2], 2, 0)[0] == -2
-    assert c_pair([0, 1], [0, 1, 2], 2, -1)[0] == -2
-    assert c_pair([0, 1], [0, 1, 2], 2, 3)[0] == -2
-    # offsets beyond the codes, or out of order
-    assert c_pair([0], [0, 1, 2], 2, 0)[0] == -2
-    assert c_pair([0, 1], [0, 2, 1], 2, 0)[0] == -2
+    assert c_pair([0, 1], [1, 1], 2, 0) == (0, 1)
+    assert c_pair([0, 2], [1, 1], 2, 0)[0] == -2
+    assert c_pair([0, 1], [1, 1], 2, -1)[0] == -2
+    assert c_pair([0, 1], [1, 1], 2, 3)[0] == -2
+    # lengths that add up to more than the codes, or a negative length
+    assert c_pair([0], [1, 1], 2, 0)[0] == -2
+    assert c_pair([0, 1], [2, 1], 2, 0)[0] == -2
+    assert c_pair([0, 1], [-1, 2], 2, 0)[0] == -2
+    assert c_pair([0, 1], [2, -1], 2, 0)[0] == -2
 
 
 SANITIZED_RUN = """
@@ -646,6 +659,21 @@ def test_pair_of_distinct_symbols_has_one_shared_row():
     # every character is deleted or inserted at 1, against whitespace or not
     assert d == 4000
     assert peak < 8 << 20, peak
+
+
+def test_encode_makes_one_copy_of_the_codes():
+    """``encode`` on a 1M-character text holds the translated text, one
+    byte a character over a small alphabet, and the four bytes of each
+    code, and no second copy of the codes."""
+    text = ("Élan 1\tb  | x=42, y=-7 (ok)\n" * 40_000)[:1_000_000]
+    tracemalloc.start()
+    try:
+        codes = kernel.encode(text, kernel.Alphabet())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(codes) == 4 * len(text)
+    assert peak < 6 * len(text), peak / len(text)
 
 
 # What a fresh process may not import: numpy and numba are gone from the

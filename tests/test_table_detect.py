@@ -135,6 +135,10 @@ class TestDetectConfigValidation:
     def test_tab_width(self):
         with pytest.raises(ValueError):
             DetectConfig(tab_width=0)
+        # str.expandtabs takes a C int
+        with pytest.raises(ValueError, match="< 2"):
+            DetectConfig(tab_width=1 << 31)
+        assert DetectConfig(tab_width=(1 << 31) - 1).tab_width == (1 << 31) - 1
 
 
 class TestRecords:
