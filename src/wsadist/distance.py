@@ -23,6 +23,7 @@ compiled kernel a 4000x4000-character pair takes 22-36 ms on a 2-vCPU VM.
 
 from __future__ import annotations
 
+from array import array
 from enum import Enum
 from operator import mul
 
@@ -65,7 +66,8 @@ def _pair_distance(s1: str, s2: str, model: CostModel | None, max_cells: int,
     if not (s1 and s2):
         del_cost, ins_cost = edge_costs(ws_agnostic)
         return sum(del_cost(model, c) for c in s1) + sum(ins_cost(model, c) for c in s2)
-    return score_document((s1, s2), b"\1", model, ws_agnostic, 0.0)[1][0]
+    return score_document((s1, s2), array("q", (len(s1), len(s2))), b"\1", model, ws_agnostic,
+                          0.0)[1][0]
 
 
 def levenshtein_standard(
@@ -90,14 +92,15 @@ def _paired_distances(left, right, model: CostModel, ws_agnostic: bool, mode):
     in ``mode``, under the default cell limit, as a sequence of ints.  Every
     pair is checked against the limit first; then one kernel call scores
     them all, interleaved as one document."""
-    if max(map(mul, map(len, left), map(len, right)), default=0) > DEFAULT_MAX_CELLS:
-        for s1, s2 in zip(left, right):  # the first pair over the limit raises
-            _check_cells(len(s1), len(s2), DEFAULT_MAX_CELLS)
     lines = [""] * (2 * len(left))
     lines[::2], lines[1::2] = left, right
+    lengths = array("q", list(map(len, lines)))
+    if max(map(mul, lengths[::2], lengths[1::2]), default=0) > DEFAULT_MAX_CELLS:
+        for n1, n2 in zip(lengths[::2], lengths[1::2]):  # the first pair over the limit raises
+            _check_cells(n1, n2, DEFAULT_MAX_CELLS)
     # the pairs of right line k and left line k + 1 are never wanted
     want = b"\1\0" * len(left)
-    return score_document(lines, want[:-1], model, ws_agnostic, 0.0, mode)[1][::2]
+    return score_document(lines, lengths, want[:-1], model, ws_agnostic, 0.0, mode)[1][::2]
 
 
 # The one table from an algorithm to its function: ``distance()`` and

@@ -229,9 +229,10 @@ def alphabet_costs(alphabet: Alphabet, m: int, model: CostModel, ws_agnostic: bo
     return indel, ws_del, ws_ins, rep
 
 
-def score_document(lines, want: bytes, model: CostModel, ws_agnostic: bool, threshold: float,
-                   mode=None):
-    """``dp_pairs``'s ``(weights, dists)`` for a document of ``lines``,
+def score_document(lines, lengths, want: bytes, model: CostModel, ws_agnostic: bool,
+                   threshold: float, mode=None):
+    """``dp_pairs``'s ``(weights, dists)`` for a document of ``lines``, of
+    ``lengths`` (array('q'), from the caller, who has them already),
     joined and, given a ``NormalizationMode``, normalized, which keeps each
     line's length: one encoding into its ``model_alphabet``, ``model``'s
     tables for the distance ``ws_agnostic`` picks, and one kernel call."""
@@ -240,8 +241,6 @@ def score_document(lines, want: bytes, model: CostModel, ws_agnostic: bool, thre
         text = normalize_line(text, mode)
     alphabet = model_alphabet(model, text)
     m = len(alphabet)
-    # array() takes a list faster than an iterator
-    lengths = array("q", list(map(len, lines)))
     return dp_pairs(encode(text, alphabet), lengths, want, m,
                     *alphabet_costs(alphabet, m, model, ws_agnostic), threshold)
 

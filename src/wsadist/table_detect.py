@@ -5,12 +5,14 @@ normalization their trailing-whitespace-agnostic distance is small
 relative to line weight.  Detection is adjacent-pair thresholding:
 maximal runs of consecutive non-blank lines whose pairwise similarity
 stays at or above a threshold, with a minimum run length.  Blank lines
-are hard separators.
+(empty, or all ``str.isspace``) are hard separators.
 """
 
 from __future__ import annotations
 
-from itertools import chain
+from array import array
+from itertools import repeat
+from operator import and_, index, mul
 
 from .cost_model import CostModel, _Record, appendix_model
 from .distance import DEFAULT_MAX_CELLS, levenshtein_ws_agnostic
@@ -36,6 +38,7 @@ class DetectConfig(_Record):
     def __init__(self, threshold: float = 0.5, min_rows: int = 3,
                  mode: NormalizationMode = NormalizationMode.CASED,
                  model: CostModel | None = None, tab_width: int = 8):
+        min_rows, tab_width = index(min_rows), index(tab_width)  # TypeError unless integers
         self._set(threshold, min_rows, mode, appendix_model() if model is None else model,
                   tab_width)
         if not 0.0 <= threshold <= 1.0:
@@ -55,10 +58,10 @@ def line_whitespace_cost(line: str, model: CostModel) -> int:
 
 def row_similarity(line1: str, line2: str, model: CostModel | None = None) -> float:
     """Similarity in [0, 1]: 1 - d/D with d the ws-agnostic distance and
-    D the heavier line's whitespace cost.  Two blank (or all-whitespace)
-    lines are fully similar.  Clamped at 0: under cost models with
-    effectively-forbidden replacements, d can exceed D.
-    """
+    D the heavier line's whitespace cost; only lines that both weigh
+    nothing (D = 0) are fully similar, not a tab against "".  Clamped at
+    0: under cost models with effectively-forbidden replacements, d can
+    exceed D."""
     model = model if model is not None else appendix_model()
     heavier = max(line_whitespace_cost(line1, model), line_whitespace_cost(line2, model))
     if heavier == 0:
@@ -68,33 +71,29 @@ def row_similarity(line1: str, line2: str, model: CostModel | None = None) -> fl
 
 def _pair_scores(lines: list[str], mode: NormalizationMode, model: CostModel,
                  threshold: float):
-    """For each adjacent pair of the tab-expanded ``lines``, in order, its
-    score with its d and D: the score is None when either line is blank,
-    else ``row_similarity``'s value on the normalized lines, or 0.0 when
-    the pair is too long for the distance's cell limit.  d is None when
-    the pair was not scored, or when the kernel ruled it out at
-    ``threshold``: its score is then sure to be below ``threshold``, and
-    given as 0.0.  So d, and the score, are exact for every pair that can
-    reach ``threshold``.  One ``score_document`` call weighs every line
-    and scores every pair that needs it.
-    """
-    # normalizing keeps whitespace as it is
-    lengths = [len(line) for line in lines]
-    blank = [not line.strip() for line in lines]
-    want = bytes(not (blank1 or blank2) and n1 * n2 <= DEFAULT_MAX_CELLS
-                 for blank1, blank2, n1, n2 in zip(blank, blank[1:], lengths, lengths[1:]))
-    weights, dists = score_document(lines, want, model, True, threshold, mode)
-    for j, wanted in enumerate(want):
-        heavier = max(weights[j], weights[j + 1])
-        d = dists[j] if wanted and dists[j] >= 0 else None
-        if blank[j] or blank[j + 1]:
-            yield None, d, heavier
-        elif heavier == 0:
-            yield 1.0, d, heavier
-        elif d is None:
-            yield 0.0, d, heavier
-        else:
-            yield max(0.0, 1.0 - d / heavier), d, heavier
+    """Every adjacent pair of the tab-expanded ``lines`` scored in whole-list
+    passes and one ``score_document`` call, as ``(filled, want, weights,
+    dists, sims)``: ``filled[i]`` (bytes) is 1 unless line i is blank;
+    ``want[j]`` (bytes) is 1 when lines j and j + 1 are filled and within
+    the cell limit, the pairs the kernel scores; ``weights`` is each line's
+    D, ``dists`` each wanted pair's d, or -1 where the kernel ruled it out
+    at ``threshold``, sure to score below it; ``sims[j]`` is None for a pair
+    with a blank line, 1.0 when D = 0, 0.0 when unwanted or ruled out, else
+    ``row_similarity``'s value on the normalized lines."""
+    # normalizing keeps whitespace as it is, and each line's length
+    lengths = array("q", list(map(len, lines)))
+    filled = bytes(map(bool, map(str.strip, lines)))
+    both = want = bytes(map(and_, filled, filled[1:]))
+    if max(map(mul, lengths, lengths[1:]), default=0) > DEFAULT_MAX_CELLS:
+        want = bytes(wanted and n1 * n2 <= DEFAULT_MAX_CELLS
+                     for wanted, n1, n2 in zip(both, lengths, lengths[1:]))
+    weights, dists = score_document(lines, lengths, want, model, True, threshold, mode)
+    # a comprehension takes each pair's max faster than map(max, ...)
+    heavier = [w1 if w1 > w2 else w2 for w1, w2 in zip(weights, weights[1:])]
+    sims = [None if not pair else 1.0 if weight == 0 else 0.0 if not wanted or d < 0
+            else max(0.0, 1.0 - d / weight)
+            for pair, wanted, d, weight in zip(both, want, dists, heavier)]
+    return filled, want, weights, dists, sims
 
 
 def detect_tables(lines, config: DetectConfig | None = None) -> list[TableRegion]:
@@ -104,21 +103,19 @@ def detect_tables(lines, config: DetectConfig | None = None) -> list[TableRegion
     lines join when neither is blank and their similarity reaches the
     threshold; a pair too long for the distance's cell limit is scored
     0.0.  Returned regions are disjoint, sorted by start line, and each
-    spans at least ``config.min_rows`` lines.
-    """
+    spans at least ``config.min_rows`` lines, its score the mean of its
+    pairs' similarities, summed in order."""
     config = config if config is not None else DetectConfig()
-    expanded = [line.expandtabs(config.tab_width) for line in lines]
-    scores = (sim for sim, _, _ in _pair_scores(expanded, config.mode, config.model,
-                                                config.threshold))
-
+    expanded = list(map(str.expandtabs, lines, repeat(config.tab_width)))
+    *_, sims = _pair_scores(expanded, config.mode, config.model, config.threshold)
+    threshold, span = config.threshold, config.min_rows - 1
+    # pair j joins lines j and j + 1; a run of joined pairs ends at each break
+    breaks = [j for j, sim in enumerate(sims) if sim is None or sim < threshold]
+    breaks.append(len(sims))
     regions: list[TableRegion] = []
-    sims: list[float] = []  # the joined pairs of the run ending at line i - 1
-    # the sentinel after the last pair closes the final run
-    for i, sim in enumerate(chain(scores, [None]), 1):
-        if sim is not None and sim >= config.threshold:
-            sims.append(sim)
-            continue
-        if len(sims) + 1 >= config.min_rows:
-            regions.append(TableRegion(i - 1 - len(sims), i - 1, sum(sims) / len(sims)))
-        sims = []
+    start = 0
+    for stop in breaks:
+        if stop - start >= span:
+            regions.append(TableRegion(start, stop, sum(sims[start:stop]) / (stop - start)))
+        start = stop + 1
     return regions

@@ -31,11 +31,16 @@ from wsadist import (
     ws_agnostic_naive,
 )
 from wsadist.normalizer import NormalizationMode, normalize_line
-from wsadist.table_detect import _pair_scores
-from test_table_detect import MODELS, PIECES, assert_cutoff_keeps_decisions, random_document
+from test_table_detect import (MODELS, PIECES, assert_cutoff_keeps_decisions, pair_triples,
+                               random_document)
 
 ALPHABET = "aA9(),$ "
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+def line_lengths(lines):
+    """``score_document``'s lengths of ``lines``."""
+    return array("q", map(len, lines))
+
 
 needs_compiler = pytest.mark.skipif(
     shutil.which((os.environ.get("CC") or "cc").split()[0]) is None,
@@ -162,7 +167,7 @@ def test_cutoff_on_a_native_build(fresh_kernel, monkeypatch, appendix):
     rng = random.Random(20261018)
     docs = [["a", "a" * 20, "aa9  (a)", "aa9 (a)"], *(random_document(rng) for _ in range(40))]
     assert any(sim is not None and d is None
-               for sim, d, _ in _pair_scores(docs[0], NormalizationMode.NONE, appendix, 0.5))
+               for sim, d, _ in pair_triples(docs[0], NormalizationMode.NONE, appendix, 0.5))
     for doc in docs:
         for model in MODELS:
             assert_cutoff_keeps_decisions(doc, model, 0.5)
@@ -236,7 +241,8 @@ def test_int64_guard_counts_every_code(monkeypatch):
     model = CostModel(indel_default=cost, replace_default=cost)
     doc = ["a", "b", "c"]
     for ws_agnostic, padding in ((True, {}), (False, {"pad_limit": 0})):
-        dists = kernel.score_document(doc, b"\1\1", model, ws_agnostic, 0.0)[1]
+        dists = kernel.score_document(doc, line_lengths(doc), b"\1\1", model, ws_agnostic,
+                                      0.0)[1]
         assert list(dists) == [ws_agnostic_naive(a, b, model, **padding)
                                for a, b in pairwise(doc)]
     assert len(calls) == 4
@@ -405,7 +411,8 @@ def assert_pairs_match(doc, model, want):
     for ws_agnostic, weight, single, padding in (
             (True, line_whitespace_cost, levenshtein_ws_agnostic, {}),
             (False, indel_sum, levenshtein_standard, {"pad_limit": 0})):
-        weights, dists = kernel.score_document(doc, want, model, ws_agnostic, 0.0)
+        weights, dists = kernel.score_document(doc, line_lengths(doc), want, model, ws_agnostic,
+                                               0.0)
         assert list(weights) == [weight(line, model) for line in doc], doc
         for j, wanted in enumerate(want):
             if not wanted:
@@ -486,8 +493,7 @@ import tempfile
 from wsadist import (CostModel, DetectConfig, NormalizationMode, detect_tables, kernel_backend,
                      levenshtein_standard, levenshtein_ws_agnostic, serialize_model)
 from wsadist.cli import main
-from wsadist.table_detect import _pair_scores
-from test_table_detect import MODELS, random_document, skewed_document
+from test_table_detect import MODELS, pair_triples, random_document, skewed_document
 
 print(kernel_backend())
 rng = random.Random(20261024)
@@ -503,7 +509,7 @@ print(levenshtein_standard("aaa", "bbb", big), levenshtein_ws_agnostic("aaa", "b
       levenshtein_ws_agnostic("a", "b", big))
 print([(levenshtein_standard(a, b, edge), levenshtein_ws_agnostic(a, b, edge))
        for a, b in [("a", "b"), ("a", "a"), ("a", " "), (" ", "b")]],
-      [list(_pair_scores(["a", "b", " a"][:n], NormalizationMode.NONE, edge, threshold))
+      [pair_triples(["a", "b", " a"][:n], NormalizationMode.NONE, edge, threshold)
        for n in (2, 3) for threshold in (0.0, 0.5)])
 # detection's cutoff at several thresholds, on skewed line lengths too, and
 # under a model whose indels and replacements come near the int64 guard
@@ -515,12 +521,12 @@ near = CostModel(indel_default=1 << 56, replace_default=1 << 56,
                  replace_costs={p: 1 for c in "aA9b" for p in ((c, " "), (" ", c))})
 for model in [*MODELS, near]:
     for threshold in (0.2, 0.5, 0.61, 0.9, 1.0):
-        print([list(_pair_scores(doc, NormalizationMode.NONE, model, threshold))
+        print([pair_triples(doc, NormalizationMode.NONE, model, threshold)
                for doc in docs[:20] + skewed])
 # the compiled kernel rules scored pairs out under the near-guard model
 assert kernel_backend() != "compiled" or any(
     sim is not None and d is None
-    for doc in skewed for sim, d, _ in _pair_scores(doc, NormalizationMode.NONE, near, 0.5))
+    for doc in skewed for sim, d, _ in pair_triples(doc, NormalizationMode.NONE, near, 0.5))
 # single pairs, both branches of the kernel's one entry
 pairs = [(doc[i], doc[i + 1]) for doc in docs[:20] for i in range(len(doc) - 1)]
 for model in MODELS:
@@ -595,9 +601,11 @@ def test_score_document_normalizes_as_each_line_would(mode):
         want = bytes(rng.random() < 0.8 for _ in pairwise(lines))
         for model in MODELS:
             for threshold in (0.0, 0.5):
-                scored = kernel.score_document(lines, want, model, True, threshold, mode)
-                expected = kernel.score_document([normalize_line(line, mode) for line in lines],
-                                                 want, model, True, threshold)
+                scored = kernel.score_document(lines, line_lengths(lines), want, model, True,
+                                               threshold, mode)
+                normalized = [normalize_line(line, mode) for line in lines]
+                expected = kernel.score_document(normalized, line_lengths(normalized), want,
+                                                 model, True, threshold)
                 assert [list(r) for r in scored] == [list(r) for r in expected], (lines, model)
 
 
@@ -617,8 +625,8 @@ def assert_identical_lines_score_zero(seed):
             for changed in others:
                 doc = [line, line, changed]
                 for ws_agnostic, padding in ((True, {}), (False, {"pad_limit": 0})):
-                    exact, cut = (kernel.score_document(doc, b"\1\1", model, ws_agnostic,
-                                                        threshold)[1]
+                    exact, cut = (kernel.score_document(doc, line_lengths(doc), b"\1\1", model,
+                                                        ws_agnostic, threshold)[1]
                                   for threshold in (0.0, 1.0))
                     assert exact[0] == cut[0] == 0, (line, model)
                     assert exact[1] == ws_agnostic_naive(line, changed, model, **padding), (

@@ -20,8 +20,7 @@ from wsadist import (
     unit_model,
     ws_agnostic_naive,
 )
-from wsadist.table_detect import _pair_scores
-from test_table_detect import assert_cutoff_keeps_decisions
+from test_table_detect import assert_cutoff_keeps_decisions, pair_triples
 
 ALPHABET = "aA9(),$ "
 
@@ -162,7 +161,7 @@ def test_detect_with_cutoff_matches_exact_decisions(lines, model, data):
     """Thresholds 0, 1, a random one and one where (1 - threshold) * D is
     an integer for a scored pair."""
     lines = [line.expandtabs(8) for line in lines]
-    weights = [heavier for _, d, heavier in _pair_scores(lines, NormalizationMode.CASED, model, 0.0)
+    weights = [heavier for _, d, heavier in pair_triples(lines, NormalizationMode.CASED, model, 0.0)
                if d is not None and heavier > 0]
     thresholds = [0.0, 1.0, data.draw(st.floats(min_value=0.0, max_value=1.0))]
     if weights:

@@ -2,7 +2,7 @@ import logging
 import math
 import random
 import tracemalloc
-from itertools import pairwise
+from itertools import chain, pairwise
 
 import pytest
 
@@ -58,6 +58,11 @@ class TestRowSimilarity:
 
     def test_blank_vs_blank(self, unit):
         assert row_similarity("", "    ", unit) == 1.0
+
+    def test_whitespace_that_weighs_is_not_similar(self, unit):
+        # only lines of D = 0 are fully similar: a tab or U+3000 costs 1
+        assert row_similarity("\t", "", unit) == 0.0
+        assert row_similarity("\u3000", " ", unit) == 0.0
 
     def test_clamped_at_zero(self, appendix):
         # replace('(', ')') = 999 exceeds either line's whitespace cost
@@ -140,6 +145,12 @@ class TestDetectConfigValidation:
             DetectConfig(tab_width=1 << 31)
         assert DetectConfig(tab_width=(1 << 31) - 1).tab_width == (1 << 31) - 1
 
+    @pytest.mark.parametrize("field", ["min_rows", "tab_width"])
+    def test_integers_only(self, field):
+        for value in (2.5, 3.0, "3", None):
+            with pytest.raises(TypeError):
+                DetectConfig(**{field: value})
+
 
 class TestRecords:
     def test_region(self):
@@ -173,23 +184,37 @@ class TestRecords:
                 pytest.fail("no match")
 
 
-def reference_regions(lines, config):
-    """Detection one pair at a time through ``row_similarity``, as it was
-    before documents were encoded once."""
+def reference_similarities(lines, config):
+    """Each adjacent pair's similarity, one pair at a time through
+    ``row_similarity``, as detection scored them before documents were
+    encoded once: None for a pair with a blank line, 0.0 for one over the
+    cell limit."""
     prepared = [normalize_line(line.expandtabs(config.tab_width), config.mode) for line in lines]
-    regions, sims = [], []
-    for i, (above, line) in enumerate(pairwise(prepared + [""]), 1):
+    sims = []
+    for above, line in pairwise(prepared):
+        sim = None
         if above.strip() and line.strip():
             try:
                 sim = row_similarity(above, line, config.model)
             except SizeLimitError:
                 sim = 0.0
-            if sim >= config.threshold:
-                sims.append(sim)
-                continue
-        if len(sims) + 1 >= config.min_rows:
-            regions.append(TableRegion(i - 1 - len(sims), i - 1, sum(sims) / len(sims)))
-        sims = []
+        sims.append(sim)
+    return sims
+
+
+def reference_regions(lines, config, sims=None):
+    """Detection over ``reference_similarities``, which ``sims`` may give
+    already: a pair joins at or above the threshold, and each run of joined
+    pairs closes at the first one that does not, or at the end."""
+    sims = reference_similarities(lines, config) if sims is None else sims
+    regions, run = [], []
+    for i, sim in enumerate(chain(sims, [None]), 1):
+        if sim is not None and sim >= config.threshold:
+            run.append(sim)
+            continue
+        if len(run) + 1 >= config.min_rows:
+            regions.append(TableRegion(i - 1 - len(run), i - 1, sum(run) / len(run)))
+        run = []
     return regions
 
 
@@ -231,17 +256,102 @@ def random_document(rng):
     return lines
 
 
-def test_matches_reference_on_random_documents():
-    rng = random.Random(20261018)
+# blank lines of other whitespace: str.strip and str.isspace take them all
+ODD_BLANKS = ["\x0b", "\u3000", "\x85", "\x0b\u3000\x85"]
+
+
+def reference_document(rng, n):
+    """Documents for the reference differential: every tenth is empty or of
+    one line; of the rest, one in three is a ``random_document`` whose blank
+    lines are only ``ODD_BLANKS``, one a ``skewed_document``."""
+    if n % 10 == 0:
+        return random_document(rng)[:n // 10 % 2]
+    doc = (random_document, skewed_document)[n % 3 == 2](rng)
+    if n % 3 == 1:
+        doc = [line if line.strip() else rng.choice(ODD_BLANKS) for line in doc]
+    return doc
+
+
+def assert_matches_reference(doc, model, mode, tab_width, thresholds):
+    """``detect_tables`` equals ``reference_regions`` at each threshold, with
+    min_rows 2 to 5."""
+    sims = reference_similarities(doc, DetectConfig(0.0, 2, mode, model, tab_width))
+    for threshold in thresholds:
+        for min_rows in range(2, 6):
+            config = DetectConfig(threshold, min_rows, mode, model, tab_width)
+            assert detect_tables(doc, config) == reference_regions(doc, config, sims), (
+                doc, config)
+
+
+def all_edge_thresholds(doc, model, mode, tab_width):
+    """``pair_edges`` of every scored pair of ``doc``, up to 1."""
+    lines = [line.expandtabs(tab_width) for line in doc]
+    return sorted({edge for pair in scored_pairs(lines, mode, model) for edge in pair_edges(*pair)
+                   if edge <= 1.0})
+
+
+def assert_matches_reference_on_random_documents(seed, count):
+    rng = random.Random(seed)
     modes = list(NormalizationMode)
-    for n in range(2400):
-        doc = random_document(rng)
+    for n in range(count):
+        doc = reference_document(rng, n)
         model, mode = MODELS[n % len(MODELS)], modes[n // len(MODELS) % len(modes)]
         tab_width = rng.choice([1, 4, 8])
-        for threshold in (0.0, 1.0):
-            for min_rows in (2, 3):
-                config = DetectConfig(threshold, min_rows, mode, model, tab_width)
-                assert detect_tables(doc, config) == reference_regions(doc, config), (doc, config)
+        thresholds = [0.0, 0.5, 1.0, rng.random(),
+                      *all_edge_thresholds(doc, model, mode, tab_width)]
+        assert_matches_reference(doc, model, mode, tab_width, thresholds)
+
+
+def test_matches_reference_on_random_documents():
+    assert_matches_reference_on_random_documents(20261018, 900)
+
+
+def test_matches_reference_on_interpreted_kernel(fresh_kernel, monkeypatch, caplog):
+    monkeypatch.setenv("CC", "/nonexistent/cc")
+    with caplog.at_level(logging.WARNING, logger="wsadist"):
+        assert kernel_backend() == "interpreted"
+        assert_matches_reference_on_random_documents(20261019, 200)
+
+
+# two 9000-character rows: 81,000,000 cells, past the 2 ** 26-cell limit
+WIDE_ROWS = [("Bill 6 ft 190 lb  " * 500)[:9000], ("Tina 5 ft 5 in  " * 600)[:9000]]
+
+
+def assert_over_limit_pair_inside_a_run(models):
+    """The over-limit pair scores 0.0: at threshold 0 the run goes on
+    through it, above 0 it splits the table around it."""
+    doc = THREE_ROW_TABLE + WIDE_ROWS + THREE_ROW_TABLE
+    for model in models:
+        assert_matches_reference(doc, model, NormalizationMode.CASED, 8, [0.0, 0.5])
+    config = DetectConfig(threshold=0.0, min_rows=5)
+    [region] = detect_tables(doc, config)
+    assert (region.start_line, region.end_line) == (0, 7)
+    assert reference_similarities(doc, config)[3] == 0.0
+
+
+def test_over_limit_pair_inside_a_run(unit, appendix):
+    assert_over_limit_pair_inside_a_run([unit, appendix, MODELS[2]])
+
+
+def test_over_limit_pair_inside_a_run_on_interpreted_kernel(fresh_kernel, monkeypatch, caplog,
+                                                            unit):
+    monkeypatch.setenv("CC", "/nonexistent/cc")
+    with caplog.at_level(logging.WARNING, logger="wsadist"):
+        assert kernel_backend() == "interpreted"
+        assert_over_limit_pair_inside_a_run([unit])
+
+
+def test_pair_at_the_cell_limit_is_scored():
+    """8192 x 8192 cells are the limit itself: the pair is scored, as two
+    identical lines, which the compiled kernel scores 0 with no DP, beside
+    pairs over the limit, which score 0.0."""
+    if kernel_backend() != "compiled":
+        pytest.skip("no compiled kernel")
+    line = ("aa 99 " * 1366)[:8192]
+    config = DetectConfig(threshold=0.5, min_rows=2)
+    assert detect_tables([line, line], config) == [TableRegion(0, 1, 1.0)]
+    doc = [line, line, line + "9", line + "9", "", *WIDE_ROWS]
+    assert detect_tables(doc, config) == [TableRegion(0, 1, 1.0)]
 
 
 def test_weightless_pair_over_cell_limit_is_similar():
@@ -325,14 +435,23 @@ def skewed_document(rng):
             for _ in range(rng.randint(2, 8))]
 
 
+def pair_triples(lines, mode, model, threshold):
+    """``_pair_scores``'s lists as one ``(score, d, D)`` per adjacent pair:
+    d is None when the pair was not scored or was ruled out at
+    ``threshold``, D is the heavier line's weight."""
+    _, want, weights, dists, sims = _pair_scores(lines, mode, model, threshold)
+    return [(sim, d if wanted and d >= 0 else None, max(w1, w2))
+            for sim, wanted, d, w1, w2 in zip(sims, want, dists, weights, weights[1:])]
+
+
 def assert_cutoff_keeps_decisions(doc, model, threshold, mode=NormalizationMode.CASED):
     """Detection at ``threshold``, where the kernel may rule pairs out,
     against the exact scores of threshold 0: each pair keeps its d and
     score, or has d None, a score of 0.0 and an exact score below
     ``threshold``.  The regions equal ``reference_regions``'s."""
     lines = [line.expandtabs(8) for line in doc]
-    exact = list(_pair_scores(lines, mode, model, 0.0))
-    cut = list(_pair_scores(lines, mode, model, threshold))
+    exact = pair_triples(lines, mode, model, 0.0)
+    cut = pair_triples(lines, mode, model, threshold)
     assert len(cut) == len(exact)
     for (sim, d, heavier), (sim_cut, d_cut, heavier_cut) in zip(exact, cut):
         assert heavier_cut == heavier
@@ -344,18 +463,24 @@ def assert_cutoff_keeps_decisions(doc, model, threshold, mode=NormalizationMode.
     assert detect_tables(doc, config) == reference_regions(doc, config), (doc, model, threshold)
 
 
-def edge_thresholds(doc, model, rng):
-    """Thresholds at which (1 - threshold) * D is an integer for one scored
-    pair of ``doc``: its own score, and that of d - 1 and d + 1; and the
-    next double above its score, which the pair no longer reaches."""
-    scored = [(d, heavier) for sim, d, heavier in _pair_scores(doc, NormalizationMode.CASED,
-                                                                model, 0.0)
-              if d is not None and heavier > 0]
-    if not scored:
-        return []
-    d, heavier = rng.choice(scored)
+def scored_pairs(lines, mode, model):
+    """The ``(d, D)`` of each pair of ``lines`` scored with D > 0."""
+    return [(d, heavier) for sim, d, heavier in pair_triples(lines, mode, model, 0.0)
+            if d is not None and heavier > 0]
+
+
+def pair_edges(d, heavier):
+    """Thresholds at which (1 - threshold) * D is an integer for a scored
+    pair: its own score, and that of d - 1 and d + 1; and the next double
+    above its score, which the pair no longer reaches."""
     edges = [1.0 - t / heavier for t in (d - 1, d, d + 1) if 0 <= t <= heavier]
     return [*edges, math.nextafter(1.0 - min(d, heavier) / heavier, 2.0)]
+
+
+def edge_thresholds(doc, model, rng):
+    """``pair_edges`` of one scored pair of ``doc``."""
+    scored = scored_pairs(doc, NormalizationMode.CASED, model)
+    return pair_edges(*rng.choice(scored)) if scored else []
 
 
 def assert_cutoff_matches_exact(seed):
@@ -401,8 +526,8 @@ def test_cutoff_at_a_pairs_own_score(s1, s2, model):
     edge = max(0.0, 1.0 - d / heavier)
     assert 0.0 < edge < 1.0
     mode = NormalizationMode.NONE
-    assert list(_pair_scores([s1, s2], mode, model, edge)) == [(edge, d, heavier)]
-    [(sim, d_cut, _)] = _pair_scores([s1, s2], mode, model, math.nextafter(edge, 2.0))
+    assert pair_triples([s1, s2], mode, model, edge) == [(edge, d, heavier)]
+    [(sim, d_cut, _)] = pair_triples([s1, s2], mode, model, math.nextafter(edge, 2.0))
     if kernel_backend() == "compiled":
         assert (sim, d_cut) == (0.0, None)
     for threshold in (edge, math.nextafter(edge, 2.0), 0.0, 1.0):
