@@ -40,6 +40,8 @@ def _read_text(operand: str) -> str:
     if operand == "-":
         # strict UTF-8 with "\r" kept, as a file is read; bare text streams as text
         stdin = sys.stdin
+        if stdin is None:  # Python's stand-in for a closed descriptor 0
+            raise OSError("standard input is closed")
         return stdin.buffer.read().decode() if hasattr(stdin, "buffer") else stdin.read()
     # newline="": "\r" reaches split_lines as it is in the file
     with open(operand, "r", encoding="utf-8", newline="") as fh:

@@ -265,7 +265,7 @@ def load_model(config_text: str) -> CostModel:
     malformed JSON and ModelValidationError on invariant violations."""
     try:
         doc = json.loads(config_text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise ModelParseError(f"malformed model document: {exc}") from exc
     return model_from_dict(doc)
 

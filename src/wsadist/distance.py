@@ -23,7 +23,6 @@ compiled kernel a 4000x4000-character pair takes 22-36 ms on a 2-vCPU VM.
 
 from __future__ import annotations
 
-from array import array
 from enum import Enum
 from operator import mul
 
@@ -66,8 +65,7 @@ def _pair_distance(s1: str, s2: str, model: CostModel | None, max_cells: int,
     if not (s1 and s2):
         del_cost, ins_cost = edge_costs(ws_agnostic)
         return sum(del_cost(model, c) for c in s1) + sum(ins_cost(model, c) for c in s2)
-    return score_document((s1, s2), array("q", (len(s1), len(s2))), b"\1", model, ws_agnostic,
-                          0.0)[1][0]
+    return score_document((s1, s2), (len(s1), len(s2)), b"\1", model, ws_agnostic, 0.0)[1][0]
 
 
 def levenshtein_standard(
@@ -94,7 +92,7 @@ def _paired_distances(left, right, model: CostModel, ws_agnostic: bool, mode):
     them all, interleaved as one document."""
     lines = [""] * (2 * len(left))
     lines[::2], lines[1::2] = left, right
-    lengths = array("q", list(map(len, lines)))
+    lengths = list(map(len, lines))
     if max(map(mul, lengths[::2], lengths[1::2]), default=0) > DEFAULT_MAX_CELLS:
         for n1, n2 in zip(lengths[::2], lengths[1::2]):  # the first pair over the limit raises
             _check_cells(n1, n2, DEFAULT_MAX_CELLS)

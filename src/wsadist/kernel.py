@@ -36,12 +36,13 @@ alone decides this.
 Only this module knows the kernel's input: detection's lines, the line
 pairs of ``wsadist dist`` interleaved, and a single pair all go through
 ``score_document``, which joins, normalizes and encodes them once, into
-bytes the kernel reads in place beside the line lengths, and builds one
-set of tables for one ``dp_pairs`` call.  Detection passes its
-threshold, and the kernel then computes d exactly only for the pairs
-that can reach it: a length bound rules some out with no DP, and the
-rest run in a diagonal band (see ``dp_pairs`` and ``_kernel.c``).
-``wsadist dist`` and single pairs pass threshold 0: every d is exact.
+bytes the kernel reads in place beside an array of the line lengths, and
+builds one cost block (``alphabet_costs``) for one ``dp_pairs`` call.
+Detection passes its threshold, and the kernel then computes d exactly
+only for the pairs that can reach it: a length bound rules some out with
+no DP, and the rest run in a diagonal band (see ``dp_pairs`` and
+``_kernel.c``).  ``wsadist dist`` and single pairs pass threshold 0:
+every d is exact.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ import shlex
 import sys
 import threading
 from array import array
-from itertools import accumulate, chain, pairwise
+from itertools import accumulate, pairwise
 from pathlib import Path
 
 from .cost_model import CostModel
@@ -212,37 +213,38 @@ def edge_costs(ws_agnostic: bool):
     return CostModel.indel, CostModel.indel
 
 
-def alphabet_costs(alphabet: Alphabet, m: int, model: CostModel, ws_agnostic: bool):
+def alphabet_costs(alphabet: Alphabet, m: int, model: CostModel, ws_agnostic: bool) -> list:
     """``model``'s costs over ``alphabet``, a ``model_alphabet`` of size m
-    that both lines of each pair are encoded in, as four lists: per-symbol
-    indel costs, the deletion-side and insertion-side ``edge_costs`` (the
-    indel list itself for ``indel``), and the (m+1) x k replacement costs
-    (a to b at row a, column b; row m is the default everywhere)."""
+    that both lines of each pair are encoded in, as the one block that
+    ``wsadist_pairs`` reads, (m + 4) x k entries for k symbols: the indel
+    costs, then the deletion-side and the insertion-side ``edge_costs``
+    (last column, last row), k each, then the (m+1) x k replacement costs,
+    row-major: a to b at row a, column b, and row m, the default
+    everywhere, for every row symbol from m on."""
     chars = [chr(point) for point in alphabet]
-    indel = [model.indel(c) for c in chars]
+    costs = [model.indel(c) for c in chars]
+    for cost in edge_costs(ws_agnostic):
+        costs += costs[:len(chars)] if cost is CostModel.indel else [cost(model, c) for c in chars]
     default, rows = model.replace_default, model._replace_rows
-    rep = [0 if a == b else rows[a].get(b, default) for a in chars[:m] for b in chars]
-    rep += [default] * len(chars)
-    del_cost, ins_cost = edge_costs(ws_agnostic)
-    ws_del = indel if del_cost is CostModel.indel else [del_cost(model, c) for c in chars]
-    ws_ins = indel if ins_cost is CostModel.indel else [ins_cost(model, c) for c in chars]
-    return indel, ws_del, ws_ins, rep
+    costs += [0 if a == b else rows[a].get(b, default) for a in chars[:m] for b in chars]
+    costs += [default] * len(chars)
+    return costs
 
 
 def score_document(lines, lengths, want: bytes, model: CostModel, ws_agnostic: bool,
                    threshold: float, mode=None):
     """``dp_pairs``'s ``(weights, dists)`` for a document of ``lines``, of
-    ``lengths`` (array('q'), from the caller, who has them already),
-    joined and, given a ``NormalizationMode``, normalized, which keeps each
-    line's length: one encoding into its ``model_alphabet``, ``model``'s
-    tables for the distance ``ws_agnostic`` picks, and one kernel call."""
+    ``lengths`` (ints, from the caller, who has them already), joined and,
+    given a ``NormalizationMode``, normalized, which keeps each line's
+    length: one encoding into its ``model_alphabet``, one cost block for
+    the distance ``ws_agnostic`` picks, and one kernel call."""
     text = "".join(lines)
     if mode is not None:
         text = normalize_line(text, mode)
     alphabet = model_alphabet(model, text)
     m = len(alphabet)
-    return dp_pairs(encode(text, alphabet), lengths, want, m,
-                    *alphabet_costs(alphabet, m, model, ws_agnostic), threshold)
+    return dp_pairs(encode(text, alphabet), array("q", lengths), want, m,
+                    alphabet_costs(alphabet, m, model, ws_agnostic), threshold)
 
 
 def _refusal(result: int, lengths) -> Exception:
@@ -254,13 +256,13 @@ def _refusal(result: int, lengths) -> Exception:
                         "[0, k], line lengths outside its codes or a threshold outside [0, 1]")
 
 
-def dp_pairs(codes, lengths, want: bytes, m: int, indel, ws_del, ws_ins, rep, threshold: float):
+def dp_pairs(codes, lengths, want: bytes, m: int, costs, threshold: float):
     """Every line's weight and the distance of each wanted adjacent pair
     of one document, in one call.
 
     ``codes`` is ``encode``'s bytes, in one ``model_alphabet`` of size m,
-    and line i the next ``lengths[i]`` codes (array('q')); the tables are
-    as ``alphabet_costs`` returns them.  ``want`` holds one byte per
+    and line i the next ``lengths[i]`` codes (array('q')); ``costs`` is
+    the block ``alphabet_costs`` returns.  ``want`` holds one byte per
     adjacent pair; either line of a wanted pair may be empty.  Returns
     ``(weights, dists)``: weights[i] is the sum of the edge table
     ``ws_del`` over line i (of indel costs, which nothing reads, for the
@@ -271,8 +273,8 @@ def dp_pairs(codes, lengths, want: bytes, m: int, indel, ws_del, ws_ins, rep, th
     write -1 in place of d for a pair whose ``1.0 - d / D``, D the
     heavier line's weight, is sure to fall below it, and d is exact for
     every other pair.  Threshold 0 rules nothing out.  Runs the compiled
-    kernel on the tables packed into one array('q') when it is available
-    and no path sum can exceed int64, else ``dp_interpreted`` on each
+    kernel on the block as one array('q') when it is available and no
+    path sum can exceed int64, else ``dp_interpreted`` on each
     wanted pair, which computes every d over Python ints.  A pair's path
     sums are at most n1 + n2 steps of the dearest cost, and n1 + n2 is at
     most the number of codes, with equality for a single pair: the route
@@ -282,19 +284,19 @@ def dp_pairs(codes, lengths, want: bytes, m: int, indel, ws_del, ws_ins, rep, th
     if len(want) != max(lines - 1, 0):
         raise ValueError(f"{lines} lines and {len(want)} wanted flags do not agree")
     lib = _compiled_library()
-    # no edge cost is above its indel; a cost beyond int64 stays interpreted anyway
-    dearest = max(chain(indel, rep), default=0)
-    if lib is None or max(ncodes, 1) * dearest > _INT64_MAX:
+    k = len(costs) // (m + 4)
+    # a cost beyond int64 stays interpreted anyway
+    if lib is None or max(ncodes, 1) * max(costs, default=0) > _INT64_MAX:
         codes = memoryview(codes).cast("I")
         offsets = list(accumulate(lengths, initial=0))
+        ws_del = costs[k:2 * k]
         weights = [sum(ws_del[c] for c in codes[a:b]) for a, b in pairwise(offsets)]
-        dists = [dp_interpreted(codes[a:b], codes[b:c], indel, ws_del, ws_ins, rep, m)
-                 if wanted else 0
+        dists = [dp_interpreted(codes[a:b], codes[b:c], costs, m) if wanted else 0
                  for wanted, a, b, c in zip(want, offsets, offsets[1:], offsets[2:])]
         return weights, dists
     weights, dists = array("q", [0]) * lines, array("q", [0]) * len(want)
-    costs = array("q", indel + ws_del + ws_ins + rep)
-    result = lib.wsadist_pairs(lines, lengths.buffer_info()[0], ncodes, codes, len(indel),
+    costs = array("q", costs)
+    result = lib.wsadist_pairs(lines, lengths.buffer_info()[0], ncodes, codes, k,
                                costs.buffer_info()[0], m, want, weights.buffer_info()[0],
                                dists.buffer_info()[0], threshold)
     if result < 0:
@@ -302,26 +304,25 @@ def dp_pairs(codes, lengths, want: bytes, m: int, indel, ws_del, ws_ins, rep, th
     return weights, dists
 
 
-def dp_interpreted(code1, code2, indel, ws_del, ws_ins, rep, m: int) -> int:
+def dp_interpreted(code1, code2, costs, m: int) -> int:
     """Two-row DP over the (n1+1) x (n2+1) lattice, in plain Python.
 
-    code1 and code2 index one alphabet of size k; ``indel`` holds
-    per-symbol indel costs, ``ws_del``/``ws_ins`` the edge costs of the
-    last column and the last row (``edge_costs``), and ``rep`` the
-    replacement costs in row-major order, k to a row: row a for a row
-    symbol a < m, and row m, with column a taken as 0, for one from m on.
-    m is in [0, k].  With n1 = 0, row 0 is the last row, and with n2 = 0,
-    column 0 the last column.
+    code1 and code2 index one alphabet of size k, and ``costs`` is its
+    block as ``alphabet_costs`` lays it out, of (m + 4) x k entries; m is in
+    [0, k].  A row symbol from m on takes row m with its own column as 0.
+    With n1 = 0, row 0 is the last row, and with n2 = 0, column 0 the last
+    column.
     """
-    n1, n2, k = len(code1), len(code2), len(indel)
+    n1, n2, k = len(code1), len(code2), len(costs) // (m + 4)
+    indel, ws_del, ws_ins = costs[:k], costs[k:2 * k], costs[2 * k:3 * k]
     ins = [(ws_ins if n1 == 0 else indel)[b] for b in code2]
     prev = list(accumulate(ins, initial=0))
     for i, a in enumerate(code1, 1):
         dcost = ws_del[a] if n2 == 0 else indel[a]
         if i == n1:
             ins = [ws_ins[b] for b in code2]
-        shared = min(a, m)
-        row = rep[shared * k:(shared + 1) * k]
+        shared = min(a, m) + 3  # the replacement rows follow the three k-entry tables
+        row = costs[shared * k:(shared + 1) * k]
         if a >= m:
             row[a] = 0
         left = prev[0] + dcost

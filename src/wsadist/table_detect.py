@@ -10,7 +10,6 @@ stays at or above a threshold, with a minimum run length.  Blank lines
 
 from __future__ import annotations
 
-from array import array
 from itertools import repeat
 from operator import and_, index, mul
 
@@ -81,7 +80,7 @@ def _pair_scores(lines: list[str], mode: NormalizationMode, model: CostModel,
     with a blank line, 1.0 when D = 0, 0.0 when unwanted or ruled out, else
     ``row_similarity``'s value on the normalized lines."""
     # normalizing keeps whitespace as it is, and each line's length
-    lengths = array("q", list(map(len, lines)))
+    lengths = list(map(len, lines))
     filled = bytes(map(bool, map(str.strip, lines)))
     both = want = bytes(map(and_, filled, filled[1:]))
     if max(map(mul, lengths, lengths[1:]), default=0) > DEFAULT_MAX_CELLS:

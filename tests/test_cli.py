@@ -27,6 +27,7 @@ from wsadist import (
 )
 from wsadist.cli import build_parser, main, split_lines
 from wsadist.distance import _DISPATCH
+from test_cost_model import UNPARSABLE_JSON
 from test_kernel import LIST_TABLES
 from test_table_detect import MODELS, PIECES
 
@@ -366,6 +367,23 @@ class TestExitCodes:
         assert (code, out) == (3, "")
         assert "cannot read input" in err
 
+    @pytest.mark.parametrize("argv", [["detect", "-"], ["normalize"], ["dist", "--files", "-"]],
+                             ids=["detect", "normalize", "dist"])
+    def test_closed_stdin_exits_3(self, capsys, monkeypatch, tmp_path, argv):
+        """Python sets ``sys.stdin`` to None when descriptor 0 is closed."""
+        other = tmp_path / "ok.txt"
+        other.write_text("ab\n", encoding="utf-8")
+        operands = [str(other)] if "--files" in argv else []
+        monkeypatch.setattr("sys.stdin", None)
+        assert run(capsys, *argv, *operands) == (
+            3, "", "wsadist: cannot read input: standard input is closed\n")
+        # the same in a fresh process whose descriptor 0 is closed
+        proc = subprocess.run(["sh", "-c", 'exec "$@" <&-', "sh", sys.executable, "-m",
+                               "wsadist.cli", *argv, *operands],
+                              capture_output=True, text=True, env=cli_env(), timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            3, "", "wsadist: cannot read input: standard input is closed\n")
+
     def test_stdin_bytes_read_as_a_file_is(self, capsys, monkeypatch, tmp_path):
         r"""A "\r", alone or before "\n", reaches the output from standard
         input as from a file, where a text stream would translate it."""
@@ -417,6 +435,14 @@ class TestExitCodes:
         code, _, err = run(capsys, "dist", "--model", str(model), "a", "b")
         assert code == 2
         assert "bad cost model" in err
+
+    @pytest.mark.parametrize("doc", UNPARSABLE_JSON, ids=["deep", "long-int"])
+    def test_model_json_cannot_parse_exits_2(self, capsys, tmp_path, doc):
+        model = tmp_path / "bad.json"
+        model.write_text(doc)
+        code, out, err = run(capsys, "dist", "--model", str(model), "a", "b")
+        assert (code, out) == (2, "")
+        assert err.startswith("wsadist: bad cost model: malformed model document: ")
 
     def test_missing_model_file_exits_3(self, capsys, tmp_path):
         code, _, _ = run(capsys, "dist", "--model", str(tmp_path / "nope.json"), "a", "b")

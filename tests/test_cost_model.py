@@ -1,6 +1,7 @@
 import copy
 import json
 import pickle
+import sys
 from importlib import resources
 
 import pytest
@@ -97,6 +98,14 @@ class TestAppendixModel:
         assert appendix_model() == load_model(text)
 
 
+# documents json.loads refuses with no JSONDecodeError
+UNPARSABLE_JSON = [
+    "[" * 100_000,
+    pytest.param("1" * 5000, marks=pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no limit on int digits")),
+]
+
+
 class TestLoadModel:
     def test_defaults_only_behaves_as_unit(self, unit):
         m = load_model('{"indel_default": 1, "replace_default": 1, "replace_identity": 0}')
@@ -130,6 +139,13 @@ class TestLoadModel:
     def test_malformed_json_rejected(self):
         with pytest.raises(ModelParseError):
             load_model("{not json")
+
+    @pytest.mark.parametrize("doc", UNPARSABLE_JSON, ids=["deep", "long-int"])
+    def test_json_refused_without_decode_error_is_malformed(self, doc):
+        """``json.loads`` refuses these with a RecursionError and a plain
+        ValueError, not a JSONDecodeError."""
+        with pytest.raises(ModelParseError, match="^malformed model document: "):
+            load_model(doc)
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ModelValidationError, match="bogus"):

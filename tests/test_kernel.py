@@ -356,10 +356,11 @@ def assert_model_alphabet_matches_oracle(seed):
             lengths = array("q", [len(s1), len(s2)])
             ws_costs, std_costs = (kernel.alphabet_costs(alphabet, m, model, ws_agnostic)
                                    for ws_agnostic in (True, False))
-            assert len(ws_costs[3]) == (m + 1) * len(alphabet)
+            k = len(alphabet)
+            assert len(ws_costs) == len(std_costs) == (m + 4) * k
             # classical: the indel table is both edge tables
-            assert std_costs[0] is std_costs[1] is std_costs[2]
-            ws_d, std_d = (kernel.dp_pairs(codes, lengths, b"\x01", m, *costs, 0.0)[1][0]
+            assert std_costs[:k] == std_costs[k:2 * k] == std_costs[2 * k:3 * k]
+            ws_d, std_d = (kernel.dp_pairs(codes, lengths, b"\x01", m, costs, 0.0)[1][0]
                            for costs in (ws_costs, std_costs))
             assert ws_d == levenshtein_ws_agnostic(s1, s2, model), (s1, s2, model)
             assert std_d == levenshtein_standard(s1, s2, model), (s1, s2, model)
@@ -453,8 +454,8 @@ def test_batch_takes_list_tables_with_every_line_empty():
     for ws_agnostic in (True, False):
         codes, lengths, m, costs = encode_document(["", "", ""], LIST_TABLES, ws_agnostic,
                                                    leads="a9")
-        assert isinstance(costs[3], list)
-        assert kernel.dp_pairs(codes, lengths, bytes(2), m, *costs, 0.0) == ([0, 0, 0], [0, 0])
+        assert isinstance(costs, list)
+        assert kernel.dp_pairs(codes, lengths, bytes(2), m, costs, 0.0) == ([0, 0, 0], [0, 0])
 
 
 @needs_compiler
@@ -463,14 +464,27 @@ def test_c_batch_scores_a_document_of_empty_lines_from_empty_bytes():
     for ws_agnostic in (True, False):
         codes, lengths, m, costs = encode_document(["", "", ""], MODELS[0], ws_agnostic)
         assert codes == b""
-        weights, dists = kernel.dp_pairs(codes, lengths, bytes([1, 1]), m, *costs, 0.0)
+        weights, dists = kernel.dp_pairs(codes, lengths, bytes([1, 1]), m, costs, 0.0)
         assert (list(weights), list(dists)) == ([0, 0, 0], [0, 0])
 
 
 def test_batch_refuses_flags_that_do_not_match_the_lines():
     codes, lengths, m, costs = encode_document(["a", "9"], MODELS[0], True)
     with pytest.raises(ValueError):
-        kernel.dp_pairs(codes, lengths, bytes(2), m, *costs, 0.0)
+        kernel.dp_pairs(codes, lengths, bytes(2), m, costs, 0.0)
+
+
+@needs_compiler
+def test_dp_pairs_raises_the_kernels_refusal():
+    """A code outside the alphabet, or line lengths that add up to more than
+    the codes, make the kernel return -2, which ``dp_pairs`` raises."""
+    assert kernel_backend() == "compiled"
+    codes, lengths, m, costs = encode_document(["a", "9"], MODELS[0], True)
+    outside = array("I", [0, len(costs) // (m + 4)]).tobytes()
+    for bad_codes, bad_lengths in ((outside, lengths), (codes, array("q", [1, 2]))):
+        with pytest.raises(RuntimeError, match="^DP kernel refused a symbol code outside its "
+                                               "alphabet, .* line lengths outside its codes"):
+            kernel.dp_pairs(bad_codes, bad_lengths, b"\1", m, costs, 0.0)
 
 
 @needs_compiler
@@ -656,7 +670,7 @@ def test_pair_of_distinct_symbols_has_one_shared_row():
     alphabet = kernel.model_alphabet(model, s1)
     m = len(alphabet)
     kernel.encode(s1 + s2, alphabet)
-    rep = kernel.alphabet_costs(alphabet, m, model, True)[3]
+    rep = kernel.alphabet_costs(alphabet, m, model, True)[3 * len(alphabet):]
     assert m == 0 and len(rep) == (m + 1) * len(alphabet) == 4000
     tracemalloc.start()
     try:

@@ -1,7 +1,10 @@
 """Property tests over the spec'd invariants of the distance and
 detection layers."""
 
+import subprocess
+import sys
 from array import array
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -69,7 +72,7 @@ def test_ws_agnostic_matches_padded_oracle_under_asymmetric_models(s1, s2, model
     lengths = array("q", [len(s1), len(s2)])
     for ws_agnostic, padding in ((True, {}), (False, {"pad_limit": 0})):
         costs = kernel.alphabet_costs(alphabet, m, model, ws_agnostic)
-        assert kernel.dp_pairs(codes, lengths, b"\x01", m, *costs, 0.0)[1][0] == (
+        assert kernel.dp_pairs(codes, lengths, b"\x01", m, costs, 0.0)[1][0] == (
             ws_agnostic_naive(s1, s2, model, **padding))
 
 
@@ -206,3 +209,33 @@ def test_lines_outside_regions_do_not_interfere():
 def test_line_whitespace_cost_matches_empty_distance(model):
     for line in ["", "   ", "a9 A$", "((, ))"]:
         assert line_whitespace_cost(line, model) == levenshtein_ws_agnostic("", line, model)
+
+
+FALSE_PROPERTY = """from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_false(x):
+    assert x < 5
+
+
+def test_after():
+    pass
+"""
+
+
+def test_false_property_fails_alone_and_prints_its_example(tmp_path):
+    """Under the project's pytest settings, where warnings are errors, a
+    false ``@given`` test fails as itself with its falsifying example, and
+    the tests after it run: printing the example imports libcst, whose
+    import warns, and that warning must not end the run in an INTERNALERROR."""
+    (tmp_path / "test_false.py").write_text(FALSE_PROPERTY)
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-c", str(config),
+                           "-p", "no:cacheprovider", "test_false.py"],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    output = proc.stdout + proc.stderr
+    assert proc.returncode == 1, output
+    assert "Falsifying example" in output
+    assert "INTERNALERROR" not in output
+    assert "1 failed, 1 passed" in output
