@@ -12,13 +12,14 @@
  * Given a detection threshold in (0, 1], it computes d exactly only for
  * the pairs that can reach it, and marks the rest -1.  A pair's cutoff
  * T is the largest d with 1.0 - d / D >= threshold, D the heavier line's
- * weight, as Python computes it.  A pair is ruled out with no DP when its
- * length bound -- every character of one line that no diagonal move
- * takes pays at least its edge cost -- exceeds T.  The rest run in a
- * band: an interior cell with |i - j| * min_indel > T, min_indel the
- * cheapest indel cost, is skipped; the last row and the last column stay
- * full, since edge moves there can be free.  Threshold 0 is no cutoff:
- * every d is exact.
+ * weight, as Python computes it, so that -1 means exactly a similarity
+ * below the threshold wherever cutoff() gives a limit.  A pair is ruled
+ * out with no DP when its length bound -- every character of one line
+ * that no diagonal move takes pays at least its edge cost -- exceeds T.
+ * The rest run in a band: an interior cell with |i - j| * min_indel > T,
+ * min_indel the cheapest indel cost, is skipped; the last row and the
+ * last column stay full, since edge moves there can be free.  Threshold
+ * 0 is no cutoff: every d is exact.
  *
  * A wanted pair of two identical lines gets d = 0 with no DP: most line
  * pairs of two versions of a text are unchanged.
@@ -50,15 +51,21 @@ static inline int64_t cell(int64_t up, int64_t dcost, int64_t left, int64_t icos
     return best;
 }
 
+/* 1 when doubles are evaluated as double, so that cutoff() computes
+ * 1.0 - d / D as Python does; where not, it gives no limit, and
+ * wsadist.kernel, which reads this at load, rules the pairs out itself.
+ * FLT_EVAL_METHOD 16, which GCC sets with AVX512-FP16 (-march=native on
+ * such a CPU), widens only _Float16 and evaluates double as double, as 0
+ * does. */
+const int wsadist_exact_cutoff = FLT_EVAL_METHOD == 0 || FLT_EVAL_METHOD == 16;
+
 /* The least d that rules a pair of weight `heavier` out at `threshold`,
  * T + 1, or INT64_MAX for no cutoff: at threshold 0, at weight 0, past
  * 2^53, where a double no longer holds every weight, or where doubles
- * are evaluated wider than double.  FLT_EVAL_METHOD 16, which GCC sets
- * with AVX512-FP16 (-march=native on such a CPU), widens only _Float16
- * and evaluates double as double, as 0 does. */
+ * are evaluated wider than double. */
 static int64_t cutoff(double threshold, int64_t heavier)
 {
-    if ((FLT_EVAL_METHOD != 0 && FLT_EVAL_METHOD != 16) || threshold <= 0.0 || heavier == 0
+    if (!wsadist_exact_cutoff || threshold <= 0.0 || heavier == 0
         || heavier > (INT64_C(1) << 53))
         return INT64_MAX;
     double weight = (double)heavier;
@@ -140,7 +147,7 @@ static int64_t lattice(int64_t n1, const uint32_t *code1, int64_t n2, const uint
  * tables in one block: indel, ws_del and ws_ins, k each, then the (m+1) x k
  * rep.  Writes each line's weight, the sum of ws_del over its codes, to
  * weights[i], and for each pair i with want[i] set, the distance from line
- * i to line i + 1 to dists[i], or -1 for a pair that cannot reach a
+ * i to line i + 1 to dists[i], or -1 for a pair that falls below a
  * threshold above 0.  Either line of a pair may be empty; two identical
  * lines, empty ones too, get 0 with no DP.
  * Returns 0, or -1 or -2 as the header says. */

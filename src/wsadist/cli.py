@@ -186,6 +186,8 @@ def _write(output: str) -> int:
     that fails.  A reader that closed the pipe early is not reported."""
     stream = sys.stdout
     try:
+        if stream is None:  # Python's stand-in for a closed descriptor 1
+            raise OSError("standard output is closed")
         if hasattr(stream, "buffer"):
             # unbuffered (python -u), the bytes go to the raw file, which may take
             # part of a write: the rest is written again, and a failure raises

@@ -41,8 +41,10 @@ builds one cost block (``alphabet_costs``) for one ``dp_pairs`` call.
 Detection passes its threshold, and the kernel then computes d exactly
 only for the pairs that can reach it: a length bound rules some out with
 no DP, and the rest run in a diagonal band (see ``dp_pairs`` and
-``_kernel.c``).  ``wsadist dist`` and single pairs pass threshold 0:
-every d is exact.
+``_kernel.c``).  A wanted pair reads -1 exactly when its similarity falls
+below the threshold, on every route: where the compiled cutoff cannot be
+sure of it, ``dp_pairs`` rules the pairs out itself.  ``wsadist dist``
+and single pairs pass threshold 0: every d is exact.
 """
 
 from __future__ import annotations
@@ -66,7 +68,12 @@ _SOURCE = Path(__file__).with_name("_kernel.c")
 # long pairs and 13% in detection (gcc 12, x86-64).  gcc and clang 13+ take it.
 _FLAGS = ("-O2", "-falign-loops=32", "-shared", "-fPIC")
 _INT64_MAX = (1 << 63) - 1
+_EXACT_DOUBLE = 1 << 53  # past it a double no longer holds every weight
 _UTF32 = "utf-32-le" if sys.byteorder == "little" else "utf-32-be"
+# the byte of a native int64 that holds its sign, and a table that reads
+# it as 1 where the int64 is not negative
+_SIGN_BYTE = 7 if sys.byteorder == "little" else 0
+_NOT_NEGATIVE = bytes(byte < 0x80 for byte in range(256))
 _I64, _PTR, _F64 = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
 # lines, lengths, ncodes, codes, k, costs, m, want, weights, dists, threshold
 _PAIRS_ARGTYPES = [_I64, _PTR, _I64, _PTR, _I64, _PTR, _I64, ctypes.c_char_p, _PTR, _PTR, _F64]
@@ -144,6 +151,7 @@ def _load():
     lib = ctypes.CDLL(str(target))
     lib.wsadist_pairs.argtypes = _PAIRS_ARGTYPES
     lib.wsadist_pairs.restype = ctypes.c_int64
+    lib.exact_cutoff = ctypes.c_int.in_dll(lib, "wsadist_exact_cutoff").value
     return lib
 
 
@@ -269,39 +277,63 @@ def dp_pairs(codes, lengths, want: bytes, m: int, costs, threshold: float):
     classical distance), and dists[i] the distance d from line i to line
     i + 1 for each wanted pair, else 0.
 
-    ``threshold``, in [0, 1], is detection's: the compiled kernel may
-    write -1 in place of d for a pair whose ``1.0 - d / D``, D the
-    heavier line's weight, is sure to fall below it, and d is exact for
-    every other pair.  Threshold 0 rules nothing out.  Runs the compiled
-    kernel on the block as one array('q') when it is available and no
-    path sum can exceed int64, else ``dp_interpreted`` on each
-    wanted pair, which computes every d over Python ints.  A pair's path
-    sums are at most n1 + n2 steps of the dearest cost, and n1 + n2 is at
-    most the number of codes, with equality for a single pair: the route
-    is decided on that number, at no cost per line.
+    ``threshold``, in [0, 1], is detection's: a wanted pair reads -1 in
+    place of d exactly when its ``1.0 - d / D``, D the heavier line's
+    weight, falls below it, and d is exact for every other pair.  Threshold
+    0 rules nothing out.  Runs the compiled kernel on the block as one
+    array('q') when it is available and no path sum can exceed int64, else
+    ``dp_interpreted`` on each wanted pair, which computes every d over
+    Python ints.  A pair's path sums, its weights among them, are at most
+    n1 + n2 steps of the dearest cost, and n1 + n2 is at most the number
+    of codes, with equality for a single pair: the route is decided on
+    that bound, at no cost per line.  Where the compiled cutoff cannot
+    rule pairs out exactly -- on the interpreted route, past 2^53, where a
+    double no longer holds every weight, or in a build that evaluates
+    doubles wider -- ``_rule_out`` does so on the exact d.
     """
     lines, ncodes = len(lengths), len(codes) // 4
     if len(want) != max(lines - 1, 0):
         raise ValueError(f"{lines} lines and {len(want)} wanted flags do not agree")
     lib = _compiled_library()
     k = len(costs) // (m + 4)
+    bound = max(ncodes, 1) * max(costs, default=0)
     # a cost beyond int64 stays interpreted anyway
-    if lib is None or max(ncodes, 1) * max(costs, default=0) > _INT64_MAX:
+    if lib is None or bound > _INT64_MAX:
         codes = memoryview(codes).cast("I")
         offsets = list(accumulate(lengths, initial=0))
         ws_del = costs[k:2 * k]
         weights = [sum(ws_del[c] for c in codes[a:b]) for a, b in pairwise(offsets)]
         dists = [dp_interpreted(codes[a:b], codes[b:c], costs, m) if wanted else 0
                  for wanted, a, b, c in zip(want, offsets, offsets[1:], offsets[2:])]
-        return weights, dists
-    weights, dists = array("q", [0]) * lines, array("q", [0]) * len(want)
-    costs = array("q", costs)
-    result = lib.wsadist_pairs(lines, lengths.buffer_info()[0], ncodes, codes, k,
-                               costs.buffer_info()[0], m, want, weights.buffer_info()[0],
-                               dists.buffer_info()[0], threshold)
-    if result < 0:
-        raise _refusal(result, lengths)
+    else:
+        weights, dists = array("q", [0]) * lines, array("q", [0]) * len(want)
+        costs = array("q", costs)
+        result = lib.wsadist_pairs(lines, lengths.buffer_info()[0], ncodes, codes, k,
+                                   costs.buffer_info()[0], m, want, weights.buffer_info()[0],
+                                   dists.buffer_info()[0], threshold)
+        if result < 0:
+            raise _refusal(result, lengths)
+    if threshold > 0 and (lib is None or bound > _EXACT_DOUBLE or not lib.exact_cutoff):
+        _rule_out(weights, dists, want, threshold)
     return weights, dists
+
+
+def _rule_out(weights, dists, want, threshold: float) -> None:
+    """Write -1 over each wanted pair's exact d whose ``1.0 - d / D``, D
+    the heavier line's weight, falls below ``threshold``; a pair of D = 0
+    scores 1.0, and one the compiled kernel ruled out keeps its -1."""
+    for j, wanted in enumerate(want):
+        d, heavier = dists[j], max(weights[j], weights[j + 1])
+        if wanted and d > 0 and heavier and 1.0 - d / heavier < threshold:
+            dists[j] = -1
+
+
+def reached(dists) -> bytes:
+    """One byte per pair of ``dp_pairs``'s ``dists``: 0 where the pair
+    reads -1, ruled out below the threshold, else 1."""
+    if isinstance(dists, array):  # the compiled route's int64s, read by sign byte
+        return dists.tobytes()[_SIGN_BYTE::8].translate(_NOT_NEGATIVE)
+    return bytes(d >= 0 for d in dists)
 
 
 def dp_interpreted(code1, code2, costs, m: int) -> int:

@@ -10,12 +10,13 @@ stays at or above a threshold, with a minimum run length.  Blank lines
 
 from __future__ import annotations
 
+import re
 from itertools import repeat
-from operator import and_, index, mul
+from operator import index, mul
 
 from .cost_model import CostModel, _Record, appendix_model
 from .distance import DEFAULT_MAX_CELLS, levenshtein_ws_agnostic
-from .kernel import score_document
+from .kernel import reached, score_document
 from .normalizer import NormalizationMode
 
 
@@ -68,31 +69,44 @@ def row_similarity(line1: str, line2: str, model: CostModel | None = None) -> fl
     return max(0.0, 1.0 - levenshtein_ws_agnostic(line1, line2, model) / heavier)
 
 
+def _and(flags1: bytes, flags2: bytes) -> bytes:
+    """The pairwise AND of two strings of 0/1 bytes of one length, as one
+    integer AND; any one byte order serves, the AND being bytewise."""
+    return (int.from_bytes(flags1, "big") & int.from_bytes(flags2, "big")).to_bytes(
+        len(flags1), "big")
+
+
+def _runs(joins: bytes, span: int):
+    """The ``(start, stop)`` of each maximal run of ``span`` or more 1 bytes
+    in ``joins``, in order."""
+    if span > len(joins):  # no run fits, and a counted repeat has a limit
+        return ()
+    # the leading literal finds each run at memchr speed, which a bare counted
+    # repeat does not, and the lookbehind lets a match start only where a run
+    # does: a run too short is counted once, not again from each of its bytes
+    return map(re.Match.span, re.finditer(rb"\x01(?<!\x01\x01)\x01{%d,}" % (span - 1), joins))
+
+
 def _pair_scores(lines: list[str], mode: NormalizationMode, model: CostModel,
                  threshold: float):
     """Every adjacent pair of the tab-expanded ``lines`` scored in whole-list
-    passes and one ``score_document`` call, as ``(filled, want, weights,
-    dists, sims)``: ``filled[i]`` (bytes) is 1 unless line i is blank;
-    ``want[j]`` (bytes) is 1 when lines j and j + 1 are filled and within
-    the cell limit, the pairs the kernel scores; ``weights`` is each line's
-    D, ``dists`` each wanted pair's d, or -1 where the kernel ruled it out
-    at ``threshold``, sure to score below it; ``sims[j]`` is None for a pair
-    with a blank line, 1.0 when D = 0, 0.0 when unwanted or ruled out, else
-    ``row_similarity``'s value on the normalized lines."""
+    passes and one ``score_document`` call, as ``(both, want, weights,
+    dists)``: ``both[j]`` (bytes) is 1 when neither line j nor line j + 1
+    is blank; ``want[j]`` (bytes) is 1 when ``both[j]`` is and the pair is
+    within the cell limit, the pairs the kernel scores; ``weights`` is each
+    line's D, and ``dists`` each wanted pair's d, or -1 exactly where its
+    ``1.0 - d / D``, D the heavier line's weight, falls below
+    ``threshold``, and 0 for the other pairs."""
     # normalizing keeps whitespace as it is, and each line's length
     lengths = list(map(len, lines))
     filled = bytes(map(bool, map(str.strip, lines)))
-    both = want = bytes(map(and_, filled, filled[1:]))
-    if max(map(mul, lengths, lengths[1:]), default=0) > DEFAULT_MAX_CELLS:
+    both = want = _and(filled[:-1], filled[1:])
+    if (max(lengths, default=0) ** 2 > DEFAULT_MAX_CELLS
+            and max(map(mul, lengths, lengths[1:]), default=0) > DEFAULT_MAX_CELLS):
         want = bytes(wanted and n1 * n2 <= DEFAULT_MAX_CELLS
                      for wanted, n1, n2 in zip(both, lengths, lengths[1:]))
     weights, dists = score_document(lines, lengths, want, model, True, threshold, mode)
-    # a comprehension takes each pair's max faster than map(max, ...)
-    heavier = [w1 if w1 > w2 else w2 for w1, w2 in zip(weights, weights[1:])]
-    sims = [None if not pair else 1.0 if weight == 0 else 0.0 if not wanted or d < 0
-            else max(0.0, 1.0 - d / weight)
-            for pair, wanted, d, weight in zip(both, want, dists, heavier)]
-    return filled, want, weights, dists, sims
+    return both, want, weights, dists
 
 
 def detect_tables(lines, config: DetectConfig | None = None) -> list[TableRegion]:
@@ -101,20 +115,35 @@ def detect_tables(lines, config: DetectConfig | None = None) -> list[TableRegion
     Lines are tab-expanded and normalized before comparison.  Adjacent
     lines join when neither is blank and their similarity reaches the
     threshold; a pair too long for the distance's cell limit is scored
-    0.0.  Returned regions are disjoint, sorted by start line, and each
-    spans at least ``config.min_rows`` lines, its score the mean of its
-    pairs' similarities, summed in order."""
+    0.0, or 1.0 when both lines weigh nothing.  Returned regions are
+    disjoint, sorted by start line, and each spans at least
+    ``config.min_rows`` lines, its score the mean of its pairs'
+    similarities, summed in order.
+
+    The joins come off the kernel's verdict, with no per-pair Python
+    unless a pair is over the cell limit: at threshold 0 every pair of
+    filled lines joins, and above it a wanted pair joins unless it reads
+    -1.  A scan of the join flags finds the regions, and only their
+    pairs' similarities are computed."""
     config = config if config is not None else DetectConfig()
     expanded = list(map(str.expandtabs, lines, repeat(config.tab_width)))
-    *_, sims = _pair_scores(expanded, config.mode, config.model, config.threshold)
-    threshold, span = config.threshold, config.min_rows - 1
-    # pair j joins lines j and j + 1; a run of joined pairs ends at each break
-    breaks = [j for j, sim in enumerate(sims) if sim is None or sim < threshold]
-    breaks.append(len(sims))
+    threshold = config.threshold
+    both, want, weights, dists = _pair_scores(expanded, config.mode, config.model, threshold)
+    joins = both
+    if threshold > 0:
+        joins = _and(want, reached(dists))
+        if want != both:  # an over-limit pair of lines that weigh nothing scores 1.0
+            joins = bytes(joined or pair and not weights[j] and not weights[j + 1]
+                          for j, (joined, pair) in enumerate(zip(joins, both)))
     regions: list[TableRegion] = []
-    start = 0
-    for stop in breaks:
-        if stop - start >= span:
-            regions.append(TableRegion(start, stop, sum(sims[start:stop]) / (stop - start)))
-        start = stop + 1
+    # pair j joins lines j and j + 1, and a run of min_rows - 1 joined pairs
+    # or more is a region
+    for start, stop in _runs(joins, config.min_rows - 1):
+        sims = []
+        for j in range(start, stop):
+            w1, w2 = weights[j], weights[j + 1]
+            heavier = w1 if w1 > w2 else w2
+            sims.append(1.0 if heavier == 0 else 0.0 if not want[j]
+                        else max(0.0, 1.0 - dists[j] / heavier))
+        regions.append(TableRegion(start, stop, sum(sims) / (stop - start)))
     return regions

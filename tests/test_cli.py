@@ -384,6 +384,23 @@ class TestExitCodes:
         assert (proc.returncode, proc.stdout, proc.stderr) == (
             3, "", "wsadist: cannot read input: standard input is closed\n")
 
+    @pytest.mark.parametrize("argv", [["detect"], ["normalize"], ["dist", "--files"],
+                                      ["dist", "a", "b"]],
+                             ids=["detect", "normalize", "dist-files", "dist"])
+    def test_closed_stdout_exits_5(self, capsys, monkeypatch, tmp_path, argv):
+        """Python sets ``sys.stdout`` to None when descriptor 1 is closed."""
+        doc = tmp_path / "doc.txt"
+        doc.write_text(THREE_ROW_TABLE, encoding="utf-8")
+        operands = [] if argv[-1] == "b" else [str(doc)] * (2 if "--files" in argv else 1)
+        message = "wsadist: cannot write output: standard output is closed\n"
+        monkeypatch.setattr("sys.stdout", None)
+        assert run(capsys, *argv, *operands) == (5, "", message)
+        # the same in a fresh process whose descriptor 1 is closed
+        proc = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m",
+                               "wsadist.cli", *argv, *operands],
+                              stderr=subprocess.PIPE, text=True, env=cli_env(), timeout=60)
+        assert (proc.returncode, proc.stderr) == (5, message)
+
     def test_stdin_bytes_read_as_a_file_is(self, capsys, monkeypatch, tmp_path):
         r"""A "\r", alone or before "\n", reaches the output from standard
         input as from a file, where a text stream would translate it."""

@@ -1,8 +1,12 @@
+import ast
 import logging
 import math
+import os
 import random
+import time
 import tracemalloc
 from itertools import chain, pairwise
+from pathlib import Path
 
 import pytest
 
@@ -21,7 +25,10 @@ from wsadist import (
     row_similarity,
     unit_model,
 )
-from wsadist.table_detect import _pair_scores
+import wsadist.kernel as kernel
+import wsadist.table_detect as table_detect
+from wsadist.distance import DEFAULT_MAX_CELLS
+from wsadist.table_detect import _pair_scores, _runs
 from test_cost_model import assert_record
 
 THREE_ROW_TABLE = [
@@ -438,25 +445,33 @@ def skewed_document(rng):
 def pair_triples(lines, mode, model, threshold):
     """``_pair_scores``'s lists as one ``(score, d, D)`` per adjacent pair:
     d is None when the pair was not scored or was ruled out at
-    ``threshold``, D is the heavier line's weight."""
-    _, want, weights, dists, sims = _pair_scores(lines, mode, model, threshold)
-    return [(sim, d if wanted and d >= 0 else None, max(w1, w2))
-            for sim, wanted, d, w1, w2 in zip(sims, want, dists, weights, weights[1:])]
+    ``threshold``, D is the heavier line's weight.  The score is None for a
+    pair with a blank line, 1.0 when D = 0, 0.0 when d is None, else
+    ``row_similarity``'s value on the normalized lines."""
+    both, want, weights, dists = _pair_scores(lines, mode, model, threshold)
+    triples = []
+    for pair, wanted, d, w1, w2 in zip(both, want, dists, weights, weights[1:]):
+        heavier, d = max(w1, w2), d if wanted and d >= 0 else None
+        sim = (None if not pair else 1.0 if heavier == 0 else 0.0 if d is None
+               else max(0.0, 1.0 - d / heavier))
+        triples.append((sim, d, heavier))
+    return triples
 
 
 def assert_cutoff_keeps_decisions(doc, model, threshold, mode=NormalizationMode.CASED):
-    """Detection at ``threshold``, where the kernel may rule pairs out,
-    against the exact scores of threshold 0: each pair keeps its d and
-    score, or has d None, a score of 0.0 and an exact score below
-    ``threshold``.  The regions equal ``reference_regions``'s."""
+    """Detection at ``threshold``, where the kernel rules pairs out,
+    against the exact scores of threshold 0: a scored pair whose exact
+    score is below ``threshold`` has d None and a score of 0.0, and every
+    other pair keeps its d and score.  The regions equal
+    ``reference_regions``'s."""
     lines = [line.expandtabs(8) for line in doc]
     exact = pair_triples(lines, mode, model, 0.0)
     cut = pair_triples(lines, mode, model, threshold)
     assert len(cut) == len(exact)
     for (sim, d, heavier), (sim_cut, d_cut, heavier_cut) in zip(exact, cut):
         assert heavier_cut == heavier
-        if d_cut is None and d is not None:
-            assert sim < threshold and sim_cut == 0.0, (doc, model, threshold, d, heavier)
+        if d is not None and sim < threshold:
+            assert (sim_cut, d_cut) == (0.0, None), (doc, model, threshold, d, heavier)
         else:
             assert (sim_cut, d_cut) == (sim, d), (doc, model, threshold)
     config = DetectConfig(threshold, 2, mode, model)
@@ -520,7 +535,7 @@ ZERO_INDEL = CostModel(indel_costs={"a": 0}, replace_default=2)
 ])
 def test_cutoff_at_a_pairs_own_score(s1, s2, model):
     """A pair reaches a threshold equal to its own score, with its exact d,
-    and is ruled out (by the compiled kernel) just above it."""
+    and is ruled out just above it."""
     d = levenshtein_ws_agnostic(s1, s2, model)
     heavier = max(line_whitespace_cost(s1, model), line_whitespace_cost(s2, model))
     edge = max(0.0, 1.0 - d / heavier)
@@ -528,7 +543,146 @@ def test_cutoff_at_a_pairs_own_score(s1, s2, model):
     mode = NormalizationMode.NONE
     assert pair_triples([s1, s2], mode, model, edge) == [(edge, d, heavier)]
     [(sim, d_cut, _)] = pair_triples([s1, s2], mode, model, math.nextafter(edge, 2.0))
-    if kernel_backend() == "compiled":
-        assert (sim, d_cut) == (0.0, None)
+    assert (sim, d_cut) == (0.0, None)
     for threshold in (edge, math.nextafter(edge, 2.0), 0.0, 1.0):
         assert_cutoff_keeps_decisions([s1, s2], model, threshold, mode)
+
+
+# costs near 2 ** 50: a document of a few hundred characters has a path-sum
+# bound past 2 ** 53, where the compiled cutoff is not exact, and within
+# int64, so it runs compiled; lines of "9"s and spaces stay light
+DEAR = CostModel(indel_default=1 << 50, replace_default=(1 << 50) + 1, indel_costs={"9": 1})
+# lines of "a", "9" and spaces weigh nothing under MODELS[4]; three pairs of
+# them pass a cell limit of 40
+WEIGHTLESS = ["aa 99 aa 9", "a9 a9 a9 a", "9 9 aa 99", "aa 99 aa 9", "", "aa 99", "a9 99",
+              "x 9", "aa 99 aa 9  ", "a9 a9 a9 a", "A a"]
+CONTRACT_THRESHOLDS = (0.0, 1e-9, 0.3, 0.5, 1.0)
+
+
+def limited_similarities(lines, config, limit):
+    """``reference_similarities`` under a cell limit of ``limit``: a pair
+    past it scores 0.0, unless both its lines weigh nothing."""
+    prepared = [normalize_line(line.expandtabs(config.tab_width), config.mode) for line in lines]
+    sims = reference_similarities(lines, config)
+    for j, (above, line) in enumerate(pairwise(prepared)):
+        heavier = max(line_whitespace_cost(above, config.model),
+                      line_whitespace_cost(line, config.model))
+        if sims[j] is not None and len(above) * len(line) > limit and heavier > 0:
+            sims[j] = 0.0
+    return sims
+
+
+def assert_minus_one_contract(doc, model, mode, limit=DEFAULT_MAX_CELLS):
+    """At each of ``CONTRACT_THRESHOLDS``, a pair is wanted exactly when
+    both its lines are filled and it is within ``limit`` cells; a wanted
+    pair reads -1 exactly when its exact similarity is below a threshold
+    above 0, else d >= 0, and an unwanted one reads 0.  ``detect_tables``
+    equals ``reference_regions`` with min_rows 2 to 5."""
+    sims = limited_similarities(doc, DetectConfig(0.0, 2, mode, model), limit)
+    lines = [line.expandtabs(8) for line in doc]
+    for threshold in CONTRACT_THRESHOLDS:
+        both, want, weights, dists = _pair_scores(lines, mode, model, threshold)
+        assert kernel.reached(dists) == bytes(d >= 0 for d in dists), (doc, model, threshold)
+        for j, sim in enumerate(sims):
+            assert both[j] == (sim is not None), (doc, j)
+            assert want[j] == (both[j] and len(lines[j]) * len(lines[j + 1]) <= limit), (doc, j)
+            if not want[j]:
+                assert dists[j] == 0, (doc, j)
+            else:
+                assert (dists[j] == -1) == (sim < threshold), (doc, model, threshold, j)
+                assert dists[j] >= -1, (doc, model, threshold, j)
+        for min_rows in range(2, 6):
+            config = DetectConfig(threshold, min_rows, mode, model)
+            assert detect_tables(doc, config) == reference_regions(doc, config, sims), (
+                doc, config)
+
+
+def assert_minus_one_contract_holds(seed, count, monkeypatch):
+    """The contract on random documents under every model of ``MODELS``,
+    in each normalization mode; on weightless lines under a cell limit of
+    40, where three pairs of them pass it; and on documents under ``DEAR``,
+    whose path-sum bound lies in (2 ** 53, 2 ** 63)."""
+    rng = random.Random(seed)
+    modes = list(NormalizationMode)
+    for n in range(count):
+        doc = (random_document, skewed_document)[n % 2](rng)
+        assert_minus_one_contract(doc, MODELS[n % len(MODELS)], modes[n % len(modes)])
+    dear_docs = [random_document(rng) + ["9 99", "99 9"] for _ in range(10)]
+    for doc in dear_docs:
+        bound = max(len("".join(doc)), 1) * ((1 << 50) + 1)
+        assert 1 << 53 < bound <= (1 << 63) - 1
+        assert_minus_one_contract(doc, DEAR, NormalizationMode.NONE)
+    monkeypatch.setattr(table_detect, "DEFAULT_MAX_CELLS", 40)
+    for model in (MODELS[4], unit_model()):
+        assert_minus_one_contract(WEIGHTLESS, model, NormalizationMode.NONE, limit=40)
+    # the weightless pairs past the limit join above threshold 0 too
+    config = DetectConfig(0.5, 2, NormalizationMode.NONE, MODELS[4])
+    assert detect_tables(WEIGHTLESS, config)[0] == TableRegion(0, 3, 1.0)
+
+
+def test_minus_one_contract_on_compiled_kernel(monkeypatch):
+    if kernel_backend() != "compiled":
+        pytest.skip("no compiled kernel")
+    assert_minus_one_contract_holds(20261201, 240, monkeypatch)
+
+
+def test_minus_one_contract_on_a_kernel_that_evaluates_doubles_wider(fresh_kernel, monkeypatch,
+                                                                     caplog):
+    """A build with x87 arithmetic (FLT_EVAL_METHOD 2, gcc's -mfpmath=387 on
+    x86-64) says that its cutoff is not exact and gives none; ``dp_pairs``
+    rules the pairs out over its exact d."""
+    monkeypatch.setenv("CC", f"{os.environ.get('CC') or 'cc'} -mfpmath=387")
+    with caplog.at_level(logging.WARNING, logger="wsadist"):
+        if kernel_backend() != "compiled":
+            pytest.skip("no build with -mfpmath=387")
+    if kernel._compiled_library().exact_cutoff:
+        pytest.skip("-mfpmath=387 left doubles evaluated as double")
+    assert_minus_one_contract_holds(20261202, 60, monkeypatch)
+
+
+def test_minus_one_contract_on_interpreted_kernel(fresh_kernel, monkeypatch, caplog):
+    monkeypatch.setenv("CC", "/nonexistent/cc")
+    with caplog.at_level(logging.WARNING, logger="wsadist"):
+        assert kernel_backend() == "interpreted"
+        assert_minus_one_contract_holds(20261203, 60, monkeypatch)
+
+
+def test_min_rows_past_the_document_finds_nothing():
+    """A min_rows longer than any run, up to past the regular expression's
+    repeat limit, finds no region."""
+    doc = ["aa 99"] * 5
+    assert detect_tables(doc, DetectConfig(min_rows=5)) == [TableRegion(0, 4, 1.0)]
+    for min_rows in (6, 1 << 40):
+        assert detect_tables(doc, DetectConfig(min_rows=min_rows)) == []
+
+
+def test_run_just_short_of_min_rows_in_a_longer_document():
+    """A run one pair short of min_rows before one that reaches it: only
+    the second is a region."""
+    doc = ["aa 99"] * 4 + [""] + ["aa 99"] * 5
+    assert detect_tables(doc, DetectConfig(min_rows=5)) == [TableRegion(5, 9, 1.0)]
+    assert detect_tables(doc, DetectConfig(min_rows=6)) == []
+
+
+def test_runs_too_short_are_counted_once():
+    """Long runs one byte short of the span, in joins longer than it, give
+    nothing, in linear time: counting each again from every one of its
+    bytes took over five seconds here."""
+    joins = (b"\x01" * 59_999 + b"\x00") * 4
+    started = time.perf_counter()
+    assert list(_runs(joins, 60_000)) == []
+    assert time.perf_counter() - started < 1.0
+    assert list(_runs(joins, 59_999)) == [(n * 60_000, n * 60_000 + 59_999) for n in range(4)]
+    assert list(_runs(b"\x00\x01\x01\x00\x01", 1)) == [(1, 3), (4, 5)]
+
+
+def test_byte_conversions_name_their_byte_order():
+    """``int.from_bytes`` and ``int.to_bytes`` take no default byte order
+    before Python 3.11, and the package supports 3.10."""
+    package = Path(table_detect.__file__).parent
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("from_bytes", "to_bytes")):
+                named = len(node.args) >= 2 or any(k.arg == "byteorder" for k in node.keywords)
+                assert named, f"{path.name}:{node.lineno}"
