@@ -15,13 +15,13 @@ from .cost_model import (
 from .distance import (
     Algorithm,
     DistanceResult,
+    SizeLimitError,
     distance,
     levenshtein_standard,
     levenshtein_ws_agnostic,
 )
 from .kernel import kernel_backend
 from .normalizer import NormalizationMode, normalize_line, normalize_lines
-from .oracles import SizeLimitError, ws_agnostic_naive, ws_agnostic_recursive_unit
 from .table_detect import (
     DetectConfig,
     TableRegion,
@@ -60,3 +60,13 @@ __all__ = [
     "ws_agnostic_naive",
     "ws_agnostic_recursive_unit",
 ]
+
+
+def __getattr__(name):
+    """The reference oracles, whose module is imported on first access:
+    no production path runs them."""
+    if name in ("ws_agnostic_naive", "ws_agnostic_recursive_unit"):
+        from . import oracles
+
+        return getattr(oracles, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -8,8 +8,6 @@ A line of input ends at "\n", which the last line may lack; one "\r"
 before it is dropped.  No other character breaks a line.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import os

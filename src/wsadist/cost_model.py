@@ -6,12 +6,10 @@ a model may be declared symmetric (the default), in which case symmetry
 is validated when the model is built.
 """
 
-from __future__ import annotations
-
 import json
+import os
 from collections.abc import Mapping
 from functools import cache
-from pathlib import Path
 
 
 class ModelError(ValueError):
@@ -51,9 +49,16 @@ class _Record:
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # each field's slot descriptor, whose __set__ goes past __setattr__
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__match_args__)
+
     def _set(self, *values) -> None:
-        for name, value in zip(self.__match_args__, values, strict=True):
-            object.__setattr__(self, name, value)
+        if len(values) != len(self._setters):
+            raise ValueError(f"{len(values)} values for the fields {self.__match_args__}")
+        for set_field, value in zip(self._setters, values):
+            set_field(self, value)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__match_args__)
@@ -286,4 +291,5 @@ def appendix_model() -> CostModel:
     unit insertion/deletion, graded replacement costs, 999 for pairs
     outside the table.  Parsed once per process: every call returns the
     same shared, read-only instance."""
-    return load_model_file(Path(__file__).with_name("presets") / "appendix_a.json")
+    return load_model_file(os.path.join(os.path.dirname(__file__), "presets",
+                                        "appendix_a.json"))

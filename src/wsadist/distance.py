@@ -14,23 +14,24 @@ Two production paths, both O(len1*len2) time and two-row working space:
 
 The two reference oracles used for differential testing live in
 ``wsadist.oracles``; ``ws_agnostic_naive`` is also the ``naive-oracle``
-``Algorithm``.
+``Algorithm``, whose entry imports that module on its first call.
 
 Both production paths run the one DP kernel of ``wsadist.kernel``, C or,
 when that cannot be built, interpreted (see ``kernel_backend()``).  On the
 compiled kernel a 4000x4000-character pair takes 22-36 ms on a 2-vCPU VM.
 """
 
-from __future__ import annotations
-
 from enum import Enum
 from operator import mul
 
 from .cost_model import CostModel, _Record, unit_model
 from .kernel import edge_costs, score_document
-from .oracles import SizeLimitError, ws_agnostic_naive
 
 DEFAULT_MAX_CELLS = 1 << 26
+
+
+class SizeLimitError(ValueError):
+    """Inputs exceed the documented size limit of the chosen algorithm."""
 
 
 class Algorithm(Enum):
@@ -101,12 +102,20 @@ def _paired_distances(left, right, model: CostModel, ws_agnostic: bool, mode):
     return score_document(lines, lengths, want[:-1], model, ws_agnostic, 0.0, mode)[1][::2]
 
 
+def _naive_oracle(s1: str, s2: str, model: CostModel | None = None) -> int:
+    """``ws_agnostic_naive``, imported on the first call: no production
+    path loads the oracles."""
+    from .oracles import ws_agnostic_naive
+
+    return ws_agnostic_naive(s1, s2, model)
+
+
 # The one table from an algorithm to its function: ``distance()`` and
 # ``wsadist dist --mode naive-oracle`` look it up on each call.
 _DISPATCH = {
     Algorithm.STANDARD: levenshtein_standard,
     Algorithm.WS_AGNOSTIC: levenshtein_ws_agnostic,
-    Algorithm.NAIVE_ORACLE: ws_agnostic_naive,
+    Algorithm.NAIVE_ORACLE: _naive_oracle,
 }
 
 

@@ -12,21 +12,29 @@ classical one.
 On first use the kernel is built with the system C compiler -- ``$CC``
 if set, else ``cc`` -- as ``cc -O2 -falign-loops=32 -shared -fPIC``
 into a per-user cache directory, ``$XDG_CACHE_HOME/wsadist`` (default
-``~/.cache/wsadist``), and loaded with ``ctypes``.  The library's file
-name is keyed by a hash of the source, the compiler command and the
-platform, ``os.uname()``'s ``sysname`` and ``machine``, so a changed
-source or compiler builds anew, and then deletes all but the four
-newest builds.  Each build goes to a temporary file that is then
-renamed into place, so concurrent processes may build at once.  The
-directory is created with mode 0700; one that another user owns, or
-that others may write to, is refused.
+``~/.cache/wsadist``), and loaded with ``ctypes``.  The build's key is
+the source followed by the ``repr`` of the compiler command and the
+platform, ``os.uname()``'s ``sysname`` and ``machine``; its files are
+named by the key's CRC-32, ``kernel-<crc>.so`` with the key's exact
+bytes beside it in ``kernel-<crc>.key``.  A build is loaded only when
+its ``.key`` equals today's key and its ``.so`` exists; in every other
+case -- a changed source or compiler, a CRC collision, a missing file
+-- the stale ``.key`` is deleted and the kernel built anew: the ``.so``
+and then the ``.key``, each written to a temporary file that is then
+renamed into place, so concurrent processes may build at once.  One
+race remains: two keys of one CRC built at the same time may leave one
+key beside the other's library.  A build then deletes all but the four
+newest builds, each ``.so`` with its ``.key``.  The directory is created
+with mode 0700; one that another user owns, or that others may write
+to, is refused.
 
 When the build or the load fails, one warning on the ``wsadist`` logger
 gives the reason, and ``dp_interpreted`` -- the same recurrence in plain
 Python -- runs instead, once for each pair.  It is orders of magnitude
 slower.  ``kernel_backend()`` reports which of the two is in use.
-``logging`` is imported only to give that warning: a fresh process that
-loads the compiled kernel starts without it.
+``logging`` is imported only to give that warning, ``shlex`` only to
+split a ``$CC`` that is set, and ``subprocess`` and ``tempfile`` only to
+build: a fresh process that loads a cached build starts without them.
 A document whose path sums could exceed int64 -- its number of codes
 (at least 1) times the dearest cost, which bounds every pair's sums, since
 a pair's two lines hold no more codes than the document -- always takes
@@ -47,22 +55,18 @@ sure of it, ``dp_pairs`` rules the pairs out itself.  ``wsadist dist``
 and single pairs pass threshold 0: every d is exact.
 """
 
-from __future__ import annotations
-
+import _thread
 import ctypes
-import hashlib
 import os
-import shlex
 import sys
-import threading
+import zlib
 from array import array
 from itertools import accumulate, pairwise
-from pathlib import Path
 
 from .cost_model import CostModel
 from .normalizer import normalize_line
 
-_SOURCE = Path(__file__).with_name("_kernel.c")
+_SOURCE = os.path.join(os.path.dirname(__file__), "_kernel.c")
 # -falign-loops=32 keeps the inner loop of `lattice` on a 32-byte boundary; an edit
 # elsewhere that left it across three 32-byte blocks, not two, cost up to 11% on
 # long pairs and 13% in detection (gcc 12, x86-64).  gcc and clang 13+ take it.
@@ -80,20 +84,20 @@ _PAIRS_ARGTYPES = [_I64, _PTR, _I64, _PTR, _I64, _PTR, _I64, ctypes.c_char_p, _P
 
 _UNTRIED = object()
 _compiled = _UNTRIED  # the loaded C library, or None once it failed
-_lock = threading.Lock()
+_lock = _thread.allocate_lock()  # threading.Lock, without importing threading
 
 
-def _cache_dir() -> Path:
+def _cache_dir() -> str:
     """Where the compiled kernel is kept."""
     base = os.environ.get("XDG_CACHE_HOME", "")
     if not os.path.isabs(base):
         base = os.path.join(os.path.expanduser("~"), ".cache")
-    return Path(base) / "wsadist"
+    return os.path.join(base, "wsadist")
 
 
-def _private_dir(path: Path) -> Path:
-    path.mkdir(mode=0o700, parents=True, exist_ok=True)
-    st = path.stat()
+def _private_dir(path: str) -> str:
+    os.makedirs(path, mode=0o700, exist_ok=True)
+    st = os.stat(path)
     if st.st_uid != os.getuid():
         raise OSError(f"cache directory {path} is owned by another user")
     if st.st_mode & 0o022:
@@ -101,14 +105,27 @@ def _private_dir(path: Path) -> Path:
     return path
 
 
-def _build(target: Path, command: list[str]) -> None:
+def _unlink(path: str) -> None:
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
+
+
+def _build(base: str, command: list[str], key: bytes) -> None:
+    """Build the kernel into ``base.so``, then write ``key`` to ``base.key``,
+    each through a temporary file renamed into place, after deleting the
+    stale ``base.key``: a build cut short leaves no key that could match."""
+    import shlex
     import subprocess
     import tempfile
 
-    fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.stem, suffix=".tmp")
+    _unlink(base + ".key")
+    directory, name = os.path.split(base)
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=name, suffix=".tmp")
     os.close(fd)
     try:
-        argv = [*command, "-o", tmp, str(_SOURCE)]
+        argv = [*command, "-o", tmp, _SOURCE]
         try:
             proc = subprocess.run(argv, capture_output=True, text=True, timeout=120)
         except subprocess.SubprocessError as exc:
@@ -117,38 +134,56 @@ def _build(target: Path, command: list[str]) -> None:
             raise OSError(
                 f"{shlex.join(argv)} exited {proc.returncode}: {proc.stderr.strip()[-400:]}"
             )
-        os.replace(tmp, target)
+        os.replace(tmp, base + ".so")
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=name, suffix=".tmp")
+        with open(fd, "wb") as fh:
+            fh.write(key)
+        os.replace(tmp, base + ".key")
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
 
 
-def _prune(keep: Path) -> None:
+def _prune(keep: str) -> None:
     """Delete the ``kernel-*.so`` builds beside ``keep`` but the four most
-    recently modified, ``keep`` among them: two sources compared in one
-    process both load without a rebuild, and a process that loaded a
-    deleted build keeps its mapping."""
+    recently modified, ``keep`` among them, each with its ``.key``: two
+    sources compared in one process both load without a rebuild, and a
+    process that loaded a deleted build keeps its mapping."""
+    directory = os.path.dirname(keep)
     try:
-        builds = sorted(keep.parent.glob("kernel-*.so"), key=lambda p: p.stat().st_mtime)
+        builds = [os.path.join(directory, name) for name in os.listdir(directory)
+                  if name.startswith("kernel-") and name.endswith(".so")]
+        builds.sort(key=os.path.getmtime)
         for old in builds[:-4]:
             if old != keep:
-                old.unlink()
+                os.unlink(old)
+                _unlink(old.removesuffix(".so") + ".key")
     except OSError:  # another process pruning at once
         pass
 
 
 def _load():
-    """Build the kernel if its cached library is missing, then load it."""
-    command = [*shlex.split(os.environ.get("CC") or "cc"), *_FLAGS]
-    key = hashlib.sha256()
-    key.update(_SOURCE.read_bytes())
+    """Build the kernel unless the cached build's key is today's, then load it."""
+    cc = os.environ.get("CC")
+    if cc:
+        import shlex
+
+        command = [*shlex.split(cc), *_FLAGS]
+    else:
+        command = ["cc", *_FLAGS]
     uname = os.uname()
-    key.update(repr((command, uname.sysname, uname.machine)).encode())
-    target = _private_dir(_cache_dir()) / f"kernel-{key.hexdigest()[:16]}.so"
-    if not target.exists():
-        _build(target, command)
-        _prune(target)
-    lib = ctypes.CDLL(str(target))
+    with open(_SOURCE, "rb") as fh:
+        key = fh.read() + repr((command, uname.sysname, uname.machine)).encode()
+    base = os.path.join(_private_dir(_cache_dir()), f"kernel-{zlib.crc32(key):08x}")
+    try:
+        with open(base + ".key", "rb") as fh:
+            current = fh.read() == key and os.path.exists(base + ".so")
+    except FileNotFoundError:
+        current = False
+    if not current:
+        _build(base, command, key)
+        _prune(base + ".so")
+    lib = ctypes.CDLL(base + ".so")
     lib.wsadist_pairs.argtypes = _PAIRS_ARGTYPES
     lib.wsadist_pairs.restype = ctypes.c_int64
     lib.exact_cutoff = ctypes.c_int.in_dll(lib, "wsadist_exact_cutoff").value

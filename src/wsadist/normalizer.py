@@ -1,8 +1,6 @@
 """Shape normalization: map text to character classes so that distances
 compare layout rather than content."""
 
-from __future__ import annotations
-
 from enum import Enum
 
 

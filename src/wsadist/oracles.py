@@ -9,18 +9,13 @@ of the production distances, sharing no code with ``wsadist.kernel``:
   cost model, so it is not an ``Algorithm``: call it directly.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 
 from .cost_model import CostModel, unit_model
+from .distance import SizeLimitError
 
 DEFAULT_NAIVE_LIMIT = 512
 DEFAULT_RECURSIVE_LIMIT = 64
-
-
-class SizeLimitError(ValueError):
-    """Inputs exceed the documented size limit of the chosen algorithm."""
 
 
 def _full_matrix_standard(s1: str, s2: str, model: CostModel):

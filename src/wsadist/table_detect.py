@@ -8,8 +8,6 @@ stays at or above a threshold, with a minimum run length.  Blank lines
 (empty, or all ``str.isspace``) are hard separators.
 """
 
-from __future__ import annotations
-
 import re
 from itertools import repeat
 from operator import index, mul

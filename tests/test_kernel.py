@@ -2,7 +2,6 @@
 interpreted fallback and its one warning, and the int64 guard.  Both
 kernels are checked against the independent padded oracle."""
 
-import hashlib
 import logging
 import os
 import platform
@@ -13,6 +12,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import zlib
 from array import array
 from itertools import pairwise
 from pathlib import Path
@@ -123,18 +123,85 @@ def test_detection_on_fallback_matches_compiled(compiled_regions, fresh_kernel, 
     assert len([r for r in caplog.records if r.name == "wsadist"]) == 1
 
 
+def todays_key(cc=None):
+    """The bytes a build of the kernel with ``$CC`` ``cc`` is keyed by, with
+    the platform taken from ``platform``: the source, then the ``repr`` of
+    the compiler command, the system and the machine."""
+    command = [*shlex.split(cc or os.environ.get("CC") or "cc"), *kernel._FLAGS]
+    with open(kernel._SOURCE, "rb") as fh:
+        source = fh.read()
+    return source + repr((command, platform.system(), platform.machine())).encode()
+
+
+def build_name(key):
+    return f"kernel-{zlib.crc32(key):08x}"
+
+
+def reload_kernel():
+    """The backend after the process forgets its loaded kernel, as a new
+    process would find it."""
+    kernel._compiled = kernel._UNTRIED
+    return kernel_backend()
+
+
 @needs_compiler
 def test_build_from_empty_cache_matches_oracle(fresh_kernel, unit, appendix):
     assert not fresh_kernel.exists()
     assert kernel_backend() == "compiled"
     assert (fresh_kernel.stat().st_mode & 0o777) == 0o700
-    assert [p.suffix for p in fresh_kernel.iterdir()] == [".so"]
-    # the key, and so the file name, is the same as when it came from platform
-    key = hashlib.sha256(kernel._SOURCE.read_bytes())
-    command = [*shlex.split(os.environ.get("CC") or "cc"), *kernel._FLAGS]
-    key.update(repr((command, platform.system(), platform.machine())).encode())
-    assert [p.name for p in fresh_kernel.iterdir()] == [f"kernel-{key.hexdigest()[:16]}.so"]
+    # the build, named by its key's CRC-32, and beside it that key's exact bytes
+    key = todays_key()
+    assert sorted(p.name for p in fresh_kernel.iterdir()) == [
+        f"{build_name(key)}.key", f"{build_name(key)}.so"]
+    assert (fresh_kernel / f"{build_name(key)}.key").read_bytes() == key
     assert_matches_oracle(unit, appendix, 20261019)
+
+
+@needs_compiler
+def test_key_one_byte_off_rebuilds(fresh_kernel, unit, appendix, caplog):
+    """A ``.key`` that differs from today's key in one byte is a stale
+    build: it is never loaded -- here it is not a library at all -- but
+    built anew, ``.so`` and ``.key``.  (This process already mapped a
+    library of that path, which ``dlopen`` would hand back by name, so the
+    rebuild shows in the files.)"""
+    assert kernel_backend() == "compiled"
+    key = todays_key()
+    so, key_file = (fresh_kernel / f"{build_name(key)}{suffix}" for suffix in (".so", ".key"))
+    key_file.write_bytes(key[:-1] + bytes([key[-1] ^ 1]))
+    # a new file in its place: this process maps the build, which must not change
+    garbage = fresh_kernel / "garbage"
+    garbage.write_bytes(b"not a library")
+    garbage.replace(so)
+    with caplog.at_level(logging.WARNING, logger="wsadist"):
+        assert reload_kernel() == "compiled"
+    assert not [r for r in caplog.records if r.name == "wsadist"]
+    assert key_file.read_bytes() == key
+    assert so.read_bytes() != b"not a library"
+    assert_matches_oracle(unit, appendix, 20261105)
+
+
+@needs_compiler
+def test_key_without_its_library_rebuilds(fresh_kernel):
+    assert kernel_backend() == "compiled"
+    so = fresh_kernel / f"{build_name(todays_key())}.so"
+    so.unlink()
+    assert reload_kernel() == "compiled"
+    assert so.exists()
+
+
+@pytest.mark.skipif(shutil.which("false") is None, reason="no `false` command")
+def test_failed_build_leaves_no_key(fresh_kernel, monkeypatch, caplog):
+    """A build that fails after a stale ``.key`` of its name deletes that
+    key and leaves no temporary file; the stale library stays, unloaded."""
+    monkeypatch.setenv("CC", "false")
+    key = todays_key("false")
+    fresh_kernel.mkdir(mode=0o700, parents=True)
+    (fresh_kernel / f"{build_name(key)}.key").write_bytes(key + b" ")
+    (fresh_kernel / f"{build_name(key)}.so").write_bytes(b"not a library")
+    with caplog.at_level(logging.WARNING, logger="wsadist"):
+        assert kernel_backend() == "interpreted"
+    assert " exited 1" in caplog.text
+    assert [p.name for p in fresh_kernel.iterdir()] == [f"{build_name(key)}.so"]
 
 
 @needs_compiler
@@ -149,11 +216,32 @@ def test_build_prunes_all_but_the_four_newest_builds(fresh_kernel, unit, appendi
         os.utime(path, (now - 1000 * (i + 1),) * 2)
     (fresh_kernel / "notes.txt").write_text("not a build", encoding="utf-8")
     assert kernel_backend() == "compiled"
-    built = [p.name for p in fresh_kernel.glob("kernel-*.so") if p not in dummies]
-    assert len(built) == 1
+    built = [p.name for p in fresh_kernel.glob("kernel-*") if p not in dummies]
+    assert sorted(built) == [f"{build_name(todays_key())}{s}" for s in (".key", ".so")]
     assert sorted(p.name for p in fresh_kernel.iterdir()) == sorted(
         [*built, *(p.name for p in dummies[:3]), "notes.txt"])
     assert_matches_oracle(unit, appendix, 20261025)
+
+
+@needs_compiler
+def test_pruning_deletes_each_pruned_builds_key(fresh_kernel):
+    """Each build that pruning deletes goes with its ``.key``; the kept
+    builds keep theirs, and a ``.key`` with no build, other files and
+    temporary files are not touched."""
+    fresh_kernel.mkdir(mode=0o700, parents=True)
+    now = time.time()
+    for i in range(6):  # newest first
+        for suffix in (".so", ".key"):
+            path = fresh_kernel / f"kernel-dummy{i}{suffix}"
+            path.write_bytes(b"")
+            os.utime(path, (now - 1000 * (i + 1),) * 2)
+    others = ["kernel-alone.key", "kernel-dummy9.tmp", "notes.txt"]
+    for name in others:
+        (fresh_kernel / name).write_bytes(b"")
+    assert kernel_backend() == "compiled"
+    kept = [f"kernel-dummy{i}{suffix}" for i in range(3) for suffix in (".so", ".key")]
+    built = [f"{build_name(todays_key())}{suffix}" for suffix in (".so", ".key")]
+    assert sorted(p.name for p in fresh_kernel.iterdir()) == sorted([*built, *kept, *others])
 
 
 @needs_compiler
@@ -191,7 +279,7 @@ def test_concurrent_builds_share_one_library(tmp_path):
                               stderr=subprocess.PIPE, text=True) for _ in range(2)]
     outs = [p.communicate(timeout=120) for p in procs]
     assert [out.strip() for out, _ in outs] == ["compiled", "compiled"], outs
-    assert [p.suffix for p in (tmp_path / "wsadist").iterdir()] == [".so"]
+    assert sorted(p.suffix for p in (tmp_path / "wsadist").iterdir()) == [".key", ".so"]
 
 
 def test_path_sums_beyond_int64_are_exact():
@@ -571,6 +659,24 @@ with tempfile.TemporaryDirectory() as tmp:
 """
 
 
+def run_sanitized(tmp_path, flags, **env):
+    """``SANITIZED_RUN`` on a kernel built with ``$CC`` plus ``flags``, in
+    a fresh process with ``env`` added, against the same run on a plain
+    build; skipped when the sanitized build fails."""
+    cc = os.environ.get("CC") or "cc"
+    plain = dict(os.environ, XDG_CACHE_HOME=str(tmp_path), CC=cc,
+                 PYTHONPATH=os.pathsep.join([str(SRC), str(Path(__file__).parent)]))
+    proc = subprocess.run([sys.executable, "-c", SANITIZED_RUN], capture_output=True, text=True,
+                          env=dict(plain, CC=f"{cc} {flags}", **env), timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    backend, *results = proc.stdout.splitlines()
+    if backend != "compiled":
+        pytest.skip(f"no sanitized build: {proc.stderr.strip()[-400:]}")
+    local = subprocess.run([sys.executable, "-c", SANITIZED_RUN], capture_output=True, text=True,
+                           env=plain, timeout=300)
+    assert local.stdout.splitlines() == ["compiled", *results]
+
+
 @needs_compiler
 def test_kernel_under_sanitizers(tmp_path):
     """Detection with and without a cutoff, single pairs, ``dist --files``
@@ -580,19 +686,28 @@ def test_kernel_under_sanitizers(tmp_path):
     The bounds sanitizer cannot see an index that stays inside the
     kernel's one allocation, so the cutoff's band is checked against
     exact distances in ``test_table_detect`` too."""
+    run_sanitized(tmp_path, "-fsanitize=undefined,bounds -fno-sanitize-recover=all")
+
+
+@needs_compiler
+def test_kernel_under_address_sanitizer(tmp_path):
+    """The same run on a kernel built with AddressSanitizer, which aborts
+    on a read or a write outside any allocation: past the end of the
+    codes that Python hands the kernel, say.  Python's own allocator is
+    switched off, so that each of its objects is an allocation of its
+    own, and the ASan runtime is preloaded into the interpreter, which is
+    not built with it.  ASan cannot see a read that stays inside the
+    kernel's one ``base`` allocation, which holds its rows and tables.
+    The ``$CC`` holds flags, which the build's key keeps apart from the
+    plain build's.  Skipped when there is no ASan runtime or the build
+    fails."""
     cc = os.environ.get("CC") or "cc"
-    env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path),
-               CC=f"{cc} -fsanitize=undefined,bounds -fno-sanitize-recover=all",
-               PYTHONPATH=os.pathsep.join([str(SRC), str(Path(__file__).parent)]))
-    proc = subprocess.run([sys.executable, "-c", SANITIZED_RUN], env=env, capture_output=True,
-                          text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    backend, *results = proc.stdout.splitlines()
-    if backend != "compiled":
-        pytest.skip(f"no sanitized build: {proc.stderr.strip()[-400:]}")
-    local = subprocess.run([sys.executable, "-c", SANITIZED_RUN], capture_output=True, text=True,
-                           env=dict(env, CC=cc), timeout=300)
-    assert local.stdout.splitlines() == ["compiled", *results]
+    runtime = subprocess.run([*shlex.split(cc), "-print-file-name=libasan.so"],
+                             capture_output=True, text=True).stdout.strip()
+    if not os.path.isfile(runtime):
+        pytest.skip(f"no ASan runtime: {cc} -print-file-name=libasan.so gives {runtime!r}")
+    run_sanitized(tmp_path, "-fsanitize=address", LD_PRELOAD=runtime,
+                  ASAN_OPTIONS="detect_leaks=0", PYTHONMALLOC="malloc")
 
 
 def random_lines(rng, count):
@@ -700,9 +815,13 @@ def test_encode_makes_one_copy_of_the_codes():
 
 # What a fresh process may not import: numpy and numba are gone from the
 # program, and dataclasses (with inspect), logging and platform add about
-# 25 ms to every run of the CLI.  logging is allowed only for the
-# fallback's warning, when there is no compiled kernel.
+# 25 ms to every run of the CLI; hashlib (with OpenSSL), shlex, threading,
+# pathlib and the oracles add 12-15 ms more to an import of 44-58 ms under
+# python -S, and __future__, which no code reads at run time, 0.3 ms.
+# logging is allowed only for the fallback's warning, when there is no
+# compiled kernel, and shlex only to split a $CC that is set.
 IMPORT_GUARD = """
+import os
 import sys
 from wsadist import kernel_backend
 from wsadist.cli import main
@@ -711,12 +830,15 @@ assert main(["detect", doc]) == 0
 assert main(["dist", "--files", left, right]) == 0
 if kernel_backend() == "interpreted":
     forbidden.remove("logging")
+if os.environ.get("CC"):
+    forbidden.remove("shlex")
 print(sorted(set(forbidden) & set(sys.modules)))
 """
 
 
 def test_import_needs_neither_numpy_nor_numba(tmp_path):
-    """Nor dataclasses, inspect, logging, platform or importlib.resources,
+    """Nor dataclasses, inspect, logging, platform, importlib.resources,
+    hashlib, shlex, threading, pathlib, the oracles or ``__future__``,
     after ``import wsadist.cli`` and a run of ``detect`` and of ``dist
     --files`` on tiny files, in a fresh process.  It runs under ``python
     -S``, so that no ``site`` hook (a ``.pth`` file) loads any of them
@@ -727,9 +849,56 @@ def test_import_needs_neither_numpy_nor_numba(tmp_path):
     for path, text in zip(files, ("a 1\tb\nc 2\td\ne 3\tf\n", "x 1\n\ny\n", "x 2\nz\n")):
         path.write_text(text, encoding="utf-8")
     forbidden = ["numpy", "numba", "dataclasses", "inspect", "logging", "platform",
-                 "importlib.resources", "zipfile", "tempfile"]
+                 "importlib.resources", "zipfile", "tempfile", "hashlib", "_hashlib", "shlex",
+                 "threading", "pathlib", "wsadist.oracles", "__future__"]
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run([sys.executable, "-S", "-c", IMPORT_GUARD, *map(str, files),
                           *forbidden], env=env, capture_output=True, text=True, check=True).stdout
     assert out.splitlines()[0] == "0 2 1.0000"
     assert out.splitlines()[-1] == "[]"
+
+
+ORACLES_ON_FIRST_USE = """
+import sys
+import wsadist
+assert "wsadist.oracles" not in sys.modules
+print(wsadist.ws_agnostic_naive("aaaaA  99  99", "aaaaA", wsadist.appendix_model()),
+      wsadist.ws_agnostic_recursive_unit("abc", "abd"))
+names = {}
+exec("from wsadist import *", names)
+print(sorted(set(wsadist.__all__) - set(names)), names["ws_agnostic_naive"] is
+      wsadist.oracles.ws_agnostic_naive)
+print(wsadist.SizeLimitError is wsadist.oracles.SizeLimitError)
+"""
+
+NAIVE_ORACLE_CLI = """
+import sys
+from wsadist.cli import main
+assert "wsadist.oracles" not in sys.modules
+left, right = sys.argv[1:]
+assert main(["dist", "--mode", "naive-oracle", "Ab 9  ", "Ab  99"]) == 0
+assert main(["dist", "--mode", "naive-oracle", "--files", "--format", "json", left, right]) == 0
+print("wsadist.oracles" in sys.modules)
+"""
+
+
+def test_oracles_load_on_first_use(tmp_path):
+    """In a fresh process, the package's oracles resolve on first access,
+    ``from wsadist import *`` still gives every name of ``__all__``, there
+    is one ``SizeLimitError``, and ``dist --mode naive-oracle`` prints what
+    it did when the oracles were imported with the package."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", ORACLES_ON_FIRST_USE], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines() == ["4 1", "[] True", "True"]
+    files = [tmp_path / "left", tmp_path / "right"]
+    for path, text in zip(files, ("x 1\n\ny  \n", "x 2\nz\n")):
+        path.write_text(text, encoding="utf-8")
+    out = subprocess.run([sys.executable, "-c", NAIVE_ORACLE_CLI, *map(str, files)], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines() == [
+        "2",
+        '{"pairs": [{"line": 0, "cost": 0}, {"line": 1, "cost": 1}, {"line": 2, "cost": 1}], '
+        '"total": 2}',
+        "True",
+    ]
