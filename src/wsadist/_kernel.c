@@ -4,10 +4,22 @@
  * ws_del, its last row an insertion ws_ins, and every other move indel or
  * rep.  Edge tables of whitespace costs give the ws-agnostic distance,
  * the indel table as both the classical one.  One entry, wsadist_pairs,
- * takes the four tables as one block and scores the adjacent pairs of a
- * document; a single pair is a document of two lines.  A pair with an
- * empty line is scored in the lattice too: an empty first line makes row
- * 0 the last row, an empty second line column 0 the last column.
+ * takes the four tables as one block and one buffer of codes that holds
+ * two streams, A and B.  It finds the lines of each stream itself -- they
+ * end at a break code, or at the stream's end -- and scores line i of A
+ * against line i of B for each of the pairs the caller asks for; a line
+ * past a stream's last counts as empty.  The lines of two files are the
+ * two streams; a document's adjacent lines are the document as A and the
+ * document from its second line on as B; a single pair is two streams
+ * with no break.  A pair with an empty line is scored in the lattice too:
+ * an empty first line makes row 0 the last row, an empty second line
+ * column 0 the last column.
+ *
+ * In the pass that finds a line, the kernel also sums its weight, the
+ * ws_del of its codes, and, given a table of the blank codes, finds
+ * whether a code of it is not blank.  A pair with a blank line is then
+ * not scored, nor is a pair of more than max_cells cells; with `stop`
+ * set, the first such pair ends the call.
  *
  * Given a detection threshold in (0, 1], it computes d exactly only for
  * the pairs that can reach it, and marks the rest -1.  A pair's cutoff
@@ -21,7 +33,7 @@
  * last column stay full, since edge moves there can be free.  Threshold
  * 0 is no cutoff: every d is exact.
  *
- * A wanted pair of two identical lines gets d = 0 with no DP: most line
+ * A scored pair of two identical lines gets d = 0 with no DP: most line
  * pairs of two versions of a text are unchanged.
  *
  * Requires non-negative costs, a symbol replaced by itself to cost 0 (in
@@ -30,10 +42,11 @@
  * lines rests on it), no edge cost above its symbol's indel cost (the
  * length bound rests on it, for any such edge tables), and every path
  * sum to fit in int64 (the caller checks); the cells skipped by a cutoff
- * hold T + 1 <= D, which adds no larger sum.  Returns -1 when out of
- * memory, or -2 when a symbol code lies outside the alphabet, m is not in
- * [0, k], a line length is negative or the lengths add up to more than the
- * codes, or the threshold is outside [0, 1].
+ * hold T + 1 <= D, which adds no larger sum.  Returns the number of
+ * lattice cells computed, or -1 when out of memory, or -2 when a code it
+ * reads lies outside the alphabet, m is not in [0, k], a stream lies
+ * outside the codes, the pair count or max_cells is negative, or the
+ * threshold is outside [0, 1].
  */
 #include <float.h>
 #include <stdint.h>
@@ -83,11 +96,13 @@ static int64_t cutoff(double threshold, int64_t heavier)
  * cells: its distance when below `limit`, else -1.  Interior cells more
  * than `width` off the diagonal cost `limit` or more; they hold `limit`
  * where a later cell reads them.  scratch holds row m of rep, and is left
- * as it was found. */
+ * as it was found.  Adds the cells it computes, those of rows and columns
+ * 1 on, to *cells. */
 static int64_t lattice(int64_t n1, const uint32_t *code1, int64_t n2, const uint32_t *code2,
                        int64_t k, const int64_t *indel, const int64_t *ws_del,
                        const int64_t *ws_ins, const int64_t *rep, int64_t m, int64_t limit,
-                       int64_t width, int64_t *prev, int64_t *cur, int64_t *scratch)
+                       int64_t width, int64_t *prev, int64_t *cur, int64_t *scratch,
+                       int64_t *cells)
 {
     /* with n1 = 0, row 0 is the last row */
     const int64_t *first = n1 == 0 ? ws_ins : indel;
@@ -127,6 +142,8 @@ static int64_t lattice(int64_t n1, const uint32_t *code1, int64_t n2, const uint
             uint32_t b = code2[j - 1];
             cur[j] = left = cell(prev[j], dcost, left, icost[b], prev[j - 1], row[b]);
         }
+        /* the band's interior cells and the last column's */
+        *cells += (hi >= lo ? hi - lo + 1 : 0) + 1;
         if (n2 > 1 && lo > n2 - 1)
             cur[n2 - 1] = limit;  /* the band has passed the last interior column */
         else if (hi < n2 - 1)
@@ -142,64 +159,117 @@ static int64_t lattice(int64_t n1, const uint32_t *code1, int64_t n2, const uint
     return prev[n2] < limit ? prev[n2] : -1;
 }
 
-/* A document of `lines` lines, line i being the next lengths[i] of the
- * ncodes codes, all in one alphabet of k symbols, and its cost
- * tables in one block: indel, ws_del and ws_ins, k each, then the (m+1) x k
- * rep.  Writes each line's weight, the sum of ws_del over its codes, to
- * weights[i], and for each pair i with want[i] set, the distance from line
- * i to line i + 1 to dists[i], or -1 for a pair that falls below a
- * threshold above 0.  Either line of a pair may be empty; two identical
- * lines, empty ones too, get 0 with no DP.
- * Returns 0, or -1 or -2 as the header says. */
-int64_t wsadist_pairs(int64_t lines, const int64_t *lengths, int64_t ncodes,
-                      const uint32_t *codes, int64_t k, const int64_t *costs, int64_t m,
-                      const unsigned char *want, int64_t *weights, int64_t *dists,
-                      double threshold)
+/* The line of a stream that starts at codes[at], the stream ending at
+ * codes[end]: where it ends, at the next break code or at the stream's
+ * end, or -1 for a code outside the alphabet.  Writes its weight, the sum
+ * of ws_del over its codes, to *weight, and whether a code of it is not
+ * blank to *filled (with no table of blank codes, whether it has one). */
+static int64_t scan(const uint32_t *codes, int64_t at, int64_t end, int64_t brk, int64_t k,
+                    const int64_t *ws_del, const unsigned char *blank, int64_t *weight,
+                    int *filled)
 {
-    const int64_t *indel = costs, *ws_del = indel + k, *ws_ins = ws_del + k, *rep = ws_ins + k;
-    if (m < 0 || m > k || lines < 0 || !(threshold >= 0.0 && threshold <= 1.0))
-        return -2;
-    int64_t longest = 0;
-    for (int64_t i = 0, at = 0; i < lines; i++) {
-        int64_t n = lengths[i], weight = 0;
-        if (n < 0 || n > ncodes - at)
-            return -2;
-        for (int64_t end = at + n; at < end; at++) {
-            if (codes[at] >= k)
-                return -2;
-            weight += ws_del[codes[at]];
-        }
-        weights[i] = weight;
-        if (n > longest)
-            longest = n;
+    int64_t sum = 0;
+    int any = 0;
+    for (; at < end && codes[at] != brk; at++) {
+        uint32_t c = codes[at];
+        if (c >= k)
+            return -1;
+        sum += ws_del[c];
+        any |= blank == NULL || !blank[c];
     }
+    *weight = sum;
+    *filled = any;
+    return at;
+}
+
+/* Two streams of codes in one alphabet of k symbols, A the first a_end of
+ * the ncodes codes and B those from b_start on, each split into lines at
+ * the code brk (none when brk is outside [0, k)), and the cost tables in
+ * one block: indel, ws_del and ws_ins, k each, then the (m+1) x k rep.
+ * The integers come in one array, `sizes`, since ctypes converts an int64
+ * argument at about three times the cost of a pointer: pairs, ncodes,
+ * a_end, b_start, brk, max_cells, stop, k and m.
+ * For each of `pairs` pairs, line i of A and line i of B, writes the
+ * heavier of the two lines' weights to heavier[i], and to status[i] 0 when
+ * `blank`, a table of k flags, is given and either line has no code that
+ * is not blank, 2 when the pair has more than max_cells cells (with
+ * `stop` set, that pair ends the call), else 1 when it scores the pair,
+ * or 3 when the pair falls below a threshold above 0.  For a scored pair
+ * it writes the distance from A's line to B's to dists[i], -1 for status
+ * 3; it writes no other dists.  Either line of a pair may be empty; two
+ * identical lines, empty ones too, get 0 with no DP.
+ * Returns the cells computed, or -1 or -2 as the header says. */
+int64_t wsadist_pairs(const int64_t *sizes, const uint32_t *codes, const unsigned char *blank,
+                      const int64_t *costs, unsigned char *status, int64_t *heavier,
+                      int64_t *dists, double threshold)
+{
+    int64_t pairs = sizes[0], ncodes = sizes[1], a_end = sizes[2], b_start = sizes[3];
+    int64_t brk = sizes[4], max_cells = sizes[5], stop = sizes[6], k = sizes[7], m = sizes[8];
+    const int64_t *indel = costs, *ws_del = indel + k, *ws_ins = ws_del + k, *rep = ws_ins + k;
+    if (m < 0 || m > k || pairs < 0 || a_end < 0 || a_end > ncodes || b_start < 0
+        || b_start > ncodes || max_cells < 0 || !(threshold >= 0.0 && threshold <= 1.0))
+        return -2;
+    if (brk >= k)
+        brk = -1;  /* no code equals it: a code past the alphabet is refused, not a break */
     /* every off-diagonal interior move pays at least this */
     int64_t min_indel = INT64_MAX;
     for (int64_t c = 0; c < k; c++)
         if (indel[c] < min_indel)
             min_indel = indel[c];
-    /* two rows of longest + 1 cells, then a copy of the shared row m for
-     * the symbols from m on */
-    int64_t *base = malloc((2 * (size_t)(longest + 1) + (size_t)k) * sizeof *base);
-    if (base == NULL)
-        return -1;
-    if (m < k)
-        memcpy(base + 2 * (longest + 1), rep + m * k, (size_t)k * sizeof *base);
-    const uint32_t *code1 = codes;
-    for (int64_t i = 0; i + 1 < lines; code1 += lengths[i++]) {
-        if (!want[i])
+    /* a copy of the shared row m for the symbols from m on, then two rows
+     * of longest + 1 cells: allocated for the first pair that needs them,
+     * and grown as longer second lines come */
+    int64_t longest = 0, cells = 0;
+    int64_t *base = NULL;
+    /* where the last line of B began and ended, its weight, and whether it
+     * is filled: when B is A from a line on, that line is A's next */
+    int64_t from = -1, to = 0, weight = 0;
+    int filled = 0;
+    for (int64_t i = 0, at1 = 0, at2 = b_start; i < pairs; i++) {
+        int64_t w1, w2, end1, end2;
+        int f1, f2;
+        if (at1 == from && a_end == ncodes) {
+            end1 = to;
+            w1 = weight;
+            f1 = filled;
+        } else if ((end1 = scan(codes, at1, a_end, brk, k, ws_del, blank, &w1, &f1)) < 0) {
+            free(base);
+            return -2;
+        }
+        if ((end2 = scan(codes, at2, ncodes, brk, k, ws_del, blank, &w2, &f2)) < 0) {
+            free(base);
+            return -2;
+        }
+        from = at2;
+        to = end2;
+        weight = w2;
+        filled = f2;
+        int64_t n1 = end1 - at1, n2 = end2 - at2;
+        const uint32_t *code1 = codes + at1, *code2 = codes + at2;
+        /* the next lines start past the break, if a line ended at one */
+        at1 = end1 < a_end ? end1 + 1 : end1;
+        at2 = end2 < ncodes ? end2 + 1 : end2;
+        heavier[i] = w1 > w2 ? w1 : w2;
+        if (blank != NULL && !(f1 && f2)) {
+            status[i] = 0;
             continue;
-        int64_t n1 = lengths[i], n2 = lengths[i + 1];
-        const uint32_t *code2 = code1 + n1;
+        }
+        if (n1 > 0 && n2 > max_cells / n1) {
+            status[i] = 2;
+            if (stop)
+                break;
+            continue;
+        }
+        status[i] = 1;
         if (n1 == n2 && memcmp(code1, code2, (size_t)n1 * sizeof *code1) == 0) {
             dists[i] = 0;
             continue;
         }
-        int64_t limit = cutoff(threshold, weights[i] > weights[i + 1] ? weights[i] : weights[i + 1]);
+        int64_t limit = cutoff(threshold, heavier[i]);
         int64_t width = INT64_MAX;
         if (limit < INT64_MAX) {
-            /* d >= the weight of line i less what n2 diagonal moves can
-             * take, and the same for line i + 1 */
+            /* d >= the weight of A's line less what n2 diagonal moves can
+             * take, and the same for B's line */
             int64_t most_del = 0, ins = 0, most_ins = 0;
             for (int64_t j = 0; j < n1; j++)
                 if (ws_del[code1[j]] > most_del)
@@ -209,16 +279,30 @@ int64_t wsadist_pairs(int64_t lines, const int64_t *lengths, int64_t ncodes,
                 if (ws_ins[code2[j]] > most_ins)
                     most_ins = ws_ins[code2[j]];
             }
-            if (weights[i] - n2 * most_del >= limit || ins - n1 * most_ins >= limit) {
+            if (w1 - n2 * most_del >= limit || ins - n1 * most_ins >= limit) {
+                status[i] = 3;
                 dists[i] = -1;
                 continue;
             }
             if (min_indel > 0)
                 width = (limit - 1) / min_indel;
         }
+        if (base == NULL || n2 > longest) {
+            longest = n2 > 2 * longest ? n2 : 2 * longest;
+            int64_t *grown = realloc(base, ((size_t)k + 2 * (size_t)(longest + 1)) * sizeof *base);
+            if (grown == NULL) {
+                free(base);
+                return -1;
+            }
+            if (base == NULL && m < k)
+                memcpy(grown, rep + m * k, (size_t)k * sizeof *base);
+            base = grown;
+        }
         dists[i] = lattice(n1, code1, n2, code2, k, indel, ws_del, ws_ins, rep, m, limit, width,
-                           base, base + n2 + 1, base + 2 * (longest + 1));
+                           base + k, base + k + n2 + 1, base, &cells);
+        if (dists[i] < 0)
+            status[i] = 3;
     }
     free(base);
-    return 0;
+    return cells;
 }

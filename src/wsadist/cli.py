@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from functools import cache
+from itertools import islice, zip_longest
 
 from .cost_model import CostModel, ModelError, appendix_model, load_model_file, unit_model
 from .distance import _DISPATCH, Algorithm, SizeLimitError, _paired_distances
@@ -46,15 +47,23 @@ def _read_text(operand: str) -> str:
         return fh.read()
 
 
+def fold_lines(text: str) -> tuple[str, int]:
+    r"""``text`` with every line ending at a bare "\n", and its number of
+    lines, by the rule of ``split_lines``: the one "\r" that ends a line
+    is dropped, before its "\n" or at the end of the text."""
+    count = text.count("\n") + (text[-1:] not in ("", "\n"))
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").removesuffix("\r")
+    return text, count
+
+
 def split_lines(text: str) -> list[str]:
     r"""The lines of ``text``: each ends at "\n", which the last may lack,
     and one "\r" at its end is dropped.  Unlike ``str.splitlines``, no
     other character ends a line."""
+    text, count = fold_lines(text)
     lines = text.split("\n")
-    if not lines[-1]:
-        lines.pop()
-    if "\r" in text:
-        lines = [line.removesuffix("\r") for line in lines]
+    del lines[count:]  # the empty piece after a last "\n"
     return lines
 
 
@@ -126,31 +135,36 @@ def _run_dist(args) -> str:
     mode = NormalizationMode(args.normalize)
     width = args.tab_width
     if not args.files:
-        left, right = [args.left.expandtabs(width)], [args.right.expandtabs(width)]
+        left, right = args.left.expandtabs(width), args.right.expandtabs(width)
+        brk, pairs = None, 1
     elif args.left == args.right == "-":
         raise ValueError("--files can read standard input ('-') for one operand only")
     else:
         # expandtabs restarts its column at each "\n" and "\r", so a whole
         # text expands as each of its lines would on its own
-        left = split_lines(_read_text(args.left).expandtabs(width))
-        right = split_lines(_read_text(args.right).expandtabs(width))
-        n = max(len(left), len(right))
-        left += [""] * (n - len(left))
-        right += [""] * (n - len(right))
+        (left, n1), (right, n2) = (fold_lines(_read_text(operand).expandtabs(width))
+                                   for operand in (args.left, args.right))
+        brk, pairs = "\n", max(n1, n2)
     if algorithm is Algorithm.NAIVE_ORACLE:
         # looked up on each call, so a function swapped into the table is used
         compute = _DISPATCH[algorithm]
+        lines = zip_longest(left.split(brk), right.split(brk), fillvalue="") if brk else [
+            (left, right)]
         costs = [compute(normalize_line(a, mode), normalize_line(b, mode), model)
-                 for a, b in zip(left, right)]
+                 for a, b in islice(lines, pairs)]
     else:
-        costs = _paired_distances(left, right, model, algorithm is Algorithm.WS_AGNOSTIC, mode)
-    total = sum(costs)
+        costs = _paired_distances(left, right, brk, pairs, model,
+                                  algorithm is Algorithm.WS_AGNOSTIC, mode)
+    total, n = sum(costs), len(costs)
+    # each line number and its cost, for one % over a repeated template:
+    # json.dumps's text for these ints, exact at any size
+    numbered = [0] * (2 * n)
+    numbered[::2], numbered[1::2] = range(n), costs
     if args.format == "json":
-        # json.dumps's text for these ints, at a fraction of its cost
-        pairs = ", ".join(f'{{"line": {k}, "cost": {cost}}}' for k, cost in enumerate(costs))
-        return f'{{"pairs": [{pairs}], "total": {total}}}\n'
+        items = ", ".join(['{"line": %d, "cost": %d}'] * n) % tuple(numbered)
+        return f'{{"pairs": [{items}], "total": {total}}}\n'
     if args.files:
-        return "".join(f"{k}\t{cost}\n" for k, cost in enumerate(costs)) + f"total\t{total}\n"
+        return ("%d\t%d\n" * n + "total\t%d\n") % (*numbered, total)
     return f"{total}\n"
 
 

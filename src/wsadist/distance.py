@@ -22,7 +22,6 @@ compiled kernel a 4000x4000-character pair takes 22-36 ms on a 2-vCPU VM.
 """
 
 from enum import Enum
-from operator import mul
 
 from .cost_model import CostModel, _Record, unit_model
 from .kernel import edge_costs, score_document
@@ -66,7 +65,7 @@ def _pair_distance(s1: str, s2: str, model: CostModel | None, max_cells: int,
     if not (s1 and s2):
         del_cost, ins_cost = edge_costs(ws_agnostic)
         return sum(del_cost(model, c) for c in s1) + sum(ins_cost(model, c) for c in s2)
-    return score_document((s1, s2), (len(s1), len(s2)), b"\1", model, ws_agnostic, 0.0)[1][0]
+    return score_document(s1 + s2, len(s1), len(s1), None, 1, model, ws_agnostic, 0.0)[2][0]
 
 
 def levenshtein_standard(
@@ -84,22 +83,24 @@ def levenshtein_ws_agnostic(
     return _pair_distance(s1, s2, model, max_cells, True)
 
 
-def _paired_distances(left, right, model: CostModel, ws_agnostic: bool, mode):
+def _paired_distances(left: str, right: str, brk, pairs: int, model: CostModel,
+                      ws_agnostic: bool, mode):
     """``levenshtein_ws_agnostic`` (or, without ``ws_agnostic``,
     ``levenshtein_standard``) of each line of ``left`` against the line of
-    ``right`` at its index, the two lists being of one length, normalized
-    in ``mode``, under the default cell limit, as a sequence of ints.  Every
-    pair is checked against the limit first; then one kernel call scores
-    them all, interleaved as one document."""
-    lines = [""] * (2 * len(left))
-    lines[::2], lines[1::2] = left, right
-    lengths = list(map(len, lines))
-    if max(map(mul, lengths[::2], lengths[1::2]), default=0) > DEFAULT_MAX_CELLS:
-        for n1, n2 in zip(lengths[::2], lengths[1::2]):  # the first pair over the limit raises
-            _check_cells(n1, n2, DEFAULT_MAX_CELLS)
-    # the pairs of right line k and left line k + 1 are never wanted
-    want = b"\1\0" * len(left)
-    return score_document(lines, lengths, want[:-1], model, ws_agnostic, 0.0, mode)[1][::2]
+    ``right`` at its index, for ``pairs`` pairs, the lines of each text
+    ending at the character ``brk`` (None: each text is one line) and a
+    line past a text's last being empty, normalized in ``mode``, under the
+    default cell limit, as a sequence of ints.  One kernel call scores
+    them, the two texts its two streams; the first pair over the limit
+    ends it and raises ``SizeLimitError``."""
+    status, _, dists, _ = score_document(left + right, len(left), len(left), brk, pairs, model,
+                                         ws_agnostic, 0.0, mode, max_cells=DEFAULT_MAX_CELLS,
+                                         stop=True)
+    over = status.find(2)
+    if over >= 0:
+        n1, n2 = (len(text.split(brk)[over] if brk else text) for text in (left, right))
+        _check_cells(n1, n2, DEFAULT_MAX_CELLS)
+    return dists
 
 
 def _naive_oracle(s1: str, s2: str, model: CostModel | None = None) -> int:

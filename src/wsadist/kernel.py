@@ -2,9 +2,10 @@
 
 There is one kernel, written in C (``_kernel.c``, shipped inside the
 package), with one entry, ``wsadist_pairs`` (``dp_pairs``): in one call
-it weighs every line of a document and scores each adjacent pair asked
-for in one lattice, whose last column and last row, where a string has
-run out, charge the edge tables ``ws_del`` and ``ws_ins``.
+it finds the lines of two streams of codes, weighs them, and scores line
+i of the one against line i of the other in one lattice, whose last
+column and last row, where a string has run out, charge the edge tables
+``ws_del`` and ``ws_ins``.
 ``edge_costs`` picks the ``CostModel`` methods that fill them: the
 whitespace costs for the ws-agnostic distance, ``indel`` for the
 classical one.
@@ -35,22 +36,24 @@ slower.  ``kernel_backend()`` reports which of the two is in use.
 ``logging`` is imported only to give that warning, ``shlex`` only to
 split a ``$CC`` that is set, and ``subprocess`` and ``tempfile`` only to
 build: a fresh process that loads a cached build starts without them.
-A document whose path sums could exceed int64 -- its number of codes
-(at least 1) times the dearest cost, which bounds every pair's sums, since
-a pair's two lines hold no more codes than the document -- always takes
+Codes whose path sums could exceed int64 -- their number (at least 1)
+times the dearest cost, which bounds every pair's sums, since a pair's
+two lines hold no more codes than the buffer they lie in -- always take
 the interpreted kernel, which computes over Python ints; ``dp_pairs``
 alone decides this.
 
-Only this module knows the kernel's input: detection's lines, the line
-pairs of ``wsadist dist`` interleaved, and a single pair all go through
-``score_document``, which joins, normalizes and encodes them once, into
-bytes the kernel reads in place beside an array of the line lengths, and
-builds one cost block (``alphabet_costs``) for one ``dp_pairs`` call.
+Only this module knows the kernel's input: detection's lines, the lines
+of two files for ``wsadist dist --files`` and a single pair all go
+through ``score_document``, which normalizes a text once and encodes it
+into bytes that the kernel reads in place as two streams of lines, A and
+B, split at a break code, and builds one cost block (``alphabet_costs``)
+for one ``dp_pairs`` call.  The kernel finds the lines, weighs them and
+flags the blank ones in one pass, so no list of lines is built for it.
 Detection passes its threshold, and the kernel then computes d exactly
 only for the pairs that can reach it: a length bound rules some out with
 no DP, and the rest run in a diagonal band (see ``dp_pairs`` and
-``_kernel.c``).  A wanted pair reads -1 exactly when its similarity falls
-below the threshold, on every route: where the compiled cutoff cannot be
+``_kernel.c``).  A scored pair reads status 3 and d -1 exactly when its
+similarity falls below the threshold, on every route: where the compiled cutoff cannot be
 sure of it, ``dp_pairs`` rules the pairs out itself.  ``wsadist dist``
 and single pairs pass threshold 0: every d is exact.
 """
@@ -61,7 +64,7 @@ import os
 import sys
 import zlib
 from array import array
-from itertools import accumulate, pairwise
+from itertools import accumulate
 
 from .cost_model import CostModel
 from .normalizer import normalize_line
@@ -74,13 +77,9 @@ _FLAGS = ("-O2", "-falign-loops=32", "-shared", "-fPIC")
 _INT64_MAX = (1 << 63) - 1
 _EXACT_DOUBLE = 1 << 53  # past it a double no longer holds every weight
 _UTF32 = "utf-32-le" if sys.byteorder == "little" else "utf-32-be"
-# the byte of a native int64 that holds its sign, and a table that reads
-# it as 1 where the int64 is not negative
-_SIGN_BYTE = 7 if sys.byteorder == "little" else 0
-_NOT_NEGATIVE = bytes(byte < 0x80 for byte in range(256))
 _I64, _PTR, _F64 = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
-# lines, lengths, ncodes, codes, k, costs, m, want, weights, dists, threshold
-_PAIRS_ARGTYPES = [_I64, _PTR, _I64, _PTR, _I64, _PTR, _I64, ctypes.c_char_p, _PTR, _PTR, _F64]
+# sizes, codes, blank, costs, status, heavier, dists, threshold
+_PAIRS_ARGTYPES = [_PTR, ctypes.c_char_p, ctypes.c_char_p, _PTR, _PTR, _PTR, _PTR, _F64]
 
 _UNTRIED = object()
 _compiled = _UNTRIED  # the loaded C library, or None once it failed
@@ -274,101 +273,111 @@ def alphabet_costs(alphabet: Alphabet, m: int, model: CostModel, ws_agnostic: bo
     return costs
 
 
-def score_document(lines, lengths, want: bytes, model: CostModel, ws_agnostic: bool,
-                   threshold: float, mode=None):
-    """``dp_pairs``'s ``(weights, dists)`` for a document of ``lines``, of
-    ``lengths`` (ints, from the caller, who has them already), joined and,
-    given a ``NormalizationMode``, normalized, which keeps each line's
-    length: one encoding into its ``model_alphabet``, one cost block for
-    the distance ``ws_agnostic`` picks, and one kernel call."""
-    text = "".join(lines)
+def score_document(text: str, a_end: int, b_start: int, brk, pairs: int, model: CostModel,
+                   ws_agnostic: bool, threshold: float, mode=None, *, blank: bool = False,
+                   max_cells: int = _INT64_MAX, stop: bool = False):
+    """``dp_pairs`` on ``text``, its streams and lines split at the
+    character ``brk`` (None: no break), normalized in ``mode`` if given,
+    which moves no character and maps none to or from a break, then
+    encoded once, with one cost block for the distance ``ws_agnostic``
+    picks.  With ``blank``, a pair with a line of ``str.isspace``
+    characters alone is not scored."""
     if mode is not None:
         text = normalize_line(text, mode)
     alphabet = model_alphabet(model, text)
     m = len(alphabet)
-    return dp_pairs(encode(text, alphabet), array("q", lengths), want, m,
-                    alphabet_costs(alphabet, m, model, ws_agnostic), threshold)
+    codes = encode(text, alphabet)
+    # normalizing keeps whitespace as it is
+    table = bytes(map(str.isspace, map(chr, alphabet))) if blank else None
+    return dp_pairs(codes, a_end, b_start, -1 if brk is None else alphabet.get(ord(brk), -1),
+                    pairs, m, alphabet_costs(alphabet, m, model, ws_agnostic), threshold,
+                    table, max_cells, stop)
 
 
-def _refusal(result: int, lengths) -> Exception:
-    """The error for the kernel's negative ``result`` on lines of ``lengths``."""
-    if result == -1:
-        longest = max(lengths, default=0)
-        return MemoryError(f"DP kernel could not allocate two rows of {longest + 1}")
-    return RuntimeError("DP kernel refused a symbol code outside its alphabet, an m outside "
-                        "[0, k], line lengths outside its codes or a threshold outside [0, 1]")
-
-
-def dp_pairs(codes, lengths, want: bytes, m: int, costs, threshold: float):
-    """Every line's weight and the distance of each wanted adjacent pair
-    of one document, in one call.
+def dp_pairs(codes, a_end: int, b_start: int, brk: int, pairs: int, m: int, costs,
+             threshold: float, blank=None, max_cells: int = _INT64_MAX, stop: bool = False):
+    """Line i of stream A against line i of stream B, for ``pairs`` pairs,
+    in one call, as ``(status, heavier, dists, cells)``.
 
     ``codes`` is ``encode``'s bytes, in one ``model_alphabet`` of size m,
-    and line i the next ``lengths[i]`` codes (array('q')); ``costs`` is
-    the block ``alphabet_costs`` returns.  ``want`` holds one byte per
-    adjacent pair; either line of a wanted pair may be empty.  Returns
-    ``(weights, dists)``: weights[i] is the sum of the edge table
-    ``ws_del`` over line i (of indel costs, which nothing reads, for the
-    classical distance), and dists[i] the distance d from line i to line
-    i + 1 for each wanted pair, else 0.
+    and ``costs`` the block ``alphabet_costs`` returns.  A is the first
+    ``a_end`` codes and B those from ``b_start`` on, each split into lines
+    at the code ``brk``; one outside the alphabet, -1 say, makes each
+    stream one line, and a line past a stream's last is empty.
+    ``status[i]`` (bytes) is 0 when ``blank``, k bytes that flag the blank
+    codes, is given and a line holds only blank codes; 2 when the pair has
+    more than ``max_cells`` cells, and with ``stop`` that pair ends the
+    call; else 1 for a scored pair, or 3 for one below the threshold.
+    ``heavier[i]`` is D, the heavier line's weight, the sum of the edge
+    table ``ws_del`` over its codes (of indel costs, which nothing reads,
+    for the classical distance); ``dists[i]`` a scored pair's distance d,
+    else 0; ``cells`` the lattice cells computed: n1 x n2 for a pair run in
+    full, fewer in a band, none for identical lines or a pair ruled out
+    with no DP.
 
-    ``threshold``, in [0, 1], is detection's: a wanted pair reads -1 in
-    place of d exactly when its ``1.0 - d / D``, D the heavier line's
-    weight, falls below it, and d is exact for every other pair.  Threshold
-    0 rules nothing out.  Runs the compiled kernel on the block as one
-    array('q') when it is available and no path sum can exceed int64, else
-    ``dp_interpreted`` on each wanted pair, which computes every d over
-    Python ints.  A pair's path sums, its weights among them, are at most
-    n1 + n2 steps of the dearest cost, and n1 + n2 is at most the number
-    of codes, with equality for a single pair: the route is decided on
-    that bound, at no cost per line.  Where the compiled cutoff cannot
-    rule pairs out exactly -- on the interpreted route, past 2^53, where a
-    double no longer holds every weight, or in a build that evaluates
-    doubles wider -- ``_rule_out`` does so on the exact d.
+    ``threshold``, in [0, 1], is detection's: a scored pair reads status 3
+    and d -1 exactly when its ``1.0 - d / D`` falls below it, and d is
+    exact for every other pair.  Threshold 0 rules nothing out.  Runs the
+    compiled kernel on the block as one array('q') when it is available
+    and no path sum can exceed int64, else ``dp_interpreted`` on each
+    scored pair, in full, over Python ints.  A pair's path sums, its
+    weights among them, are at most n1 + n2 steps of the dearest cost, and
+    n1 + n2 is at most the number of codes, with equality for a single
+    pair: the route is decided on that bound, at no cost per line.  Where
+    the compiled cutoff cannot rule pairs out exactly -- on the
+    interpreted route, past 2^53, where a double no longer holds every
+    weight, or in a build that evaluates doubles wider -- ``_rule_out``
+    does so on the exact d.
     """
-    lines, ncodes = len(lengths), len(codes) // 4
-    if len(want) != max(lines - 1, 0):
-        raise ValueError(f"{lines} lines and {len(want)} wanted flags do not agree")
+    ncodes = len(codes) // 4
     lib = _compiled_library()
     k = len(costs) // (m + 4)
     bound = max(ncodes, 1) * max(costs, default=0)
     # a cost beyond int64 stays interpreted anyway
     if lib is None or bound > _INT64_MAX:
-        codes = memoryview(codes).cast("I")
-        offsets = list(accumulate(lengths, initial=0))
-        ws_del = costs[k:2 * k]
-        weights = [sum(ws_del[c] for c in codes[a:b]) for a, b in pairwise(offsets)]
-        dists = [dp_interpreted(codes[a:b], codes[b:c], costs, m) if wanted else 0
-                 for wanted, a, b, c in zip(want, offsets, offsets[1:], offsets[2:])]
+        ws_del, text = costs[k:2 * k], codes.decode(_UTF32, "surrogatepass")  # one code a char
+        streams = [(part.split(chr(brk)) if 0 <= brk < k else [part]) + [""] * pairs
+                   for part in (text[:a_end], text[b_start:])]
+        status, heavier, dists, cells = bytearray(pairs), [0] * pairs, [0] * pairs, 0
+        for i, *pair in zip(range(pairs), *streams):
+            one, two = (list(map(ord, line)) for line in pair)
+            heavier[i] = max(sum(ws_del[c] for c in one), sum(ws_del[c] for c in two))
+            if blank is not None and not all(any(not blank[c] for c in line)
+                                             for line in (one, two)):
+                continue
+            status[i] = 1 + (len(one) * len(two) > max_cells)
+            if status[i] == 2 and stop:
+                break
+            if status[i] == 1 and one != two:
+                dists[i] = dp_interpreted(one, two, costs, m)
+                cells += len(one) * len(two)
     else:
-        weights, dists = array("q", [0]) * lines, array("q", [0]) * len(want)
+        sizes = array("q", (pairs, ncodes, a_end, b_start, brk, max_cells, stop, k, m))
+        status = array("B", b"\0") * pairs
+        heavier, dists = array("q", [0]) * pairs, array("q", [0]) * pairs
         costs = array("q", costs)
-        result = lib.wsadist_pairs(lines, lengths.buffer_info()[0], ncodes, codes, k,
-                                   costs.buffer_info()[0], m, want, weights.buffer_info()[0],
-                                   dists.buffer_info()[0], threshold)
-        if result < 0:
-            raise _refusal(result, lengths)
+        cells = lib.wsadist_pairs(sizes.buffer_info()[0], codes, blank, costs.buffer_info()[0],
+                                  status.buffer_info()[0], heavier.buffer_info()[0],
+                                  dists.buffer_info()[0], threshold)
+        if cells == -1:
+            raise MemoryError("DP kernel could not allocate its rows")
+        if cells < 0:
+            raise RuntimeError("DP kernel refused a symbol code outside its alphabet, an m "
+                               "outside [0, k], streams outside its codes, a negative count "
+                               "or a threshold outside [0, 1]")
     if threshold > 0 and (lib is None or bound > _EXACT_DOUBLE or not lib.exact_cutoff):
-        _rule_out(weights, dists, want, threshold)
-    return weights, dists
+        _rule_out(status, heavier, dists, threshold)
+    return bytes(status), heavier, dists, cells
 
 
-def _rule_out(weights, dists, want, threshold: float) -> None:
-    """Write -1 over each wanted pair's exact d whose ``1.0 - d / D``, D
-    the heavier line's weight, falls below ``threshold``; a pair of D = 0
-    scores 1.0, and one the compiled kernel ruled out keeps its -1."""
-    for j, wanted in enumerate(want):
-        d, heavier = dists[j], max(weights[j], weights[j + 1])
-        if wanted and d > 0 and heavier and 1.0 - d / heavier < threshold:
-            dists[j] = -1
-
-
-def reached(dists) -> bytes:
-    """One byte per pair of ``dp_pairs``'s ``dists``: 0 where the pair
-    reads -1, ruled out below the threshold, else 1."""
-    if isinstance(dists, array):  # the compiled route's int64s, read by sign byte
-        return dists.tobytes()[_SIGN_BYTE::8].translate(_NOT_NEGATIVE)
-    return bytes(d >= 0 for d in dists)
+def _rule_out(status, heavier, dists, threshold: float) -> None:
+    """Mark 3, with d -1, each scored pair whose exact ``1.0 - d / D``
+    falls below ``threshold``; a pair of D = 0 scores 1.0, and one the
+    compiled kernel ruled out stays as it is."""
+    for j, scored in enumerate(status):
+        d, weight = dists[j], heavier[j]
+        if scored == 1 and d > 0 and weight and 1.0 - d / weight < threshold:
+            status[j], dists[j] = 3, -1
 
 
 def dp_interpreted(code1, code2, costs, m: int) -> int:

@@ -9,12 +9,12 @@ stays at or above a threshold, with a minimum run length.  Blank lines
 """
 
 import re
-from itertools import repeat
-from operator import index, mul
+from itertools import count
+from operator import index
 
 from .cost_model import CostModel, _Record, appendix_model
 from .distance import DEFAULT_MAX_CELLS, levenshtein_ws_agnostic
-from .kernel import reached, score_document
+from .kernel import score_document
 from .normalizer import NormalizationMode
 
 
@@ -67,13 +67,6 @@ def row_similarity(line1: str, line2: str, model: CostModel | None = None) -> fl
     return max(0.0, 1.0 - levenshtein_ws_agnostic(line1, line2, model) / heavier)
 
 
-def _and(flags1: bytes, flags2: bytes) -> bytes:
-    """The pairwise AND of two strings of 0/1 bytes of one length, as one
-    integer AND; any one byte order serves, the AND being bytewise."""
-    return (int.from_bytes(flags1, "big") & int.from_bytes(flags2, "big")).to_bytes(
-        len(flags1), "big")
-
-
 def _runs(joins: bytes, span: int):
     """The ``(start, stop)`` of each maximal run of ``span`` or more 1 bytes
     in ``joins``, in order."""
@@ -85,26 +78,34 @@ def _runs(joins: bytes, span: int):
     return map(re.Match.span, re.finditer(rb"\x01(?<!\x01\x01)\x01{%d,}" % (span - 1), joins))
 
 
-def _pair_scores(lines: list[str], mode: NormalizationMode, model: CostModel,
-                 threshold: float):
-    """Every adjacent pair of the tab-expanded ``lines`` scored in whole-list
-    passes and one ``score_document`` call, as ``(both, want, weights,
-    dists)``: ``both[j]`` (bytes) is 1 when neither line j nor line j + 1
-    is blank; ``want[j]`` (bytes) is 1 when ``both[j]`` is and the pair is
-    within the cell limit, the pairs the kernel scores; ``weights`` is each
-    line's D, and ``dists`` each wanted pair's d, or -1 exactly where its
-    ``1.0 - d / D``, D the heavier line's weight, falls below
-    ``threshold``, and 0 for the other pairs."""
-    # normalizing keeps whitespace as it is, and each line's length
-    lengths = list(map(len, lines))
-    filled = bytes(map(bool, map(str.strip, lines)))
-    both = want = _and(filled[:-1], filled[1:])
-    if (max(lengths, default=0) ** 2 > DEFAULT_MAX_CELLS
-            and max(map(mul, lengths, lengths[1:]), default=0) > DEFAULT_MAX_CELLS):
-        want = bytes(wanted and n1 * n2 <= DEFAULT_MAX_CELLS
-                     for wanted, n1, n2 in zip(both, lengths, lengths[1:]))
-    weights, dists = score_document(lines, lengths, want, model, True, threshold, mode)
-    return both, want, weights, dists
+# the kernel's status of a pair -- 0 for a blank line, 1 scored, 2 over the
+# cell limit, 3 scored below the threshold -- as a join at threshold 0, and
+# above it
+_JOINS_AT_0 = bytes.maketrans(b"\2\3", b"\1\1")
+_JOINS = bytes.maketrans(b"\2\3", b"\0\0")
+
+
+def _pair_scores(lines, mode: NormalizationMode, model: CostModel, threshold: float,
+                 tab_width: int):
+    """Every adjacent pair of ``lines``, each tab-expanded on its own, scored
+    in one ``score_document`` call on the lines joined at a break that no
+    line holds, as ``dp_pairs``'s ``(status, heavier, dists)``: pair j is
+    lines j and j + 1, and the cell limit is the distance's."""
+    lines = list(lines)
+    pairs = max(len(lines) - 1, 0)
+    brk, text = "\n", "\n".join(lines)
+    if text.count(brk) == pairs:
+        # expandtabs restarts its column at each "\n"
+        text = text.expandtabs(tab_width)
+    else:  # a line holds a "\n": break at a character that no expanded line
+        # holds and that normalizing keeps
+        lines = [line.expandtabs(tab_width) for line in lines]
+        held = set().union(*lines)
+        brk = next(c for c in map(chr, count()) if c not in held and not c.isalnum())
+        text = brk.join(lines)
+    # the document is stream A, and from its second line on stream B
+    return score_document(text, len(text), text.find(brk) + 1, brk, pairs, model, True,
+                          threshold, mode, blank=True, max_cells=DEFAULT_MAX_CELLS)[:3]
 
 
 def detect_tables(lines, config: DetectConfig | None = None) -> list[TableRegion]:
@@ -120,28 +121,22 @@ def detect_tables(lines, config: DetectConfig | None = None) -> list[TableRegion
 
     The joins come off the kernel's verdict, with no per-pair Python
     unless a pair is over the cell limit: at threshold 0 every pair of
-    filled lines joins, and above it a wanted pair joins unless it reads
-    -1.  A scan of the join flags finds the regions, and only their
-    pairs' similarities are computed."""
+    filled lines joins, and above it a scored pair joins unless it falls
+    below the threshold.  A scan of the join flags finds the regions, and
+    only their pairs' similarities are computed."""
     config = config if config is not None else DetectConfig()
-    expanded = list(map(str.expandtabs, lines, repeat(config.tab_width)))
     threshold = config.threshold
-    both, want, weights, dists = _pair_scores(expanded, config.mode, config.model, threshold)
-    joins = both
-    if threshold > 0:
-        joins = _and(want, reached(dists))
-        if want != both:  # an over-limit pair of lines that weigh nothing scores 1.0
-            joins = bytes(joined or pair and not weights[j] and not weights[j + 1]
-                          for j, (joined, pair) in enumerate(zip(joins, both)))
+    status, heavier, dists = _pair_scores(lines, config.mode, config.model, threshold,
+                                          config.tab_width)
+    joins = status.translate(_JOINS if threshold > 0 else _JOINS_AT_0)
+    if threshold > 0 and 2 in status:  # an over-limit pair of weightless lines scores 1.0
+        joins = bytes(joined or scored == 2 and not heavier[j]
+                      for j, (joined, scored) in enumerate(zip(joins, status)))
     regions: list[TableRegion] = []
     # pair j joins lines j and j + 1, and a run of min_rows - 1 joined pairs
     # or more is a region
     for start, stop in _runs(joins, config.min_rows - 1):
-        sims = []
-        for j in range(start, stop):
-            w1, w2 = weights[j], weights[j + 1]
-            heavier = w1 if w1 > w2 else w2
-            sims.append(1.0 if heavier == 0 else 0.0 if not want[j]
-                        else max(0.0, 1.0 - dists[j] / heavier))
+        sims = [1.0 if heavier[j] == 0 else 0.0 if status[j] == 2
+                else max(0.0, 1.0 - dists[j] / heavier[j]) for j in range(start, stop)]
         regions.append(TableRegion(start, stop, sum(sims) / (stop - start)))
     return regions

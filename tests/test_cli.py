@@ -8,6 +8,7 @@ import resource
 import signal
 import subprocess
 import sys
+import tracemalloc
 from itertools import zip_longest
 from pathlib import Path
 
@@ -594,10 +595,19 @@ def random_text(rng):
     return text.removesuffix(end) if rng.random() < 0.3 else text
 
 
+def reference_lines(text):
+    r"""The lines of ``text`` by the rule, one line at a time: each ends at
+    "\n", the last may lack it, and one "\r" at a line's end is dropped."""
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return [line[:-1] if line.endswith("\r") else line for line in lines]
+
+
 def reference_output(left, right, model, mode, fmt, tab_width, normalize):
     """``dist --files``'s stdout for files of the texts ``left`` and
-    ``right``, their lines split as ``split_lines`` does, then each
-    tab-expanded on its own and scored one pair at a time through the
+    ``right``, their lines split one at a time by ``reference_lines``, then
+    each tab-expanded on its own and scored one pair at a time through the
     mode table."""
     compute = _DISPATCH[Algorithm(mode)]
     norm = NormalizationMode(normalize)
@@ -606,7 +616,8 @@ def reference_output(left, right, model, mode, fmt, tab_width, normalize):
         return normalize_line(s.expandtabs(tab_width), norm)
 
     costs = [compute(prepare(a), prepare(b), model)
-             for a, b in zip_longest(split_lines(left), split_lines(right), fillvalue="")]
+             for a, b in zip_longest(reference_lines(left), reference_lines(right),
+                                     fillvalue="")]
     if fmt == "json":
         return json.dumps({"pairs": [{"line": k, "cost": c} for k, c in enumerate(costs)],
                            "total": sum(costs)}) + "\n"
@@ -670,3 +681,84 @@ class TestFileModeOneKernelCall:
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (0, want, "")
         assert json.loads(out)["total"] >= (1 << 64 if model is BIG else 1)
+
+
+def line_split_text(rng):
+    r"""A file for ``dist --files`` whose lines end in "\n", "\r\n" or
+    "\r\r\n", with a lone "\r", NUL, tabs and non-ASCII letters inside
+    them; its last line ends in "\n", "\r", "\r\n" or nothing.  Empty
+    files and files of "\n" alone come up too."""
+    kind = rng.random()
+    if kind < 0.1:
+        return ""
+    if kind < 0.2:
+        return "\n" * rng.randint(1, 3)
+    pieces = ["a", "Ab", "9", " ", "  ", "\t", "\0", "é", "Жук", "漢", "𝔸", "x\ry", "\r"]
+    lines = ["".join(rng.choice(pieces) for _ in range(rng.randint(0, 5)))
+             for _ in range(rng.randint(1, 8))]
+    text = "".join(line + rng.choice(["\n", "\r\n", "\r\r\n"]) for line in lines[:-1])
+    return text + lines[-1] + rng.choice(["", "\n", "\r", "\r\n"])
+
+
+def assert_line_split_matches_per_line(capsys, tmp_path, seed, models, count):
+    """``dist --files``, whose kernel finds the lines of the two texts,
+    against the lines split one at a time by ``reference_lines`` and each
+    pair scored on its own, on texts of unequal line counts."""
+    rng = random.Random(seed)
+    paths = [tmp_path / name for name in ("left.txt", "right.txt", "model.json")]
+    for model in models:
+        paths[2].write_text(serialize_model(model))
+        for _ in range(count):
+            left, right = line_split_text(rng), line_split_text(rng)
+            assert split_lines(left) == reference_lines(left), left
+            for path, text in zip(paths, (left, right)):
+                path.write_bytes(text.encode())
+            normalize = rng.choice([m.value for m in NormalizationMode])
+            tab_width = rng.choice([1, 4, 8])
+            for mode in ("ws-agnostic", "standard"):
+                for fmt in ("text", "json"):
+                    argv = ["dist", "--files", "--mode", mode, "--model", str(paths[2]),
+                            "--format", fmt, "--tab-width", str(tab_width),
+                            "--normalize", normalize, str(paths[0]), str(paths[1])]
+                    want = reference_output(left, right, model, mode, fmt, tab_width, normalize)
+                    assert run(capsys, *argv) == (0, want, ""), (argv, left, right)
+
+
+class TestFileModeLineSplit:
+    def test_on_compiled_kernel(self, capsys, tmp_path):
+        if kernel_backend() != "compiled":
+            pytest.skip("no compiled kernel")
+        assert_line_split_matches_per_line(capsys, tmp_path, 20261106, MODELS[:3], 40)
+
+    def test_on_interpreted_kernel(self, capsys, tmp_path, fresh_kernel, monkeypatch, caplog):
+        monkeypatch.setenv("CC", "/nonexistent/cc")
+        with caplog.at_level(logging.WARNING, logger="wsadist"):
+            assert kernel_backend() == "interpreted"
+            assert_line_split_matches_per_line(capsys, tmp_path, 20261107, MODELS[:2], 25)
+
+    def test_beyond_int64(self, capsys, tmp_path):
+        """Costs whose path sums pass int64 take the interpreted route."""
+        assert_line_split_matches_per_line(capsys, tmp_path, 20261108, [BIG], 25)
+
+
+def test_file_mode_memory_per_input_byte(capsys, tmp_path):
+    """``dist --files`` on two texts of about 1 MB, of short lines, holds at
+    its peak the texts, their normalized and translated copies and the
+    four bytes of each code, under 9 bytes per input byte: no list of
+    lines, which took about 14."""
+    rng = random.Random(20261111)
+    words = ["alpha", "Beta", "99", "x", "  ", "\t", "gamma-3", "(ok)"]
+    paths = [tmp_path / "left.txt", tmp_path / "right.txt"]
+    for path in paths:
+        path.write_text("".join(" ".join(rng.choice(words) for _ in range(rng.randint(0, 6)))
+                                + "\n" for _ in range(45_000)), encoding="ascii")
+    size = sum(path.stat().st_size for path in paths)
+    assert 1_000_000 < size < 1_200_000
+    tracemalloc.start()
+    try:
+        code = main(["dist", "--files", "--format", "json", *map(str, paths)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, capsys.readouterr().err) == (0, "")
+    assert peak < 9 * size, peak / size

@@ -37,9 +37,15 @@ from test_table_detect import (MODELS, PIECES, assert_cutoff_keeps_decisions, pa
 ALPHABET = "aA9(),$ "
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-def line_lengths(lines):
-    """``score_document``'s lengths of ``lines``."""
-    return array("q", map(len, lines))
+def score_lines(doc, model, ws_agnostic, threshold=0.0, mode=None, **options):
+    """``score_document`` on the adjacent pairs of ``doc``, laid out as
+    detection lays them: the lines joined at "\n" as stream A, and from
+    line 1 on as stream B."""
+    assert not any("\n" in line for line in doc)
+    text = "\n".join(doc)
+    return kernel.score_document(text, len(text), text.find("\n") + 1, "\n",
+                                 max(len(doc) - 1, 0), model, ws_agnostic, threshold, mode,
+                                 **options)
 
 
 needs_compiler = pytest.mark.skipif(
@@ -315,8 +321,8 @@ def test_int64_guard_at_its_edge(monkeypatch, cost, interpreted):
 @needs_compiler
 def test_int64_guard_counts_every_code(monkeypatch):
     """Three 1-character lines at 2 ** 62 - 1: each pair alone would fit
-    int64, but the guard bounds every pair by the document's 3 codes, so
-    they run interpreted, and stay exact."""
+    int64, but the guard bounds every pair by the document's 5 codes,
+    breaks included, so they run interpreted, and stay exact."""
     assert kernel_backend() == "compiled"
     calls, dp_interpreted = [], kernel.dp_interpreted
 
@@ -329,28 +335,40 @@ def test_int64_guard_counts_every_code(monkeypatch):
     model = CostModel(indel_default=cost, replace_default=cost)
     doc = ["a", "b", "c"]
     for ws_agnostic, padding in ((True, {}), (False, {"pad_limit": 0})):
-        dists = kernel.score_document(doc, line_lengths(doc), b"\1\1", model, ws_agnostic,
-                                      0.0)[1]
+        dists = score_lines(doc, model, ws_agnostic)[2]
         assert list(dists) == [ws_agnostic_naive(a, b, model, **padding)
                                for a, b in pairwise(doc)]
     assert len(calls) == 4
 
 
-def c_pair(codes, lengths, k, m, threshold=0.0, edges=(1, 1)):
-    """The C entry on a document of two lines of ``lengths`` codes, whose
-    one adjacent pair is wanted, every indel and replacement cost 1, and
-    the edge costs ``edges`` (deletion side, insertion side) in tables of
-    their own, all in one block: its return value and that pair's distance
-    (-1 when the pair cannot reach ``threshold``).  The codes go to the
+def c_call(codes, a_end, b_start, k, m, threshold=0.0, edges=(1, 1), brk=-1, pairs=1,
+           blank=None, max_cells=(1 << 63) - 1, stop=0):
+    """The C entry on ``codes``, stream A their first ``a_end`` and B those
+    from ``b_start`` on, split at ``brk``, for ``pairs`` pairs, with every
+    indel and replacement cost 1 and the edge costs ``edges`` (deletion
+    side, insertion side) in tables of their own, all in one block: its
+    return value, the status bytes, the heavier weights and the distances
+    (-1 for a pair that cannot reach ``threshold``).  The codes go to the
     kernel as bytes, as ``kernel.encode`` makes them."""
     fn = kernel._compiled_library().wsadist_pairs
-    codes, lengths = array("I", codes).tobytes(), array("q", lengths)
+    codes = array("I", codes).tobytes()
     # indel, ws_del, ws_ins and a replacement table of k + 1 rows
     costs = array("q", [1] * k + [edges[0]] * k + [edges[1]] * k + [1] * (k + 1) * k)
-    weights, dists = array("q", [0, 0]), array("q", [0])
-    result = fn(len(lengths), lengths.buffer_info()[0], len(codes) // 4, codes, k,
-                costs.buffer_info()[0], m, b"\x01", weights.buffer_info()[0],
-                dists.buffer_info()[0], threshold)
+    size = max(pairs, 1)
+    status, heavier, dists = array("B", bytes(size)), array("q", [0]) * size, array("q", [0]) * size
+    sizes = array("q", [pairs, len(codes) // 4, a_end, b_start, brk, max_cells, stop, k, m])
+    result = fn(sizes.buffer_info()[0], codes, blank, costs.buffer_info()[0],
+                status.buffer_info()[0], heavier.buffer_info()[0], dists.buffer_info()[0],
+                threshold)
+    return result, status.tobytes(), list(heavier), list(dists)
+
+
+def c_pair(codes, lengths, k, m, threshold=0.0, edges=(1, 1)):
+    """``c_call`` on a pair of lines of ``lengths`` codes, the first as
+    stream A and the second as B, with no break: its return value, the
+    lattice cells computed, and the pair's distance."""
+    assert sum(lengths) == len(codes)
+    result, _, _, dists = c_call(codes, lengths[0], lengths[0], k, m, threshold, edges)
     return result, dists[0]
 
 
@@ -363,8 +381,8 @@ def test_c_kernel_refuses_code_outside_its_alphabet():
     assert c_pair([0, 0], [1, 1], 1, 2)[0] == -2
     # a valid m: row 0 of the table, or the shared row with its own column
     # free (an identical pair would get 0 with no DP, so one line is longer)
-    assert c_pair([0, 0, 0], [1, 2], 1, 1) == (0, 2)
-    assert c_pair([0, 0, 0], [1, 2], 1, 0) == (0, 1)
+    assert c_pair([0, 0, 0], [1, 2], 1, 1) == (2, 2)
+    assert c_pair([0, 0, 0], [1, 2], 1, 0) == (2, 1)
 
 
 @needs_compiler
@@ -372,14 +390,15 @@ def test_c_kernel_refuses_threshold_outside_0_1():
     for threshold in (-0.5, -1.0, 1.5, float("inf"), float("nan")):
         assert c_pair([0, 1], [1, 1], 2, 0, threshold)[0] == -2
     # d = 1 and D = 1: the pair reaches any threshold up to 0, and is
-    # ruled out above it; threshold 0 is no cutoff
-    assert c_pair([0, 1], [1, 1], 2, 0, 0.0) == (0, 1)
-    assert c_pair([0, 1], [1, 1], 2, 0, -0.0) == (0, 1)
-    assert c_pair([0, 1], [1, 1], 2, 0, 1e-300) == (0, -1)
-    assert c_pair([0, 1], [1, 1], 2, 0, 1.0) == (0, -1)
+    # ruled out above it, in its one cell; threshold 0 is no cutoff
+    assert c_pair([0, 1], [1, 1], 2, 0, 0.0) == (1, 1)
+    assert c_pair([0, 1], [1, 1], 2, 0, -0.0) == (1, 1)
+    assert c_pair([0, 1], [1, 1], 2, 0, 1e-300) == (1, -1)
+    assert c_pair([0, 1], [1, 1], 2, 0, 1.0) == (1, -1)
     # an identical pair reaches every threshold
     assert c_pair([0, 0], [1, 1], 2, 0, 1.0) == (0, 0)
-    # d = D = 2 for an empty line against two characters, either way round
+    # d = D = 2 for an empty line against two characters, either way round:
+    # the length bound rules the pair out with no DP
     assert c_pair([0, 1], [0, 2], 2, 0, 1e-300) == (0, -1)
     assert c_pair([0, 1], [2, 0], 2, 0, 1e-300) == (0, -1)
     assert c_pair([], [0, 0], 2, 0, 1.0) == (0, 0)
@@ -408,7 +427,7 @@ def test_c_kernel_reads_its_edge_tables(codes, lengths, s1, s2):
         assert model.whitespace_cost("a") == edges[0]
         assert model.whitespace_insert_cost("a") == edges[1]
         assert c_pair(codes, lengths, 2, 0, edges=edges) == (
-            0, ws_agnostic_naive(s1, s2, model, **padding)), (edges, s1, s2)
+            len(s1) * len(s2), ws_agnostic_naive(s1, s2, model, **padding)), (edges, s1, s2)
     distances = {c_pair(codes, lengths, 2, 0, edges=edges)[1] for edges, _, _ in EDGE_CASES}
     assert len(distances) == (1 if s1 == s2 == "" else 2)
 
@@ -441,14 +460,13 @@ def assert_model_alphabet_matches_oracle(seed):
             alphabet = kernel.model_alphabet(model, s1 + s2)
             m = len(alphabet)
             codes = kernel.encode(s1 + s2, alphabet)
-            lengths = array("q", [len(s1), len(s2)])
             ws_costs, std_costs = (kernel.alphabet_costs(alphabet, m, model, ws_agnostic)
                                    for ws_agnostic in (True, False))
             k = len(alphabet)
             assert len(ws_costs) == len(std_costs) == (m + 4) * k
             # classical: the indel table is both edge tables
             assert std_costs[:k] == std_costs[k:2 * k] == std_costs[2 * k:3 * k]
-            ws_d, std_d = (kernel.dp_pairs(codes, lengths, b"\x01", m, costs, 0.0)[1][0]
+            ws_d, std_d = (kernel.dp_pairs(codes, len(s1), len(s1), -1, 1, m, costs, 0.0)[2][0]
                            for costs in (ws_costs, std_costs))
             assert ws_d == levenshtein_ws_agnostic(s1, s2, model), (s1, s2, model)
             assert std_d == levenshtein_standard(s1, s2, model), (s1, s2, model)
@@ -476,51 +494,57 @@ EDGE_DOCUMENTS = [[], ["a"], ["a", "9"], ["", "  ", "\t", ""], ["a", "", "a"], [
 
 
 def encode_document(doc, model, ws_agnostic, leads=None):
-    """``doc``'s codes in one ``model_alphabet`` of ``leads`` (default: the
-    whole document), its line lengths, m, and the model's cost tables over
-    that alphabet for the ws-agnostic or the classical distance."""
-    text = "".join(doc)
+    """``doc``'s lines joined at "\n", as codes in one ``model_alphabet`` of
+    ``leads`` (default: the whole text), the break's code (-1 when the text
+    has none), m, and the model's cost tables over that alphabet for the
+    ws-agnostic or the classical distance."""
+    text = "\n".join(doc)
     alphabet = kernel.model_alphabet(model, text if leads is None else leads)
     m = len(alphabet)
     codes = kernel.encode(text, alphabet)
-    lengths = array("q", map(len, doc))
-    return codes, lengths, m, kernel.alphabet_costs(alphabet, m, model, ws_agnostic)
+    return (codes, alphabet.get(ord("\n"), -1), m,
+            kernel.alphabet_costs(alphabet, m, model, ws_agnostic))
 
 
 def indel_sum(line, model):
     return sum(map(model.indel, line))
 
 
-def assert_pairs_match(doc, model, want):
-    """The batch entry on ``doc``, ws-agnostic and classical, against the
-    weights, ``line_whitespace_cost`` for the ws-agnostic distance and the
-    sum of indel costs, which nothing reads, for the classical one; the
-    single-pair distances; and, on short pairs, the padded oracle (with no
-    padding for the classical)."""
+def assert_pairs_match(doc, model):
+    """The batch entry on ``doc``'s adjacent pairs, ws-agnostic and
+    classical, against the weights, ``line_whitespace_cost`` for the
+    ws-agnostic distance and the sum of indel costs, which nothing reads,
+    for the classical one; the single-pair distances; and, on short pairs,
+    the padded oracle (with no padding for the classical).  Every pair is
+    scored, or with ``blank`` every pair of two lines with a character
+    that is not ``str.isspace``; the cells are n1 x n2 for each scored
+    pair of two lines that differ."""
     for ws_agnostic, weight, single, padding in (
             (True, line_whitespace_cost, levenshtein_ws_agnostic, {}),
             (False, indel_sum, levenshtein_standard, {"pad_limit": 0})):
-        weights, dists = kernel.score_document(doc, line_lengths(doc), want, model, ws_agnostic,
-                                               0.0)
-        assert list(weights) == [weight(line, model) for line in doc], doc
-        for j, wanted in enumerate(want):
-            if not wanted:
-                assert dists[j] == 0
-                continue
-            assert dists[j] == single(doc[j], doc[j + 1], model), (doc, j, model)
-            if len(doc[j]) + len(doc[j + 1]) <= 24:
-                assert dists[j] == ws_agnostic_naive(doc[j], doc[j + 1], model, **padding), (
-                    doc, j, model)
+        for blank in (False, True):
+            status, heavier, dists, cells = score_lines(doc, model, ws_agnostic, blank=blank)
+            assert list(heavier) == [max(weight(a, model), weight(b, model))
+                                     for a, b in pairwise(doc)], doc
+            assert status == bytes(not blank or bool(a.strip() and b.strip())
+                                   for a, b in pairwise(doc)), doc
+            assert cells == sum(len(a) * len(b) for scored, a, b in zip(status, doc, doc[1:])
+                                if scored and a != b), doc
+            for j, scored in enumerate(status):
+                if not scored:
+                    assert dists[j] == 0
+                    continue
+                assert dists[j] == single(doc[j], doc[j + 1], model), (doc, j, model)
+                if len(doc[j]) + len(doc[j + 1]) <= 24:
+                    assert dists[j] == ws_agnostic_naive(doc[j], doc[j + 1], model,
+                                                         **padding), (doc, j, model)
 
 
 def assert_batch_matches(seed):
     rng = random.Random(seed)
     for model in [*MODELS, LIST_TABLES]:
         for doc in [*EDGE_DOCUMENTS, *(random_document(rng) for _ in range(40))]:
-            # every pair, empty lines included, and a random part of them
-            for keep in (1.0, 0.6):
-                want = bytes(rng.random() < keep for _ in pairwise(doc))
-                assert_pairs_match(doc, model, want)
+            assert_pairs_match(doc, model)
 
 
 @needs_compiler
@@ -538,54 +562,122 @@ def test_batch_on_interpreted_kernel_matches_single_pairs_and_oracle(fresh_kerne
 
 
 def test_batch_takes_list_tables_with_every_line_empty():
-    # the leads of LIST_TABLES give its rows, and so its cost beyond int64
+    # the leads of LIST_TABLES give its rows, and so its cost beyond int64;
+    # two streams with no codes: every line is past a stream's end, empty
     for ws_agnostic in (True, False):
-        codes, lengths, m, costs = encode_document(["", "", ""], LIST_TABLES, ws_agnostic,
-                                                   leads="a9")
+        _, _, m, costs = encode_document([""], LIST_TABLES, ws_agnostic, leads="a9")
         assert isinstance(costs, list)
-        assert kernel.dp_pairs(codes, lengths, bytes(2), m, costs, 0.0) == ([0, 0, 0], [0, 0])
+        assert kernel.dp_pairs(b"", 0, 0, -1, 2, m, costs, 0.0) == (b"\1\1", [0, 0], [0, 0], 0)
 
 
 @needs_compiler
 def test_c_batch_scores_a_document_of_empty_lines_from_empty_bytes():
     assert kernel_backend() == "compiled"
     for ws_agnostic in (True, False):
-        codes, lengths, m, costs = encode_document(["", "", ""], MODELS[0], ws_agnostic)
+        codes, _, m, costs = encode_document([""], MODELS[0], ws_agnostic)
         assert codes == b""
-        weights, dists = kernel.dp_pairs(codes, lengths, bytes([1, 1]), m, costs, 0.0)
-        assert (list(weights), list(dists)) == ([0, 0, 0], [0, 0])
-
-
-def test_batch_refuses_flags_that_do_not_match_the_lines():
-    codes, lengths, m, costs = encode_document(["a", "9"], MODELS[0], True)
-    with pytest.raises(ValueError):
-        kernel.dp_pairs(codes, lengths, bytes(2), m, costs, 0.0)
+        status, heavier, dists, cells = kernel.dp_pairs(codes, 0, 0, -1, 2, m, costs, 0.0)
+        assert (status, list(heavier), list(dists), cells) == (b"\1\1", [0, 0], [0, 0], 0)
 
 
 @needs_compiler
 def test_dp_pairs_raises_the_kernels_refusal():
-    """A code outside the alphabet, or line lengths that add up to more than
-    the codes, make the kernel return -2, which ``dp_pairs`` raises."""
+    """A code outside the alphabet, or streams outside the codes, make the
+    kernel return -2, which ``dp_pairs`` raises."""
     assert kernel_backend() == "compiled"
-    codes, lengths, m, costs = encode_document(["a", "9"], MODELS[0], True)
-    outside = array("I", [0, len(costs) // (m + 4)]).tobytes()
-    for bad_codes, bad_lengths in ((outside, lengths), (codes, array("q", [1, 2]))):
+    codes, brk, m, costs = encode_document(["a", "9"], MODELS[0], True)
+    outside = array("I", [0, brk, len(costs) // (m + 4)]).tobytes()
+    for bad_codes, a_end in ((outside, 3), (codes, 4)):
         with pytest.raises(RuntimeError, match="^DP kernel refused a symbol code outside its "
-                                               "alphabet, .* line lengths outside its codes"):
-            kernel.dp_pairs(bad_codes, bad_lengths, b"\1", m, costs, 0.0)
+                                               "alphabet, .* streams outside its codes"):
+            kernel.dp_pairs(bad_codes, a_end, 2, brk, 1, m, costs, 0.0)
 
 
 @needs_compiler
 def test_c_batch_refuses_code_outside_its_alphabet_or_m():
-    assert c_pair([0, 1], [1, 1], 2, 0) == (0, 1)
+    assert c_pair([0, 1], [1, 1], 2, 0) == (1, 1)
     assert c_pair([0, 2], [1, 1], 2, 0)[0] == -2
     assert c_pair([0, 1], [1, 1], 2, -1)[0] == -2
     assert c_pair([0, 1], [1, 1], 2, 3)[0] == -2
-    # lengths that add up to more than the codes, or a negative length
-    assert c_pair([0], [1, 1], 2, 0)[0] == -2
-    assert c_pair([0, 1], [2, 1], 2, 0)[0] == -2
-    assert c_pair([0, 1], [-1, 2], 2, 0)[0] == -2
-    assert c_pair([0, 1], [2, -1], 2, 0)[0] == -2
+    # streams outside the codes, or a negative pair count or cell limit
+    assert c_call([0, 1], 3, 1, 2, 0)[0] == -2
+    assert c_call([0, 1], 1, 3, 2, 0)[0] == -2
+    assert c_call([0, 1], -1, 1, 2, 0)[0] == -2
+    assert c_call([0, 1], 1, -1, 2, 0)[0] == -2
+    assert c_call([0, 1], 1, 1, 2, 0, pairs=-1)[0] == -2
+    assert c_call([0, 1], 1, 1, 2, 0, max_cells=-1)[0] == -2
+    # a code past the alphabet is refused, not taken for a break outside it
+    assert c_call([0, 2, 1], 3, 3, 2, 0, brk=2)[0] == -2
+    # a code past the pairs asked for is never read
+    assert c_call([0, 1, 2, 9], 4, 1, 3, 0, brk=2)[0] == 2
+
+
+def reference_streams(codes, a_end, b_start, brk, pairs, costs, m, blank, max_cells, stop):
+    """``wsadist_pairs``'s return value, status, heavier weights and
+    distances, by its rule in plain Python over ``dp_interpreted``."""
+    k = len(costs) // (m + 4)
+
+    def lines(stream):
+        found = [[]]
+        for c in stream:
+            if c == brk:
+                found.append([])
+            else:
+                found[-1].append(c)
+        return (found + [[]] * pairs)[:pairs]
+
+    status, heavier, dists, cells = bytearray(pairs), [0] * pairs, [0] * pairs, 0
+    for i, (one, two) in enumerate(zip(lines(codes[:a_end]), lines(codes[b_start:]))):
+        heavier[i] = max(sum(costs[k + c] for c in one), sum(costs[k + c] for c in two))
+        if blank is not None and not (any(not blank[c] for c in one)
+                                      and any(not blank[c] for c in two)):
+            continue
+        if len(one) * len(two) > max_cells:
+            status[i] = 2
+            if stop:
+                break
+            continue
+        status[i] = 1
+        if one != two:
+            dists[i] = kernel.dp_interpreted(one, two, costs, m)
+            cells += len(one) * len(two)
+    return cells, bytes(status), heavier, dists
+
+
+@needs_compiler
+def test_c_kernel_finds_the_lines_of_two_streams():
+    """Random streams, split at a break code or at none, laid out as two
+    texts, as a document and itself from its second line on, or anywhere
+    in the codes, for more or fewer pairs than they have lines: the C
+    entry against ``reference_streams``, with and without a table of
+    blank codes, under a cell limit that marks pairs or stops the call."""
+    assert kernel_backend() == "compiled"
+    rng = random.Random(20261105)
+    for _ in range(3000):
+        k = rng.randint(1, 4)
+        m, brk = rng.randint(0, k), rng.choice([-1, k - 1, k - 1, k])
+        codes = [rng.randrange(k) for _ in range(rng.randint(0, 16))]
+        layout = rng.randrange(3)
+        if layout == 0:  # two texts
+            a_end = b_start = rng.randint(0, len(codes))
+        elif layout == 1:  # a document and itself from its second line on
+            a_end = len(codes)
+            b_start = codes.index(brk) + 1 if brk in codes else len(codes)
+        else:
+            a_end, b_start = rng.randint(0, len(codes)), rng.randint(0, len(codes))
+        pairs = rng.randint(0, 6)
+        edges = (rng.randint(0, 1), rng.randint(0, 1))
+        blank = rng.choice([None, bytes(rng.randint(0, 1) for _ in range(k))])
+        max_cells, stop = rng.choice([(1 << 63) - 1, (rng.randint(0, 12), rng.randint(0, 1))]), 0
+        if isinstance(max_cells, tuple):
+            max_cells, stop = max_cells
+        costs = [1] * k + [edges[0]] * k + [edges[1]] * k + [1] * (m + 1) * k
+        result, status, heavier, dists = c_call(codes, a_end, b_start, k, m, 0.0, edges, brk,
+                                                pairs, blank, max_cells, stop)
+        expected = reference_streams(codes, a_end, b_start, brk, pairs, costs, m, blank,
+                                     max_cells, stop)
+        case = (codes, a_end, b_start, brk, pairs, blank, max_cells, stop)
+        assert (result, status[:pairs], heavier[:pairs], dists[:pairs]) == expected, case
 
 
 SANITIZED_RUN = """
@@ -656,6 +748,31 @@ with tempfile.TemporaryDirectory() as tmp:
         for mode in ("ws-agnostic", "standard"):
             assert main(["dist", "--files", "--mode", mode, "--model", paths[2],
                          "--format", "json", *paths[:2]]) == 0
+    # the kernel's line scan at each stream's end: texts whose lines end in
+    # "\\r\\n", "\\r\\r\\n" or "\\n", with a lone "\\r", NUL and non-ASCII inside,
+    # the last line ending in "\\n", "\\r" or nothing; unequal line counts, an
+    # empty file and files of "\\n" alone
+    texts = ["", "\\n", "\\n\\n", "a\\r\\nb\\r\\r\\nc\\r", "\\0x\\ry\\n\u0416\u0443 9\\n",
+             "Ab 9\\nAb 9", "a\\n\\r", "9\\t9\\r\\n\\r\\n \\n"]
+    for model in [*MODELS[:2], big]:
+        with open(paths[2], "w", encoding="utf-8") as fh:
+            fh.write(serialize_model(model))
+        for left in texts:
+            for right in texts:
+                for path, text in zip(paths, (left, right)):
+                    with open(path, "w", encoding="utf-8", newline="") as fh:
+                        fh.write(text)
+                for mode in ("ws-agnostic", "standard"):
+                    assert main(["dist", "--files", "--mode", mode, "--model", paths[2],
+                                 *paths[:2]]) == 0
+# caller lines that hold line breaks stay one line each, in a list or a generator
+broken = [["a\\n9", "a\\r9", "\\r\\n", "Ab\\t9\\n"], ["\\n", "\\0\\n", "a 9\\r", "a 9"],
+          ["".join(map(chr, range(32))) + "a\\t9"] * 3]
+for model in [*MODELS, big]:
+    for threshold in (0.0, 0.5):
+        config = DetectConfig(threshold=threshold, min_rows=2, model=model)
+        print([detect_tables(doc, config) for doc in broken],
+              [detect_tables(iter(doc), config) for doc in broken])
 """
 
 
@@ -721,21 +838,20 @@ def random_lines(rng, count):
 @needs_compiler
 @pytest.mark.parametrize("mode", list(NormalizationMode))
 def test_score_document_normalizes_as_each_line_would(mode):
-    """Normalizing the joined document keeps every line where it was: the
-    weights and distances equal those of the lines normalized one by one."""
+    """Normalizing the joined document keeps every line where it was and
+    every break a break: the statuses, weights, distances and cells equal
+    those of the lines normalized one by one."""
     assert kernel_backend() == "compiled"
     rng = random.Random(20261026)
     for _ in range(30):
         lines = random_lines(rng, rng.randint(0, 8))
-        want = bytes(rng.random() < 0.8 for _ in pairwise(lines))
         for model in MODELS:
             for threshold in (0.0, 0.5):
-                scored = kernel.score_document(lines, line_lengths(lines), want, model, True,
-                                               threshold, mode)
+                scored = score_lines(lines, model, True, threshold, mode, blank=True)
                 normalized = [normalize_line(line, mode) for line in lines]
-                expected = kernel.score_document(normalized, line_lengths(normalized), want,
-                                                 model, True, threshold)
-                assert [list(r) for r in scored] == [list(r) for r in expected], (lines, model)
+                expected = score_lines(normalized, model, True, threshold, blank=True)
+                assert [bytes(scored[0]), *map(list, scored[1:3]), scored[3]] == [
+                    bytes(expected[0]), *map(list, expected[1:3]), expected[3]], (lines, model)
 
 
 def assert_identical_lines_score_zero(seed):
@@ -754,8 +870,7 @@ def assert_identical_lines_score_zero(seed):
             for changed in others:
                 doc = [line, line, changed]
                 for ws_agnostic, padding in ((True, {}), (False, {"pad_limit": 0})):
-                    exact, cut = (kernel.score_document(doc, line_lengths(doc), b"\1\1", model,
-                                                        ws_agnostic, threshold)[1]
+                    exact, cut = (score_lines(doc, model, ws_agnostic, threshold)[2]
                                   for threshold in (0.0, 1.0))
                     assert exact[0] == cut[0] == 0, (line, model)
                     assert exact[1] == ws_agnostic_naive(line, changed, model, **padding), (

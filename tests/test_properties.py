@@ -3,7 +3,6 @@ detection layers."""
 
 import subprocess
 import sys
-from array import array
 from pathlib import Path
 
 import pytest
@@ -65,14 +64,13 @@ short = st.text(alphabet=SMALL, max_size=6)
 def test_ws_agnostic_matches_padded_oracle_under_asymmetric_models(s1, s2, model):
     expected = ws_agnostic_naive(s1, s2, model)
     assert levenshtein_ws_agnostic(s1, s2, model) == expected
-    # the batch entry on the document [s1, s2], rows for both lines' leads
+    # the batch entry on the streams s1 and s2, rows for both lines' leads
     alphabet = kernel.model_alphabet(model, s1 + s2)
     m = len(alphabet)
     codes = kernel.encode(s1 + s2, alphabet)
-    lengths = array("q", [len(s1), len(s2)])
     for ws_agnostic, padding in ((True, {}), (False, {"pad_limit": 0})):
         costs = kernel.alphabet_costs(alphabet, m, model, ws_agnostic)
-        assert kernel.dp_pairs(codes, lengths, b"\x01", m, costs, 0.0)[1][0] == (
+        assert kernel.dp_pairs(codes, len(s1), len(s1), -1, 1, m, costs, 0.0)[2][0] == (
             ws_agnostic_naive(s1, s2, model, **padding))
 
 

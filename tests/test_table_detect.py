@@ -368,6 +368,39 @@ def test_weightless_pair_over_cell_limit_is_similar():
     assert detect_tables(doc, config) == reference_regions(doc, config) == [TableRegion(0, 1, 1.0)]
 
 
+def assert_lines_keep_their_breaks(seed, count):
+    """Caller lines that hold "\n", "\r", "\r\n", NUL and other control
+    characters, as a list and as a generator: each stays one line,
+    tab-expanded on its own, and the regions equal ``reference_regions``'s.
+    The last documents hold every character up to " " but " " itself, and
+    tabs, which expand to spaces: the break that the lines are joined at
+    must not be one."""
+    rng = random.Random(seed)
+    pieces = [*PIECES, "\n", "\r", "\r\n", "\0", "\x01", "a\n\t9", "\r\t"]
+    docs = [["".join(rng.choice(pieces) for _ in range(rng.randint(0, 6)))
+             for _ in range(rng.randint(0, 8))] for _ in range(count)]
+    controls = "".join(map(chr, range(32)))
+    docs += [[controls + "aa\t99", "a\t99" + controls, "9\ta\t9"] * 2, ["\n", "\n", ""]]
+    for doc in docs:
+        for threshold in (0.0, 0.5):
+            config = DetectConfig(threshold, 2, rng.choice(list(NormalizationMode)),
+                                  rng.choice(MODELS), rng.choice([1, 4, 8]))
+            expected = reference_regions(doc, config)
+            assert detect_tables(doc, config) == expected, (doc, config)
+            assert detect_tables(iter(doc), config) == expected, (doc, config)
+
+
+def test_lines_keep_their_breaks():
+    assert_lines_keep_their_breaks(20261109, 150)
+
+
+def test_lines_keep_their_breaks_on_interpreted_kernel(fresh_kernel, monkeypatch, caplog):
+    monkeypatch.setenv("CC", "/nonexistent/cc")
+    with caplog.at_level(logging.WARNING, logger="wsadist"):
+        assert kernel_backend() == "interpreted"
+        assert_lines_keep_their_breaks(20261110, 50)
+
+
 def cjk(i):
     return chr(0x4E00 + i)
 
@@ -448,11 +481,11 @@ def pair_triples(lines, mode, model, threshold):
     ``threshold``, D is the heavier line's weight.  The score is None for a
     pair with a blank line, 1.0 when D = 0, 0.0 when d is None, else
     ``row_similarity``'s value on the normalized lines."""
-    both, want, weights, dists = _pair_scores(lines, mode, model, threshold)
+    status, weights, dists = _pair_scores(lines, mode, model, threshold, 8)
     triples = []
-    for pair, wanted, d, w1, w2 in zip(both, want, dists, weights, weights[1:]):
-        heavier, d = max(w1, w2), d if wanted and d >= 0 else None
-        sim = (None if not pair else 1.0 if heavier == 0 else 0.0 if d is None
+    for scored, d, heavier in zip(status, dists, weights):
+        d = d if scored == 1 else None
+        sim = (None if not scored else 1.0 if heavier == 0 else 0.0 if d is None
                else max(0.0, 1.0 - d / heavier))
         triples.append((sim, d, heavier))
     return triples
@@ -525,14 +558,17 @@ def test_cutoff_on_interpreted_kernel_matches_exact_decisions(fresh_kernel, monk
 ZERO_INDEL = CostModel(indel_costs={"a": 0}, replace_default=2)
 
 
-@pytest.mark.parametrize("s1, s2, model", [
+CUTOFF_CASES = [
     ("a", "a   b", unit_model()),              # n1 = 1: the first row is the last
     ("a  b", "a", unit_model()),               # n2 = 1: no interior column
     ("a" + " " * 30, "a b", unit_model()),     # |n1 - n2| past the band: rows 4-30 have none
     ("99 9" + " " * 20 + "b", "99 9 b", appendix_model()),
     ("aaa b", "aaa c" + " " * 20, unit_model()),  # every band ends before column n2 - 1
     ("aba b", "ab bb", ZERO_INDEL),            # min_indel = 0
-])
+]
+
+
+@pytest.mark.parametrize("s1, s2, model", CUTOFF_CASES)
 def test_cutoff_at_a_pairs_own_score(s1, s2, model):
     """A pair reaches a threshold equal to its own score, with its exact d,
     and is ruled out just above it."""
@@ -546,6 +582,46 @@ def test_cutoff_at_a_pairs_own_score(s1, s2, model):
     assert (sim, d_cut) == (0.0, None)
     for threshold in (edge, math.nextafter(edge, 2.0), 0.0, 1.0):
         assert_cutoff_keeps_decisions([s1, s2], model, threshold, mode)
+
+
+def band_cells(s1, s2, model, threshold):
+    """The lattice cells that the compiled kernel computes for the pair at
+    ``threshold``, by its arithmetic: none when the length bound rules the
+    pair out; else, each row but the last, the interior cells within the
+    band's width of the diagonal and the last column's, and the last row
+    in full."""
+    n1, n2 = len(s1), len(s2)
+    heavier = max(line_whitespace_cost(s1, model), line_whitespace_cost(s2, model))
+    # the least d that rules the pair out, in the double arithmetic of its score
+    limit = 1 + max(t for t in range(heavier + 1) if 1.0 - t / heavier >= threshold)
+    dels, ins = [model.whitespace_cost(c) for c in s1], [model.whitespace_insert_cost(c)
+                                                         for c in s2]
+    if (sum(dels) - n2 * max(dels, default=0) >= limit
+            or sum(ins) - n1 * max(ins, default=0) >= limit):
+        return 0
+    min_indel = min(model.indel(c) for c in s1 + s2)
+    width = (limit - 1) // min_indel if min_indel else n1 + n2
+    return n2 + sum(max(min(n2 - 1, i + width) - max(1, i - width) + 1, 0) + 1
+                    for i in range(1, n1))
+
+
+@pytest.mark.parametrize("s1, s2, model", CUTOFF_CASES)
+def test_kernel_counts_its_cells(s1, s2, model):
+    """The cells that the kernel counts: n1 x n2 at threshold 0, on either
+    route, and the band arithmetic of ``band_cells`` at a threshold equal
+    to the pair's own score and just above it, on the compiled kernel."""
+    d = levenshtein_ws_agnostic(s1, s2, model)
+    heavier = max(line_whitespace_cost(s1, model), line_whitespace_cost(s2, model))
+    edge = 1.0 - d / heavier
+
+    def cells(threshold):
+        return kernel.score_document(s1 + s2, len(s1), len(s1), None, 1, model, True,
+                                     threshold)[3]
+
+    assert cells(0.0) == len(s1) * len(s2)
+    if kernel_backend() == "compiled":
+        for threshold in (edge, math.nextafter(edge, 2.0)):
+            assert cells(threshold) == band_cells(s1, s2, model, threshold), threshold
 
 
 # costs near 2 ** 50: a document of a few hundred characters has a path-sum
@@ -573,23 +649,25 @@ def limited_similarities(lines, config, limit):
 
 
 def assert_minus_one_contract(doc, model, mode, limit=DEFAULT_MAX_CELLS):
-    """At each of ``CONTRACT_THRESHOLDS``, a pair is wanted exactly when
-    both its lines are filled and it is within ``limit`` cells; a wanted
-    pair reads -1 exactly when its exact similarity is below a threshold
-    above 0, else d >= 0, and an unwanted one reads 0.  ``detect_tables``
-    equals ``reference_regions`` with min_rows 2 to 5."""
+    """At each of ``CONTRACT_THRESHOLDS``, a pair's status is 0 exactly when
+    a line is blank, and 2 when it is over ``limit`` cells; a pair scored,
+    of status 1 or 3, reads status 3 and d -1 exactly when its exact
+    similarity is below a threshold above 0, else d >= 0, and one not
+    scored reads 0.  ``detect_tables`` equals ``reference_regions`` with
+    min_rows 2 to 5."""
     sims = limited_similarities(doc, DetectConfig(0.0, 2, mode, model), limit)
     lines = [line.expandtabs(8) for line in doc]
     for threshold in CONTRACT_THRESHOLDS:
-        both, want, weights, dists = _pair_scores(lines, mode, model, threshold)
-        assert kernel.reached(dists) == bytes(d >= 0 for d in dists), (doc, model, threshold)
+        status, weights, dists = _pair_scores(lines, mode, model, threshold, 8)
         for j, sim in enumerate(sims):
-            assert both[j] == (sim is not None), (doc, j)
-            assert want[j] == (both[j] and len(lines[j]) * len(lines[j + 1]) <= limit), (doc, j)
-            if not want[j]:
+            assert (status[j] != 0) == (sim is not None), (doc, j)
+            over = len(lines[j]) * len(lines[j + 1]) > limit
+            assert (status[j] == 2) == (sim is not None and over), (doc, j)
+            if status[j] in (0, 2):
                 assert dists[j] == 0, (doc, j)
             else:
-                assert (dists[j] == -1) == (sim < threshold), (doc, model, threshold, j)
+                assert (dists[j] == -1) == (status[j] == 3) == (sim < threshold), (
+                    doc, model, threshold, j)
                 assert dists[j] >= -1, (doc, model, threshold, j)
         for min_rows in range(2, 6):
             config = DetectConfig(threshold, min_rows, mode, model)
