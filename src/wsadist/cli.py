@@ -1,5 +1,13 @@
 r"""Command-line surface: ``wsadist dist|normalize|detect``.
 
+``COMMANDS`` gives each subcommand's flags and operands, and
+``parse_args`` reads argv against it in one pass: ``--flag value`` or
+``--flag=value``, a flag's name cut to any prefix that no other flag
+shares, ``--`` ending the flags, ``-`` and negative numbers taken as
+values or operands, and the last of a repeated flag winning.  ``-h`` or
+``--help`` prints the usage and exits 0; a bad flag, value or operand
+prints a usage line and ``wsadist: error: ...`` on stderr and exits 2.
+
 Exit codes: 0 success, 2 bad flags or bad cost-model document,
 3 unreadable input, 4 a distance exceeds its size limit (``dist``),
 5 standard output could not be written.
@@ -8,17 +16,17 @@ A line of input ends at "\n", which the last line may lack; one "\r"
 before it is dropped.  No other character breaks a line.
 """
 
-import argparse
 import json
 import os
+import re
 import sys
-from functools import cache
 from itertools import islice, zip_longest
+from types import SimpleNamespace
 
 from .cost_model import CostModel, ModelError, appendix_model, load_model_file, unit_model
 from .distance import _DISPATCH, Algorithm, SizeLimitError, _paired_distances
 from .normalizer import NormalizationMode, normalize_line
-from .table_detect import DetectConfig, detect_tables
+from .table_detect import DetectConfig, _regions
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -42,91 +50,20 @@ def _read_text(operand: str) -> str:
         if stdin is None:  # Python's stand-in for a closed descriptor 0
             raise OSError("standard input is closed")
         return stdin.buffer.read().decode() if hasattr(stdin, "buffer") else stdin.read()
-    # newline="": "\r" reaches split_lines as it is in the file
+    # newline="": "\r" reaches fold_lines as it is in the file
     with open(operand, "r", encoding="utf-8", newline="") as fh:
         return fh.read()
 
 
 def fold_lines(text: str) -> tuple[str, int]:
     r"""``text`` with every line ending at a bare "\n", and its number of
-    lines, by the rule of ``split_lines``: the one "\r" that ends a line
-    is dropped, before its "\n" or at the end of the text."""
+    lines: a line ends at "\n", which the last may lack, and the one "\r"
+    that ends a line is dropped, before its "\n" or at the end of the
+    text.  No other character ends a line, as ``str.splitlines`` has it."""
     count = text.count("\n") + (text[-1:] not in ("", "\n"))
     if "\r" in text:
         text = text.replace("\r\n", "\n").removesuffix("\r")
     return text, count
-
-
-def split_lines(text: str) -> list[str]:
-    r"""The lines of ``text``: each ends at "\n", which the last may lack,
-    and one "\r" at its end is dropped.  Unlike ``str.splitlines``, no
-    other character ends a line."""
-    text, count = fold_lines(text)
-    lines = text.split("\n")
-    del lines[count:]  # the empty piece after a last "\n"
-    return lines
-
-
-def tab_width(text: str) -> int:
-    width = int(text)
-    if not 1 <= width < 1 << 31:  # str.expandtabs takes a C int
-        raise argparse.ArgumentTypeError(f"tab width must be >= 1 and < 2**31, got {width}")
-    return width
-
-
-@cache
-def build_parser() -> argparse.ArgumentParser:
-    """The parser of every subcommand, built once per process."""
-    parser = argparse.ArgumentParser(
-        prog="wsadist",
-        description="Trailing-whitespace-agnostic string distances, "
-        "shape normalization, and plaintext table detection.",
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add_common(p, run, scores=True):
-        p.set_defaults(run=run)
-        p.add_argument(
-            "--normalize",
-            choices=[m.value for m in NormalizationMode],
-            default="cased",
-            help="shape normalization applied to inputs (default: cased)",
-        )
-        if scores:
-            p.add_argument(
-                "--format", choices=["text", "json"], default="text",
-                help="output format (default: text)",
-            )
-            p.add_argument(
-                "--model", default="appendix-a",
-                help="cost model: 'unit', 'appendix-a', or a path to a "
-                "model file (default: appendix-a)",
-            )
-
-    p_dist = sub.add_parser("dist", help="edit distance between two strings or files")
-    modes = sorted(a.value for a in Algorithm)
-    p_dist.add_argument("--mode", choices=modes, default="ws-agnostic")
-    p_dist.add_argument(
-        "--files", action="store_true",
-        help="treat the operands as files compared line-by-line "
-        "('-' reads standard input)",
-    )
-    p_dist.add_argument("--tab-width", type=tab_width, default=8)
-    add_common(p_dist, _run_dist)
-    p_dist.add_argument("left")
-    p_dist.add_argument("right")
-
-    p_norm = sub.add_parser("normalize", help="normalize a text stream")
-    add_common(p_norm, _run_normalize, scores=False)
-    p_norm.add_argument("input", nargs="?", default="-")
-
-    p_det = sub.add_parser("detect", help="detect table regions in a text stream")
-    p_det.add_argument("--threshold", type=float, default=0.5)
-    p_det.add_argument("--min-rows", type=int, default=3)
-    p_det.add_argument("--tab-width", type=tab_width, default=8)
-    add_common(p_det, _run_detect)
-    p_det.add_argument("input", nargs="?", default="-")
-    return parser
 
 
 def _run_dist(args) -> str:
@@ -182,7 +119,9 @@ def _run_detect(args) -> str:
         model=_resolve_model(args.model),
         tab_width=args.tab_width,
     )
-    regions = detect_tables(split_lines(_read_text(args.input)), config)
+    # expanded as a whole, as dist --files does
+    text, count = fold_lines(_read_text(args.input).expandtabs(args.tab_width))
+    regions = _regions(text, "\n", max(count - 1, 0), config)
     if args.format == "json":
         return json.dumps({
             "regions": [
@@ -191,6 +130,135 @@ def _run_detect(args) -> str:
             ]
         }) + "\n"
     return "".join(f"{r.start_line} {r.end_line} {r.score:.4f}\n" for r in regions)
+
+
+def tab_width(text: str) -> int:
+    width = int(text)
+    if not 1 <= width < 1 << 31:  # str.expandtabs takes a C int
+        raise ValueError(f"tab width must be >= 1 and < 2**31, got {width}")
+    return width
+
+
+# each subcommand's flags, as name: (converter, choices, default), where a flag
+# with no converter takes no value; its operands, as name: default, where one
+# with no default must be given; and what runs it
+_NORMALIZE = {"--normalize": (str, tuple(m.value for m in NormalizationMode), "cased")}
+_SCORES = {"--format": (str, ("text", "json"), "text"), "--model": (str, None, "appendix-a")}
+COMMANDS = {
+    "dist": ({"--mode": (str, tuple(sorted(a.value for a in Algorithm)), "ws-agnostic"),
+              "--files": (None, None, False), "--tab-width": (tab_width, None, 8),
+              **_NORMALIZE, **_SCORES}, {"left": None, "right": None}, _run_dist),
+    "normalize": (_NORMALIZE, {"input": "-"}, _run_normalize),
+    "detect": ({"--threshold": (float, None, 0.5), "--min-rows": (int, None, 3),
+                "--tab-width": (tab_width, None, 8), **_NORMALIZE, **_SCORES},
+               {"input": "-"}, _run_detect),
+}
+HELP = """
+MODEL is unit, appendix-a (the default) or a cost-model file.  An operand
+of -, and INPUT when it is left out, reads standard input.
+"""
+
+
+def _usage(command) -> str:
+    """The usage line of ``command``, or those of every subcommand."""
+    if command is None:
+        return "\n       ".join(map(_usage, COMMANDS))
+    flags, operands, _ = COMMANDS[command]
+    return " ".join(["wsadist", command, "[-h]"] + [
+        f"[{flag}]" if convert is None else f"[{flag} {'|'.join(choices or [flag[2:].upper()])}]"
+        for flag, (convert, choices, _) in flags.items()] + [
+        f"[{name.upper()}]" if default else name.upper() for name, default in operands.items()])
+
+
+def _fail(command, message):
+    print(f"usage: {_usage(command)}\nwsadist: error: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_USAGE)
+
+
+def _flag(token: str, names, command):
+    """``(name, value)`` for ``token`` as one of ``names``, its value given
+    after "=" or glued to -h, or None; ``(token, None)`` for an unknown
+    flag; None for an operand."""
+    if token[:1] != "-" or token in ("-", "--"):
+        return None
+    name, eq, value = token.partition("=")
+    if token in names or eq and name in names:
+        return name, value if eq else None
+    if token[1] == "h":
+        return "-h", token[2:]
+    if token[1] == "-" and (hits := [full for full in names if full.startswith(name)]):
+        if len(hits) > 1:
+            _fail(command, f"ambiguous option: {token} could match {', '.join(hits)}")
+        return hits[0], value if eq else None
+    # as argparse has it, a negative number is an operand or a value
+    return None if re.match(r"-\d+$|-\d*\.\d+$", token) or " " in token else (token, None)
+
+
+def _read(tokens, flags, command=None):
+    """``tokens`` read in order against ``flags``: their values, the operands
+    and the unknown flags, which fail only once all of argv is read.  With
+    no command, the first operand ends the read, and it and all that
+    follows are the operands."""
+    end = tokens.index("--") if command and "--" in tokens else len(tokens)
+    # every token's kind first: an ambiguous flag fails before a -h is read
+    kinds = [_flag(token, (*flags, "-h", "--help"), command) for token in tokens[:end]]
+    values, operands, unknown = {}, [], []
+    i = fixed = 0  # fixed: the operands read before the last flag
+    while i < end:
+        token, kind = tokens[i], kinds[i]
+        i += 1
+        if kind is None:
+            if command is None:
+                return values, tokens[i - 1:], unknown
+            operands.append(token)
+            continue
+        fixed, (name, value) = len(operands), kind
+        if name in ("-h", "--help"):  # argparse reads an h glued to -h as -h
+            if value is None or name == "-h" and value and not value.strip("h"):
+                print(f"usage: {_usage(command)}\n{HELP}", end="")
+                raise SystemExit(EXIT_OK)
+            _fail(command, f"argument -h/--help: ignored explicit argument {value!r}")
+        if name not in flags:
+            unknown.append(token)
+            continue
+        convert, choices, _ = flags[name]
+        if convert is None and value is not None:
+            _fail(command, f"argument {name}: ignored explicit argument {value!r}")
+        if convert is not None and value is None:
+            if i == end or kinds[i] is not None:
+                _fail(command, f"argument {name}: expected one argument")
+            value, i = tokens[i], i + 1
+        try:
+            values[name] = True if convert is None else convert(value)
+        except ValueError as exc:
+            _fail(command, f"argument {name}: {exc}")
+        if choices and values[name] not in choices:
+            _fail(command, f"argument {name}: invalid choice: {value!r}")
+    if end < len(tokens) and fixed >= len(COMMANDS[command][1]):
+        unknown.append("--")  # as argparse: "--" ends the flags only before an operand
+    return values, operands + tokens[end + 1:], unknown
+
+
+def parse_args(argv) -> SimpleNamespace:
+    """The subcommand, its flags' values by destination, its operands, and
+    ``run``, which runs it, read from ``argv``."""
+    # the top level reads no further than the first token that is no flag
+    top = next((i for i, token in enumerate(argv) if token[:1] != "-"), len(argv)) + 1
+    _, operands, unknown = _read(argv[:top], {})
+    operands += argv[top:]
+    if not operands or operands[0] not in COMMANDS:
+        _fail(None, f"invalid subcommand: {operands[0]!r}" if operands else "no subcommand")
+    command, *tokens = operands
+    flags, wanted, run = COMMANDS[command]
+    values, operands, more = _read(tokens, flags, command)
+    if missing := [name for name in list(wanted)[len(operands):] if wanted[name] is None]:
+        _fail(command, f"the following arguments are required: {', '.join(missing)}")
+    if unknown := unknown + more + operands[len(wanted):]:
+        _fail(command, f"unrecognized arguments: {' '.join(unknown)}")
+    args = {name[2:].replace("-", "_"): values.get(name, default)
+            for name, (_, _, default) in flags.items()}
+    args.update(wanted, **dict(zip(wanted, operands)))
+    return SimpleNamespace(subcommand=command, run=run, **args)
 
 
 def _write(output: str) -> int:
@@ -227,8 +295,7 @@ def _write(output: str) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         output = args.run(args)
     except ModelError as exc:

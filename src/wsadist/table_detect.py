@@ -85,27 +85,53 @@ _JOINS_AT_0 = bytes.maketrans(b"\2\3", b"\1\1")
 _JOINS = bytes.maketrans(b"\2\3", b"\0\0")
 
 
-def _pair_scores(lines, mode: NormalizationMode, model: CostModel, threshold: float,
-                 tab_width: int):
-    """Every adjacent pair of ``lines``, each tab-expanded on its own, scored
-    in one ``score_document`` call on the lines joined at a break that no
-    line holds, as ``dp_pairs``'s ``(status, heavier, dists)``: pair j is
-    lines j and j + 1, and the cell limit is the distance's."""
+def _joined(lines, tab_width: int):
+    """``lines`` as one text for ``_regions``: each tab-expanded on its own
+    and joined at a break that no line holds, with the break and the
+    number of adjacent pairs."""
     lines = list(lines)
     pairs = max(len(lines) - 1, 0)
     brk, text = "\n", "\n".join(lines)
     if text.count(brk) == pairs:
         # expandtabs restarts its column at each "\n"
-        text = text.expandtabs(tab_width)
-    else:  # a line holds a "\n": break at a character that no expanded line
-        # holds and that normalizing keeps
-        lines = [line.expandtabs(tab_width) for line in lines]
-        held = set().union(*lines)
-        brk = next(c for c in map(chr, count()) if c not in held and not c.isalnum())
-        text = brk.join(lines)
+        return text.expandtabs(tab_width), brk, pairs
+    # a line holds a "\n": break at a character that no expanded line holds
+    # and that normalizing keeps
+    lines = [line.expandtabs(tab_width) for line in lines]
+    held = set().union(*lines)
+    brk = next(c for c in map(chr, count()) if c not in held and not c.isalnum())
+    return brk.join(lines), brk, pairs
+
+
+def _pair_scores(text: str, brk: str, pairs: int, mode: NormalizationMode, model: CostModel,
+                 threshold: float):
+    """The first ``pairs`` adjacent pairs of the lines of ``text``, which
+    end at ``brk``, scored in one ``score_document`` call as ``dp_pairs``'s
+    ``(status, heavier, dists)``: pair j is lines j and j + 1, and the cell
+    limit is the distance's."""
     # the document is stream A, and from its second line on stream B
     return score_document(text, len(text), text.find(brk) + 1, brk, pairs, model, True,
                           threshold, mode, blank=True, max_cells=DEFAULT_MAX_CELLS)[:3]
+
+
+def _regions(text: str, brk: str, pairs: int, config: DetectConfig) -> list[TableRegion]:
+    """``detect_tables`` on a document given as ``text``, already
+    tab-expanded, whose lines end at ``brk``: the regions among its first
+    ``pairs`` + 1 lines.  A break after the last of them is not read."""
+    threshold = config.threshold
+    status, heavier, dists = _pair_scores(text, brk, pairs, config.mode, config.model, threshold)
+    joins = status.translate(_JOINS if threshold > 0 else _JOINS_AT_0)
+    if threshold > 0 and 2 in status:  # an over-limit pair of weightless lines scores 1.0
+        joins = bytes(joined or scored == 2 and not heavier[j]
+                      for j, (joined, scored) in enumerate(zip(joins, status)))
+    regions: list[TableRegion] = []
+    # pair j joins lines j and j + 1, and a run of min_rows - 1 joined pairs
+    # or more is a region
+    for start, stop in _runs(joins, config.min_rows - 1):
+        sims = [1.0 if heavier[j] == 0 else 0.0 if status[j] == 2
+                else max(0.0, 1.0 - dists[j] / heavier[j]) for j in range(start, stop)]
+        regions.append(TableRegion(start, stop, sum(sims) / (stop - start)))
+    return regions
 
 
 def detect_tables(lines, config: DetectConfig | None = None) -> list[TableRegion]:
@@ -125,18 +151,4 @@ def detect_tables(lines, config: DetectConfig | None = None) -> list[TableRegion
     below the threshold.  A scan of the join flags finds the regions, and
     only their pairs' similarities are computed."""
     config = config if config is not None else DetectConfig()
-    threshold = config.threshold
-    status, heavier, dists = _pair_scores(lines, config.mode, config.model, threshold,
-                                          config.tab_width)
-    joins = status.translate(_JOINS if threshold > 0 else _JOINS_AT_0)
-    if threshold > 0 and 2 in status:  # an over-limit pair of weightless lines scores 1.0
-        joins = bytes(joined or scored == 2 and not heavier[j]
-                      for j, (joined, scored) in enumerate(zip(joins, status)))
-    regions: list[TableRegion] = []
-    # pair j joins lines j and j + 1, and a run of min_rows - 1 joined pairs
-    # or more is a region
-    for start, stop in _runs(joins, config.min_rows - 1):
-        sims = [1.0 if heavier[j] == 0 else 0.0 if status[j] == 2
-                else max(0.0, 1.0 - dists[j] / heavier[j]) for j in range(start, stop)]
-        regions.append(TableRegion(start, stop, sum(sims) / (stop - start)))
-    return regions
+    return _regions(*_joined(lines, config.tab_width), config)

@@ -1,3 +1,5 @@
+import argparse
+import contextlib
 import errno
 import io
 import json
@@ -13,6 +15,7 @@ from itertools import zip_longest
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wsadist import (
     Algorithm,
@@ -26,7 +29,7 @@ from wsadist import (
     normalize_line,
     serialize_model,
 )
-from wsadist.cli import build_parser, main, split_lines
+from wsadist.cli import COMMANDS, fold_lines, main, parse_args
 from wsadist.distance import _DISPATCH
 from test_cost_model import UNPARSABLE_JSON
 from test_kernel import LIST_TABLES
@@ -285,11 +288,14 @@ class TestLines:
             outputs.append(run(capsys, *argv, str(operand), *other))
         assert outputs[0][0] == 0 and outputs[0][1] and outputs.count(outputs[0]) == 3
 
-    def test_split_lines(self):
-        assert split_lines("") == []
-        assert split_lines("\n") == [""]
-        assert split_lines("a\r\n\r\nb\r\r\nc\r") == ["a", "", "b\r", "c"]
-        assert split_lines("a\n\nb") == ["a", "", "b"]
+    def test_fold_lines(self):
+        r"""The folded text's lines, cut at "\n" to its count, are the
+        lines of the rule."""
+        for text, folded, lines in [("", "", []), ("\n", "\n", [""]),
+                                    ("a\r\n\r\nb\r\r\nc\r", "a\n\nb\r\nc", ["a", "", "b\r", "c"]),
+                                    ("a\n\nb", "a\n\nb", ["a", "", "b"])]:
+            assert fold_lines(text) == (folded, len(lines))
+            assert folded.split("\n")[:len(lines)] == lines == reference_lines(text)
 
 
 class TestExitCodes:
@@ -540,9 +546,6 @@ class TestExitCodes:
 
 
 class TestParserOnce:
-    def test_parser_is_built_once(self):
-        assert build_parser() is build_parser()
-
     def test_bad_argv_then_good_call(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["dist", "--normalize", "none", "--mode", "psychic", "a", "b"])
@@ -574,6 +577,172 @@ class TestParserOnce:
                                    capture_output=True, text=True, check=True).stdout
             assert run(capsys, *argv) == (0, fresh, ""), argv
 
+
+class ReferenceParser(argparse.ArgumentParser):
+    """argparse, but for one misreading: it drops a "--" from every value
+    it reads, so it read ``--flag=--`` as ``[]``, and so an operand "--"
+    after the "--" that ended the flags when another operand took that one
+    (``dist a -- --``), and the run then failed.  ``parse_args`` reads such
+    a "--" as itself, and so does this reference."""
+
+    def _get_values(self, action, arg_strings):
+        if arg_strings == ["--"] and action.nargs is None:  # a value, not the end of the flags
+            value = self._get_value(action, "--")
+            self._check_value(action, value)
+            return value
+        return super()._get_values(action, arg_strings)
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The argparse parser that the CLI used before it read its own flags,
+    as ``ReferenceParser``: the reference for ``parse_args``."""
+    def tab_width(text):
+        width = int(text)
+        if not 1 <= width < 1 << 31:
+            raise argparse.ArgumentTypeError(f"tab width must be >= 1 and < 2**31, got {width}")
+        return width
+
+    parser = ReferenceParser(prog="wsadist")
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+
+    def add_common(p, scores=True):
+        p.add_argument("--normalize", choices=[m.value for m in NormalizationMode],
+                       default="cased")
+        if scores:
+            p.add_argument("--format", choices=["text", "json"], default="text")
+            p.add_argument("--model", default="appendix-a")
+
+    p_dist = sub.add_parser("dist")
+    p_dist.add_argument("--mode", choices=sorted(a.value for a in Algorithm),
+                        default="ws-agnostic")
+    p_dist.add_argument("--files", action="store_true")
+    p_dist.add_argument("--tab-width", type=tab_width, default=8)
+    add_common(p_dist)
+    p_dist.add_argument("left")
+    p_dist.add_argument("right")
+    p_norm = sub.add_parser("normalize")
+    add_common(p_norm, scores=False)
+    p_norm.add_argument("input", nargs="?", default="-")
+    p_det = sub.add_parser("detect")
+    p_det.add_argument("--threshold", type=float, default=0.5)
+    p_det.add_argument("--min-rows", type=int, default=3)
+    p_det.add_argument("--tab-width", type=tab_width, default=8)
+    add_common(p_det)
+    p_det.add_argument("input", nargs="?", default="-")
+    return parser
+
+
+def parsed(parse, argv):
+    """``parse(argv)``'s values without ``run``, or the code it exits with;
+    what it prints is dropped."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            values = vars(parse(argv))
+        except SystemExit as exc:
+            return exc.code
+    values.pop("run", None)
+    return values
+
+
+# each flag's good values, then bad ones; "--" is drawn after "=" too
+VALUES = {"--mode": (["standard", "ws-agnostic", "naive-oracle"], ["psychic"]),
+          "--normalize": (["simple", "cased", "none"], ["Cased"]),
+          "--format": (["text", "json"], ["xml"]),
+          "--model": (["unit", "appendix-a", "-", "a b", "", "-5"], []),
+          "--tab-width": (["1", "4", " 8 ", "2147483647"], ["0", "-3", "2147483648", "x"]),
+          "--threshold": (["0.25", "-0.5", "-.5", "1e3", "nan"], ["-1e3", "-inf", "x", ""]),
+          "--min-rows": (["2", "-3", "1_0"], ["2.5", "-5."]), "--files": ([], ["yes", ""])}
+OPERANDS = ["a", "b b", "-", "-5", "-0.5", "-x y", "", "x.txt"]
+STRAYS = ["--", "-h", "--help", "-hh", "-hx", "-h=h", "--he", "-x", "-5.", "---", "--=x",
+          "--bogus", "-"]
+
+
+@st.composite
+def flag_tokens(draw, flags):
+    """One of ``flags``, cut to a prefix or whole, alone, with a value
+    after "=" or with a value as the next token."""
+    flag = draw(st.sampled_from(flags))
+    name = flag[:draw(st.integers(3, len(flag) + 12))]
+    good, bad = VALUES[flag]
+    if not good:
+        return draw(st.sampled_from([[name]] * 6 + [[f"{name}={value}"] for value in bad]))
+    value = draw(st.sampled_from(good) if draw(st.integers(0, 3)) else
+                 st.sampled_from([*bad, "--"]))
+    return draw(st.sampled_from([[f"{name}={value}"], [name, value]] * 3 + [[name]]))
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand, a bogus one or none; mostly its own flags, good values
+    and the right number of operands, in any order, with "--" now and then;
+    and a stray token before or after the subcommand, now and then."""
+    command = draw(st.sampled_from([*COMMANDS, "dist", "detect", "frobnicate", None]))
+    own = sorted(COMMANDS[command][0]) if command in COMMANDS else sorted(VALUES)
+    items = draw(st.lists(flag_tokens(own) | flag_tokens(own) | flag_tokens(own)
+                          | flag_tokens(sorted(VALUES)), max_size=4))
+    wanted = len(COMMANDS[command][1]) if command in COMMANDS else 1
+    count = draw(st.sampled_from([wanted] * 4 + [0, 1, 3]))
+    items += [[token] for token in draw(st.lists(st.sampled_from(OPERANDS), min_size=count,
+                                                 max_size=count))]
+    items += draw(st.lists(st.sampled_from(STRAYS).map(lambda token: [token]), max_size=1)
+                  | st.just([]) | st.just([]))
+    tokens = [token for item in draw(st.permutations(items)) for token in item]
+    if draw(st.integers(0, 3)) == 0:  # "--" ends the flags: a later item's tokens are operands
+        tokens.insert(draw(st.integers(0, len(tokens))), "--")
+    before = draw(st.sampled_from([[]] * 12 + [["-h"], ["--he"], ["-x"], ["--"], ["-hh"], ["-5"]]))
+    return [*before, *([command] if command else []), *tokens]
+
+
+ARGVS = argvs()
+
+
+class TestOwnParser:
+    @pytest.mark.skipif(sys.version_info >= (3, 12),
+                        reason="the reference is argparse as Python 3.10 and 3.11 have it")
+    @settings(max_examples=3000, deadline=None)
+    @given(ARGVS)
+    def test_parser_matches_argparse(self, argv):
+        """What the reference accepts reads the same, with a nan equal to
+        itself; what it refuses exits 2, and a help request exits 0."""
+        assert repr(parsed(parse_args, argv)) == repr(parsed(reference_parser().parse_args, argv))
+
+    @pytest.mark.parametrize("argv", [[], *([command] for command in COMMANDS)],
+                             ids=["top", *COMMANDS])
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help_names_every_flag(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, flag])
+        out = capsys.readouterr().out
+        assert exc.value.code == 0 and out.startswith("usage: wsadist ")
+        for command in argv or COMMANDS:
+            assert all(name in out for name in COMMANDS[command][0]), command
+
+    @pytest.mark.parametrize("argv, message", [
+        (["dist", "--mode", "psychic", "a", "b"], "argument --mode: invalid choice: 'psychic'"),
+        (["dist", "--m", "unit", "a", "b"], "ambiguous option: --m could match --mode, --model"),
+        (["detect", "--min-rows"], "argument --min-rows: expected one argument"),
+        (["detect", "--files"], "unrecognized arguments: --files"),
+        (["dist", "--files=yes", "a", "b"], "argument --files: ignored explicit argument 'yes'"),
+        (["dist", "a"], "the following arguments are required: right"),
+        (["frobnicate"], "invalid subcommand: 'frobnicate'"),
+        ([], "no subcommand"),
+    ])
+    def test_error_prints_usage_and_exits_2(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        err = capsys.readouterr().err
+        assert exc.value.code == 2 and err.startswith("usage: wsadist ")
+        assert f"\nwsadist: error: {message}" in err
+
+    def test_forms_of_a_flag(self):
+        """``=``, a prefix, ``--`` and negative numbers, and the last of a
+        repeated flag wins."""
+        args = parse_args(["detect", "--thr=-0.5", "--min", "-3", "--th", "0.25", "--mo=unit",
+                           "--", "-h"])
+        assert (args.threshold, args.min_rows, args.model, args.input) == (0.25, -3, "unit", "-h")
+        args = parse_args(["dist", "-", "--fi", "--", "--files"])
+        assert (args.files, args.left, args.right, args.mode) == (True, "-", "--files",
+                                                                   "ws-agnostic")
 
 def random_text(rng):
     r"""A file for ``dist --files``: empty, whitespace-only lines and ones
@@ -710,7 +879,8 @@ def assert_line_split_matches_per_line(capsys, tmp_path, seed, models, count):
         paths[2].write_text(serialize_model(model))
         for _ in range(count):
             left, right = line_split_text(rng), line_split_text(rng)
-            assert split_lines(left) == reference_lines(left), left
+            folded, count = fold_lines(left)
+            assert folded.split("\n")[:count] == reference_lines(left), left
             for path, text in zip(paths, (left, right)):
                 path.write_bytes(text.encode())
             normalize = rng.choice([m.value for m in NormalizationMode])
@@ -741,24 +911,46 @@ class TestFileModeLineSplit:
         assert_line_split_matches_per_line(capsys, tmp_path, 20261108, [BIG], 25)
 
 
+def short_lines(path, rng, count):
+    """A text of ``count`` short lines, of words, spaces and tabs."""
+    words = ["alpha", "Beta", "99", "x", "  ", "\t", "gamma-3", "(ok)"]
+    path.write_text("".join(" ".join(rng.choice(words) for _ in range(rng.randint(0, 6)))
+                            + "\n" for _ in range(count)), encoding="ascii")
+
+
+def peak_per_input_byte(capsys, argv, paths):
+    """The peak that ``tracemalloc`` sees in ``main(argv)``, per byte of
+    the files at ``paths``, which hold 1 to 1.2 MB."""
+    size = sum(path.stat().st_size for path in paths)
+    assert 1_000_000 < size < 1_200_000
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, capsys.readouterr().err) == (0, "")
+    return peak / size
+
+
 def test_file_mode_memory_per_input_byte(capsys, tmp_path):
     """``dist --files`` on two texts of about 1 MB, of short lines, holds at
     its peak the texts, their normalized and translated copies and the
     four bytes of each code, under 9 bytes per input byte: no list of
     lines, which took about 14."""
-    rng = random.Random(20261111)
-    words = ["alpha", "Beta", "99", "x", "  ", "\t", "gamma-3", "(ok)"]
     paths = [tmp_path / "left.txt", tmp_path / "right.txt"]
+    rng = random.Random(20261111)
     for path in paths:
-        path.write_text("".join(" ".join(rng.choice(words) for _ in range(rng.randint(0, 6)))
-                                + "\n" for _ in range(45_000)), encoding="ascii")
-    size = sum(path.stat().st_size for path in paths)
-    assert 1_000_000 < size < 1_200_000
-    tracemalloc.start()
-    try:
-        code = main(["dist", "--files", "--format", "json", *map(str, paths)])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert (code, capsys.readouterr().err) == (0, "")
-    assert peak < 9 * size, peak / size
+        short_lines(path, rng, 45_000)
+    argv = ["dist", "--files", "--format", "json", *map(str, paths)]
+    assert peak_per_input_byte(capsys, argv, paths) < 9
+
+
+def test_detect_memory_per_input_byte(capsys, tmp_path):
+    """``detect`` on a text of about 1 MB, of short lines, holds at its peak
+    the text, its normalized and translated copies and the four bytes of
+    each code, under 9 bytes per input byte (8.3 measured): no list of
+    lines, which took about 14."""
+    path = tmp_path / "doc.txt"
+    short_lines(path, random.Random(20261113), 90_000)
+    assert peak_per_input_byte(capsys, ["detect", "--format", "json", str(path)], [path]) < 9

@@ -28,7 +28,7 @@ from wsadist import (
 import wsadist.kernel as kernel
 import wsadist.table_detect as table_detect
 from wsadist.distance import DEFAULT_MAX_CELLS
-from wsadist.table_detect import _pair_scores, _runs
+from wsadist.table_detect import _joined, _pair_scores, _runs
 from test_cost_model import assert_record
 
 THREE_ROW_TABLE = [
@@ -481,7 +481,7 @@ def pair_triples(lines, mode, model, threshold):
     ``threshold``, D is the heavier line's weight.  The score is None for a
     pair with a blank line, 1.0 when D = 0, 0.0 when d is None, else
     ``row_similarity``'s value on the normalized lines."""
-    status, weights, dists = _pair_scores(lines, mode, model, threshold, 8)
+    status, weights, dists = _pair_scores(*_joined(lines, 8), mode, model, threshold)
     triples = []
     for scored, d, heavier in zip(status, dists, weights):
         d = d if scored == 1 else None
@@ -658,7 +658,7 @@ def assert_minus_one_contract(doc, model, mode, limit=DEFAULT_MAX_CELLS):
     sims = limited_similarities(doc, DetectConfig(0.0, 2, mode, model), limit)
     lines = [line.expandtabs(8) for line in doc]
     for threshold in CONTRACT_THRESHOLDS:
-        status, weights, dists = _pair_scores(lines, mode, model, threshold, 8)
+        status, weights, dists = _pair_scores(*_joined(lines, 8), mode, model, threshold)
         for j, sim in enumerate(sims):
             assert (status[j] != 0) == (sim is not None), (doc, j)
             over = len(lines[j]) * len(lines[j + 1]) > limit
