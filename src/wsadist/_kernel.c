@@ -18,8 +18,7 @@
  * In the pass that finds a line, the kernel also sums its weight, the
  * ws_del of its codes, and, given a table of the blank codes, finds
  * whether a code of it is not blank.  A pair with a blank line is then
- * not scored, nor is a pair of more than max_cells cells; with `stop`
- * set, the first such pair ends the call.
+ * not scored, nor is a pair of more than max_cells cells.
  *
  * Given a detection threshold in (0, 1], it computes d exactly only for
  * the pairs that can reach it, and marks the rest -1.  A pair's cutoff
@@ -188,23 +187,23 @@ static int64_t scan(const uint32_t *codes, int64_t at, int64_t end, int64_t brk,
  * one block: indel, ws_del and ws_ins, k each, then the (m+1) x k rep.
  * The integers come in one array, `sizes`, since ctypes converts an int64
  * argument at about three times the cost of a pointer: pairs, ncodes,
- * a_end, b_start, brk, max_cells, stop, k and m.
+ * a_end, b_start, brk, max_cells, k and m.
  * For each of `pairs` pairs, line i of A and line i of B, writes the
  * heavier of the two lines' weights to heavier[i], and to status[i] 0 when
  * `blank`, a table of k flags, is given and either line has no code that
- * is not blank, 2 when the pair has more than max_cells cells (with
- * `stop` set, that pair ends the call), else 1 when it scores the pair,
- * or 3 when the pair falls below a threshold above 0.  For a scored pair
- * it writes the distance from A's line to B's to dists[i], -1 for status
- * 3; it writes no other dists.  Either line of a pair may be empty; two
- * identical lines, empty ones too, get 0 with no DP.
+ * is not blank, 2 when the pair has more than max_cells cells, else 1
+ * when it scores the pair, or 3 when the pair falls below a threshold
+ * above 0.  For a scored pair it writes the distance from A's line to
+ * B's to dists[i], -1 for status 3; it writes no other dists.  Either
+ * line of a pair may be empty; two identical lines, empty ones too, get
+ * 0 with no DP.
  * Returns the cells computed, or -1 or -2 as the header says. */
 int64_t wsadist_pairs(const int64_t *sizes, const uint32_t *codes, const unsigned char *blank,
                       const int64_t *costs, unsigned char *status, int64_t *heavier,
                       int64_t *dists, double threshold)
 {
     int64_t pairs = sizes[0], ncodes = sizes[1], a_end = sizes[2], b_start = sizes[3];
-    int64_t brk = sizes[4], max_cells = sizes[5], stop = sizes[6], k = sizes[7], m = sizes[8];
+    int64_t brk = sizes[4], max_cells = sizes[5], k = sizes[6], m = sizes[7];
     const int64_t *indel = costs, *ws_del = indel + k, *ws_ins = ws_del + k, *rep = ws_ins + k;
     if (m < 0 || m > k || pairs < 0 || a_end < 0 || a_end > ncodes || b_start < 0
         || b_start > ncodes || max_cells < 0 || !(threshold >= 0.0 && threshold <= 1.0))
@@ -256,8 +255,6 @@ int64_t wsadist_pairs(const int64_t *sizes, const uint32_t *codes, const unsigne
         }
         if (n1 > 0 && n2 > max_cells / n1) {
             status[i] = 2;
-            if (stop)
-                break;
             continue;
         }
         status[i] = 1;

@@ -280,8 +280,10 @@ def load_model_file(path) -> CostModel:
         return load_model(fh.read())
 
 
+@cache
 def unit_model() -> CostModel:
-    """Every insertion, deletion, and replacement costs 1."""
+    """Every insertion, deletion, and replacement costs 1.  Built once per
+    process: every call returns the same shared, read-only instance."""
     return CostModel(indel_default=1, replace_default=1)
 
 

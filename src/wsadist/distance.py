@@ -91,11 +91,10 @@ def _paired_distances(left: str, right: str, brk, pairs: int, model: CostModel,
     ending at the character ``brk`` (None: each text is one line) and a
     line past a text's last being empty, normalized in ``mode``, under the
     default cell limit, as a sequence of ints.  One kernel call scores
-    them, the two texts its two streams; the first pair over the limit
-    ends it and raises ``SizeLimitError``."""
+    them all, the two texts its two streams; then the first pair over the
+    limit, if any, raises ``SizeLimitError``."""
     status, _, dists, _ = score_document(left + right, len(left), len(left), brk, pairs, model,
-                                         ws_agnostic, 0.0, mode, max_cells=DEFAULT_MAX_CELLS,
-                                         stop=True)
+                                         ws_agnostic, 0.0, mode, max_cells=DEFAULT_MAX_CELLS)
     over = status.find(2)
     if over >= 0:
         n1, n2 = (len(text.split(brk)[over] if brk else text) for text in (left, right))

@@ -77,7 +77,7 @@ _FLAGS = ("-O2", "-falign-loops=32", "-shared", "-fPIC")
 _INT64_MAX = (1 << 63) - 1
 _EXACT_DOUBLE = 1 << 53  # past it a double no longer holds every weight
 _UTF32 = "utf-32-le" if sys.byteorder == "little" else "utf-32-be"
-_I64, _PTR, _F64 = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
+_PTR, _F64 = ctypes.c_void_p, ctypes.c_double
 # sizes, codes, blank, costs, status, heavier, dists, threshold
 _PAIRS_ARGTYPES = [_PTR, ctypes.c_char_p, ctypes.c_char_p, _PTR, _PTR, _PTR, _PTR, _F64]
 
@@ -275,7 +275,7 @@ def alphabet_costs(alphabet: Alphabet, m: int, model: CostModel, ws_agnostic: bo
 
 def score_document(text: str, a_end: int, b_start: int, brk, pairs: int, model: CostModel,
                    ws_agnostic: bool, threshold: float, mode=None, *, blank: bool = False,
-                   max_cells: int = _INT64_MAX, stop: bool = False):
+                   max_cells: int = _INT64_MAX):
     """``dp_pairs`` on ``text``, its streams and lines split at the
     character ``brk`` (None: no break), normalized in ``mode`` if given,
     which moves no character and maps none to or from a break, then
@@ -291,11 +291,11 @@ def score_document(text: str, a_end: int, b_start: int, brk, pairs: int, model: 
     table = bytes(map(str.isspace, map(chr, alphabet))) if blank else None
     return dp_pairs(codes, a_end, b_start, -1 if brk is None else alphabet.get(ord(brk), -1),
                     pairs, m, alphabet_costs(alphabet, m, model, ws_agnostic), threshold,
-                    table, max_cells, stop)
+                    table, max_cells)
 
 
 def dp_pairs(codes, a_end: int, b_start: int, brk: int, pairs: int, m: int, costs,
-             threshold: float, blank=None, max_cells: int = _INT64_MAX, stop: bool = False):
+             threshold: float, blank=None, max_cells: int = _INT64_MAX):
     """Line i of stream A against line i of stream B, for ``pairs`` pairs,
     in one call, as ``(status, heavier, dists, cells)``.
 
@@ -306,14 +306,13 @@ def dp_pairs(codes, a_end: int, b_start: int, brk: int, pairs: int, m: int, cost
     stream one line, and a line past a stream's last is empty.
     ``status[i]`` (bytes) is 0 when ``blank``, k bytes that flag the blank
     codes, is given and a line holds only blank codes; 2 when the pair has
-    more than ``max_cells`` cells, and with ``stop`` that pair ends the
-    call; else 1 for a scored pair, or 3 for one below the threshold.
-    ``heavier[i]`` is D, the heavier line's weight, the sum of the edge
-    table ``ws_del`` over its codes (of indel costs, which nothing reads,
-    for the classical distance); ``dists[i]`` a scored pair's distance d,
-    else 0; ``cells`` the lattice cells computed: n1 x n2 for a pair run in
-    full, fewer in a band, none for identical lines or a pair ruled out
-    with no DP.
+    more than ``max_cells`` cells; else 1 for a scored pair, or 3 for one
+    below the threshold.  ``heavier[i]`` is D, the heavier line's weight,
+    the sum of the edge table ``ws_del`` over its codes (of indel costs,
+    which nothing reads, for the classical distance); ``dists[i]`` a
+    scored pair's distance d, else 0; ``cells`` the lattice cells
+    computed: n1 x n2 for a pair run in full, fewer in a band, none for
+    identical lines or a pair ruled out with no DP.
 
     ``threshold``, in [0, 1], is detection's: a scored pair reads status 3
     and d -1 exactly when its ``1.0 - d / D`` falls below it, and d is
@@ -346,13 +345,11 @@ def dp_pairs(codes, a_end: int, b_start: int, brk: int, pairs: int, m: int, cost
                                              for line in (one, two)):
                 continue
             status[i] = 1 + (len(one) * len(two) > max_cells)
-            if status[i] == 2 and stop:
-                break
             if status[i] == 1 and one != two:
                 dists[i] = dp_interpreted(one, two, costs, m)
                 cells += len(one) * len(two)
     else:
-        sizes = array("q", (pairs, ncodes, a_end, b_start, brk, max_cells, stop, k, m))
+        sizes = array("q", (pairs, ncodes, a_end, b_start, brk, max_cells, k, m))
         status = array("B", b"\0") * pairs
         heavier, dists = array("q", [0]) * pairs, array("q", [0]) * pairs
         costs = array("q", costs)

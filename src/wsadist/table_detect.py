@@ -103,23 +103,16 @@ def _joined(lines, tab_width: int):
     return brk.join(lines), brk, pairs
 
 
-def _pair_scores(text: str, brk: str, pairs: int, mode: NormalizationMode, model: CostModel,
-                 threshold: float):
-    """The first ``pairs`` adjacent pairs of the lines of ``text``, which
-    end at ``brk``, scored in one ``score_document`` call as ``dp_pairs``'s
-    ``(status, heavier, dists)``: pair j is lines j and j + 1, and the cell
-    limit is the distance's."""
-    # the document is stream A, and from its second line on stream B
-    return score_document(text, len(text), text.find(brk) + 1, brk, pairs, model, True,
-                          threshold, mode, blank=True, max_cells=DEFAULT_MAX_CELLS)[:3]
-
-
 def _regions(text: str, brk: str, pairs: int, config: DetectConfig) -> list[TableRegion]:
     """``detect_tables`` on a document given as ``text``, already
     tab-expanded, whose lines end at ``brk``: the regions among its first
     ``pairs`` + 1 lines.  A break after the last of them is not read."""
     threshold = config.threshold
-    status, heavier, dists = _pair_scores(text, brk, pairs, config.mode, config.model, threshold)
+    # pair j is lines j and j + 1: the document is stream A, and from its
+    # second line on stream B
+    status, heavier, dists, _ = score_document(text, len(text), text.find(brk) + 1, brk, pairs,
+                                               config.model, True, threshold, config.mode,
+                                               blank=True, max_cells=DEFAULT_MAX_CELLS)
     joins = status.translate(_JOINS if threshold > 0 else _JOINS_AT_0)
     if threshold > 0 and 2 in status:  # an over-limit pair of weightless lines scores 1.0
         joins = bytes(joined or scored == 2 and not heavier[j]

@@ -453,6 +453,21 @@ class TestExitCodes:
         assert (code, out, err) == (
             4, "", "wsadist: 8193 x 8193 exceeds the 67108864-cell limit\n")
 
+    def test_size_limit_on_interpreted_kernel(self, capsys, tmp_path, fresh_kernel, monkeypatch,
+                                              caplog):
+        """The same exit, stdout and message as on the compiled kernel, under
+        a lowered limit: pair 1 is over it, and pair 2 by more."""
+        monkeypatch.setenv("CC", "/nonexistent/cc")
+        # the module: the package's attribute `distance` is the function
+        monkeypatch.setattr(sys.modules["wsadist.distance"], "DEFAULT_MAX_CELLS", 100)
+        left, right = tmp_path / "a.txt", tmp_path / "b.txt"
+        left.write_text("aa\n" + "a" * 11 + "\n" + "a" * 20 + "\n")
+        right.write_text("ab\n" + "b" * 10 + "\n" + "b" * 20 + "\n")
+        with caplog.at_level(logging.WARNING, logger="wsadist"):
+            assert kernel_backend() == "interpreted"
+            code, out, err = run(capsys, "dist", "--files", str(left), str(right))
+        assert (code, out, err) == (4, "", "wsadist: 11 x 10 exceeds the 100-cell limit\n")
+
     def test_bad_model_file_exits_2(self, capsys, tmp_path):
         model = tmp_path / "bad.json"
         model.write_text('{"indel_default": -5}')
@@ -726,6 +741,7 @@ class TestOwnParser:
         (["dist", "a"], "the following arguments are required: right"),
         (["frobnicate"], "invalid subcommand: 'frobnicate'"),
         ([], "no subcommand"),
+        (["dist", "-hx"], "argument -h/--help: ignored explicit argument 'x'"),
     ])
     def test_error_prints_usage_and_exits_2(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:

@@ -97,6 +97,10 @@ class TestAppendixModel:
         assert appendix_model() is appendix_model()
         assert appendix_model() == load_model(text)
 
+    def test_unit_model_built_once_per_process(self):
+        assert unit_model() is unit_model()
+        assert unit_model() == CostModel(indel_default=1, replace_default=1)
+
 
 # documents json.loads refuses with no JSONDecodeError
 UNPARSABLE_JSON = [

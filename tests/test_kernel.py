@@ -276,6 +276,34 @@ def test_cache_writable_by_others_is_refused(fresh_kernel, caplog):
     assert list(fresh_kernel.iterdir()) == []
 
 
+@pytest.mark.skipif(not hasattr(os, "getuid") or os.getuid() != 0,
+                    reason="giving a directory to another user needs root")
+def test_cache_owned_by_another_user_is_refused(fresh_kernel, caplog):
+    fresh_kernel.mkdir(mode=0o700, parents=True)
+    os.chown(fresh_kernel, os.getuid() + 1, -1)
+    with caplog.at_level(logging.WARNING, logger="wsadist"):
+        assert kernel_backend() == "interpreted"
+        assert levenshtein_ws_agnostic("a9 ", "A", appendix_model()) == ws_agnostic_naive(
+            "a9 ", "A", appendix_model())
+    warnings = [r.getMessage() for r in caplog.records if r.name == "wsadist"]
+    assert len(warnings) == 1 and "owned by another user" in warnings[0]
+    assert list(fresh_kernel.iterdir()) == []
+
+
+def test_relative_xdg_cache_home_is_ignored(fresh_kernel, monkeypatch, tmp_path):
+    """The XDG spec says a relative path is invalid: the build lands in
+    ``$HOME/.cache/wsadist``, and nothing under the working directory."""
+    monkeypatch.setenv("XDG_CACHE_HOME", "cache")
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    monkeypatch.chdir(tmp_path)
+    assert kernel._cache_dir() == str(tmp_path / "home" / ".cache" / "wsadist")
+    backend = kernel_backend()
+    assert not (tmp_path / "cache").exists()
+    if backend == "compiled":
+        built = tmp_path / "home" / ".cache" / "wsadist"
+        assert sorted(p.suffix for p in built.iterdir()) == [".key", ".so"]
+
+
 @needs_compiler
 def test_concurrent_builds_share_one_library(tmp_path):
     env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path),
@@ -342,7 +370,7 @@ def test_int64_guard_counts_every_code(monkeypatch):
 
 
 def c_call(codes, a_end, b_start, k, m, threshold=0.0, edges=(1, 1), brk=-1, pairs=1,
-           blank=None, max_cells=(1 << 63) - 1, stop=0):
+           blank=None, max_cells=(1 << 63) - 1):
     """The C entry on ``codes``, stream A their first ``a_end`` and B those
     from ``b_start`` on, split at ``brk``, for ``pairs`` pairs, with every
     indel and replacement cost 1 and the edge costs ``edges`` (deletion
@@ -356,7 +384,7 @@ def c_call(codes, a_end, b_start, k, m, threshold=0.0, edges=(1, 1), brk=-1, pai
     costs = array("q", [1] * k + [edges[0]] * k + [edges[1]] * k + [1] * (k + 1) * k)
     size = max(pairs, 1)
     status, heavier, dists = array("B", bytes(size)), array("q", [0]) * size, array("q", [0]) * size
-    sizes = array("q", [pairs, len(codes) // 4, a_end, b_start, brk, max_cells, stop, k, m])
+    sizes = array("q", [pairs, len(codes) // 4, a_end, b_start, brk, max_cells, k, m])
     result = fn(sizes.buffer_info()[0], codes, blank, costs.buffer_info()[0],
                 status.buffer_info()[0], heavier.buffer_info()[0], dists.buffer_info()[0],
                 threshold)
@@ -612,7 +640,7 @@ def test_c_batch_refuses_code_outside_its_alphabet_or_m():
     assert c_call([0, 1, 2, 9], 4, 1, 3, 0, brk=2)[0] == 2
 
 
-def reference_streams(codes, a_end, b_start, brk, pairs, costs, m, blank, max_cells, stop):
+def reference_streams(codes, a_end, b_start, brk, pairs, costs, m, blank, max_cells):
     """``wsadist_pairs``'s return value, status, heavier weights and
     distances, by its rule in plain Python over ``dp_interpreted``."""
     k = len(costs) // (m + 4)
@@ -634,8 +662,6 @@ def reference_streams(codes, a_end, b_start, brk, pairs, costs, m, blank, max_ce
             continue
         if len(one) * len(two) > max_cells:
             status[i] = 2
-            if stop:
-                break
             continue
         status[i] = 1
         if one != two:
@@ -650,7 +676,7 @@ def test_c_kernel_finds_the_lines_of_two_streams():
     texts, as a document and itself from its second line on, or anywhere
     in the codes, for more or fewer pairs than they have lines: the C
     entry against ``reference_streams``, with and without a table of
-    blank codes, under a cell limit that marks pairs or stops the call."""
+    blank codes, with and without a cell limit that marks pairs."""
     assert kernel_backend() == "compiled"
     rng = random.Random(20261105)
     for _ in range(3000):
@@ -668,15 +694,13 @@ def test_c_kernel_finds_the_lines_of_two_streams():
         pairs = rng.randint(0, 6)
         edges = (rng.randint(0, 1), rng.randint(0, 1))
         blank = rng.choice([None, bytes(rng.randint(0, 1) for _ in range(k))])
-        max_cells, stop = rng.choice([(1 << 63) - 1, (rng.randint(0, 12), rng.randint(0, 1))]), 0
-        if isinstance(max_cells, tuple):
-            max_cells, stop = max_cells
+        max_cells = rng.choice([(1 << 63) - 1, rng.randint(0, 12)])
         costs = [1] * k + [edges[0]] * k + [edges[1]] * k + [1] * (m + 1) * k
         result, status, heavier, dists = c_call(codes, a_end, b_start, k, m, 0.0, edges, brk,
-                                                pairs, blank, max_cells, stop)
+                                                pairs, blank, max_cells)
         expected = reference_streams(codes, a_end, b_start, brk, pairs, costs, m, blank,
-                                     max_cells, stop)
-        case = (codes, a_end, b_start, brk, pairs, blank, max_cells, stop)
+                                     max_cells)
+        case = (codes, a_end, b_start, brk, pairs, blank, max_cells)
         assert (result, status[:pairs], heavier[:pairs], dists[:pairs]) == expected, case
 
 

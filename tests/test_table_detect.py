@@ -28,7 +28,7 @@ from wsadist import (
 import wsadist.kernel as kernel
 import wsadist.table_detect as table_detect
 from wsadist.distance import DEFAULT_MAX_CELLS
-from wsadist.table_detect import _joined, _pair_scores, _runs
+from wsadist.table_detect import _joined, _runs
 from test_cost_model import assert_record
 
 THREE_ROW_TABLE = [
@@ -475,13 +475,24 @@ def skewed_document(rng):
             for _ in range(rng.randint(2, 8))]
 
 
+def detection_scores(lines, mode, model, threshold):
+    """``score_document``'s ``(status, heavier, dists)`` on ``lines`` laid out
+    as ``_regions`` lays them out: tab-expanded and joined by ``_joined``,
+    the document as stream A and from its second line on as stream B,
+    blank lines flagged, under detection's cell limit when called."""
+    text, brk, pairs = _joined(lines, 8)
+    return kernel.score_document(text, len(text), text.find(brk) + 1, brk, pairs, model, True,
+                                 threshold, mode, blank=True,
+                                 max_cells=table_detect.DEFAULT_MAX_CELLS)[:3]
+
+
 def pair_triples(lines, mode, model, threshold):
-    """``_pair_scores``'s lists as one ``(score, d, D)`` per adjacent pair:
+    """``detection_scores`` as one ``(score, d, D)`` per adjacent pair:
     d is None when the pair was not scored or was ruled out at
     ``threshold``, D is the heavier line's weight.  The score is None for a
     pair with a blank line, 1.0 when D = 0, 0.0 when d is None, else
     ``row_similarity``'s value on the normalized lines."""
-    status, weights, dists = _pair_scores(*_joined(lines, 8), mode, model, threshold)
+    status, weights, dists = detection_scores(lines, mode, model, threshold)
     triples = []
     for scored, d, heavier in zip(status, dists, weights):
         d = d if scored == 1 else None
@@ -658,7 +669,7 @@ def assert_minus_one_contract(doc, model, mode, limit=DEFAULT_MAX_CELLS):
     sims = limited_similarities(doc, DetectConfig(0.0, 2, mode, model), limit)
     lines = [line.expandtabs(8) for line in doc]
     for threshold in CONTRACT_THRESHOLDS:
-        status, weights, dists = _pair_scores(*_joined(lines, 8), mode, model, threshold)
+        status, weights, dists = detection_scores(lines, mode, model, threshold)
         for j, sim in enumerate(sims):
             assert (status[j] != 0) == (sim is not None), (doc, j)
             over = len(lines[j]) * len(lines[j + 1]) > limit
