@@ -33,13 +33,33 @@
  * 0 is no cutoff: every d is exact.
  *
  * A scored pair of two identical lines gets d = 0 with no DP: most line
- * pairs of two versions of a text are unchanged.
+ * pairs of two versions of a text are unchanged.  Other pairs skip the
+ * prefix of q codes that their lines share, and are scored on the
+ * lattice after it, when the cost block passes one check, made once a
+ * call: the dearest indel cost less the cheapest is at most the cheapest
+ * replacement of a symbol by another, every column of row m counted.
+ * Then indel(a) <= indel(x) + rep(a, x) and indel(a) <= indel(x) +
+ * rep(x, a) for all a and x, so when both lines start with x, an optimal
+ * path that does not take the diagonal (0,0) -> (1,1) can be rerouted
+ * through it at no extra cost, edge costs being no more than indel costs;
+ * by induction one passes (q,q), and d is exact.  A line the prefix
+ * empties leaves the other's edge costs: a line against itself with
+ * trailing whitespace costs its ws_ins or ws_del sum, 0 for the
+ * ws-agnostic distance, in no cells.  The length bound is taken on the
+ * lines after the prefix, and D and the cutoff on the whole lines.  A
+ * shared suffix is not skipped: the last row and column charge edge
+ * costs, which can be less than the indel costs that the same moves pay
+ * inside the lattice, so skipping a suffix would price them wrong.
+ * Without the check a skip can be wrong: with indel a = 9, x = 1 and
+ * rep(a, x) = rep(x, a) = 0, "xaxaa" is 11 from "xa" but "xaa" is 19 from
+ * "".
  *
  * Requires non-negative costs, a symbol replaced by itself to cost 0 (in
  * its own row of rep, and in its own column of the shared row m, as
  * wsadist.kernel.alphabet_costs builds them; the shortcut for identical
- * lines rests on it), no edge cost above its symbol's indel cost (the
- * length bound rests on it, for any such edge tables), and every path
+ * lines and the prefix skip rest on it), no edge cost above its symbol's
+ * indel cost (the length bound and the prefix skip rest on it, for any
+ * such edge tables), and every path
  * sum to fit in int64 (the caller checks); the cells skipped by a cutoff
  * hold T + 1 <= D, which adds no larger sum.  Returns the number of
  * lattice cells computed, or -1 when out of memory, or -2 when a code it
@@ -196,7 +216,8 @@ static int64_t scan(const uint32_t *codes, int64_t at, int64_t end, int64_t brk,
  * above 0.  For a scored pair it writes the distance from A's line to
  * B's to dists[i], -1 for status 3; it writes no other dists.  Either
  * line of a pair may be empty; two identical lines, empty ones too, get
- * 0 with no DP.
+ * 0 with no DP, and other pairs may skip their shared prefix, as the
+ * header says.
  * Returns the cells computed, or -1 or -2 as the header says. */
 int64_t wsadist_pairs(const int64_t *sizes, const uint32_t *codes, const unsigned char *blank,
                       const int64_t *costs, unsigned char *status, int64_t *heavier,
@@ -210,11 +231,21 @@ int64_t wsadist_pairs(const int64_t *sizes, const uint32_t *codes, const unsigne
         return -2;
     if (brk >= k)
         brk = -1;  /* no code equals it: a code past the alphabet is refused, not a break */
-    /* every off-diagonal interior move pays at least this */
-    int64_t min_indel = INT64_MAX;
-    for (int64_t c = 0; c < k; c++)
+    /* every off-diagonal interior move pays at least min_indel */
+    int64_t min_indel = INT64_MAX, most_indel = 0, least_rep = INT64_MAX;
+    for (int64_t c = 0; c < k; c++) {
         if (indel[c] < min_indel)
             min_indel = indel[c];
+        if (indel[c] > most_indel)
+            most_indel = indel[c];
+    }
+    /* the cheapest replacement of a symbol by another; each column of row m counts */
+    for (int64_t a = 0; a <= m; a++)
+        for (int64_t b = 0; b < k; b++)
+            if ((a == m || a != b) && rep[a * k + b] < least_rep)
+                least_rep = rep[a * k + b];
+    /* with no alphabet, nothing to skip: 0 - INT64_MAX is no overflow */
+    int skip_prefix = most_indel - min_indel <= least_rep;
     /* a copy of the shared row m for the symbols from m on, then two rows
      * of longest + 1 cells: allocated for the first pair that needs them,
      * and grown as longer second lines come */
@@ -258,25 +289,36 @@ int64_t wsadist_pairs(const int64_t *sizes, const uint32_t *codes, const unsigne
             continue;
         }
         status[i] = 1;
-        if (n1 == n2 && memcmp(code1, code2, (size_t)n1 * sizeof *code1) == 0) {
+        int64_t q = 0, shorter = n1 < n2 ? n1 : n2;
+        while (q < shorter && code1[q] == code2[q])
+            q++;
+        if (q == n1 && q == n2) {
             dists[i] = 0;
             continue;
+        }
+        if (skip_prefix) {
+            n1 -= q;
+            n2 -= q;
+            code1 += q;
+            code2 += q;
         }
         int64_t limit = cutoff(threshold, heavier[i]);
         int64_t width = INT64_MAX;
         if (limit < INT64_MAX) {
             /* d >= the weight of A's line less what n2 diagonal moves can
-             * take, and the same for B's line */
-            int64_t most_del = 0, ins = 0, most_ins = 0;
-            for (int64_t j = 0; j < n1; j++)
+             * take, and the same for B's line, both after any prefix skipped */
+            int64_t del = 0, most_del = 0, ins = 0, most_ins = 0;
+            for (int64_t j = 0; j < n1; j++) {
+                del += ws_del[code1[j]];
                 if (ws_del[code1[j]] > most_del)
                     most_del = ws_del[code1[j]];
+            }
             for (int64_t j = 0; j < n2; j++) {
                 ins += ws_ins[code2[j]];
                 if (ws_ins[code2[j]] > most_ins)
                     most_ins = ws_ins[code2[j]];
             }
-            if (w1 - n2 * most_del >= limit || ins - n1 * most_ins >= limit) {
+            if (del - n2 * most_del >= limit || ins - n1 * most_ins >= limit) {
                 status[i] = 3;
                 dists[i] = -1;
                 continue;

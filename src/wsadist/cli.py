@@ -44,15 +44,15 @@ def _resolve_model(spec: str) -> CostModel:
 
 
 def _read_text(operand: str) -> str:
-    if operand == "-":
-        # strict UTF-8 with "\r" kept, as a file is read; bare text streams as text
-        stdin = sys.stdin
-        if stdin is None:  # Python's stand-in for a closed descriptor 0
-            raise OSError("standard input is closed")
-        return stdin.buffer.read().decode() if hasattr(stdin, "buffer") else stdin.read()
-    # newline="": "\r" reaches fold_lines as it is in the file
-    with open(operand, "r", encoding="utf-8", newline="") as fh:
-        return fh.read()
+    # a file and standard input alike are read as bytes and decoded as
+    # strict UTF-8, so "\r" reaches fold_lines as it is; bare text streams as text
+    if operand != "-":
+        with open(operand, "rb") as fh:
+            return fh.read().decode()
+    stdin = sys.stdin
+    if stdin is None:  # Python's stand-in for a closed descriptor 0
+        raise OSError("standard input is closed")
+    return stdin.buffer.read().decode() if hasattr(stdin, "buffer") else stdin.read()
 
 
 def fold_lines(text: str) -> tuple[str, int]:

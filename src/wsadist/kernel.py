@@ -49,6 +49,11 @@ into bytes that the kernel reads in place as two streams of lines, A and
 B, split at a break code, and builds one cost block (``alphabet_costs``)
 for one ``dp_pairs`` call.  The kernel finds the lines, weighs them and
 flags the blank ones in one pass, so no list of lines is built for it.
+A pair of identical lines costs 0 with no DP, and other pairs are
+scored past the prefix their lines share whenever the cost block shows
+that some optimal path runs through it (see ``_kernel.c``): a line that
+differs from its neighbour only in trailing whitespace then costs its
+edge sum, 0 ws-agnostic, with no DP.
 Detection passes its threshold, and the kernel then computes d exactly
 only for the pairs that can reach it: a length bound rules some out with
 no DP, and the rest run in a diagonal band (see ``dp_pairs`` and
@@ -311,15 +316,18 @@ def dp_pairs(codes, a_end: int, b_start: int, brk: int, pairs: int, m: int, cost
     the sum of the edge table ``ws_del`` over its codes (of indel costs,
     which nothing reads, for the classical distance); ``dists[i]`` a
     scored pair's distance d, else 0; ``cells`` the lattice cells
-    computed: n1 x n2 for a pair run in full, fewer in a band, none for
-    identical lines or a pair ruled out with no DP.
+    computed: (n1 - q) x (n2 - q) for a pair run in full, q being the
+    prefix its lines share when ``_skips_prefix`` passes on ``costs``
+    and else 0, fewer in a band, none for identical lines, a line the
+    prefix empties, or a pair ruled out with no DP.  Both routes skip
+    the same prefixes and count the same cells at threshold 0.
 
     ``threshold``, in [0, 1], is detection's: a scored pair reads status 3
     and d -1 exactly when its ``1.0 - d / D`` falls below it, and d is
     exact for every other pair.  Threshold 0 rules nothing out.  Runs the
     compiled kernel on the block as one array('q') when it is available
     and no path sum can exceed int64, else ``dp_interpreted`` on each
-    scored pair, in full, over Python ints.  A pair's path sums, its
+    scored pair past its skipped prefix, in full, over Python ints.  A pair's path sums, its
     weights among them, are at most n1 + n2 steps of the dearest cost, and
     n1 + n2 is at most the number of codes, with equality for a single
     pair: the route is decided on that bound, at no cost per line.  Where
@@ -335,6 +343,7 @@ def dp_pairs(codes, a_end: int, b_start: int, brk: int, pairs: int, m: int, cost
     # a cost beyond int64 stays interpreted anyway
     if lib is None or bound > _INT64_MAX:
         ws_del, text = costs[k:2 * k], codes.decode(_UTF32, "surrogatepass")  # one code a char
+        skip_prefix = _skips_prefix(costs, k, m)
         streams = [(part.split(chr(brk)) if 0 <= brk < k else [part]) + [""] * pairs
                    for part in (text[:a_end], text[b_start:])]
         status, heavier, dists, cells = bytearray(pairs), [0] * pairs, [0] * pairs, 0
@@ -346,6 +355,9 @@ def dp_pairs(codes, a_end: int, b_start: int, brk: int, pairs: int, m: int, cost
                 continue
             status[i] = 1 + (len(one) * len(two) > max_cells)
             if status[i] == 1 and one != two:
+                if skip_prefix:
+                    q = len(os.path.commonprefix(pair))
+                    one, two = one[q:], two[q:]
                 dists[i] = dp_interpreted(one, two, costs, m)
                 cells += len(one) * len(two)
     else:
@@ -365,6 +377,16 @@ def dp_pairs(codes, a_end: int, b_start: int, brk: int, pairs: int, m: int, cost
     if threshold > 0 and (lib is None or bound > _EXACT_DOUBLE or not lib.exact_cutoff):
         _rule_out(status, heavier, dists, threshold)
     return bytes(status), heavier, dists, cells
+
+
+def _skips_prefix(costs, k: int, m: int) -> bool:
+    """Whether a prefix that two lines share may be skipped under the block
+    ``costs``: when the dearest indel less the cheapest is at most the
+    cheapest replacement of a symbol by another, each column of row m
+    counted, as ``_kernel.c`` decides it once a call."""
+    indel, rep = costs[:k], costs[3 * k:]
+    return not k or max(indel) - min(indel) <= min(
+        rep[a * k + b] for a in range(m + 1) for b in range(k) if a == m or a != b)
 
 
 def _rule_out(status, heavier, dists, threshold: float) -> None:

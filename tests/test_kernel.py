@@ -31,8 +31,8 @@ from wsadist import (
     ws_agnostic_naive,
 )
 from wsadist.normalizer import NormalizationMode, normalize_line
-from test_table_detect import (MODELS, PIECES, assert_cutoff_keeps_decisions, pair_triples,
-                               random_document)
+from test_table_detect import (MODELS, PIECES, assert_cutoff_keeps_decisions, lattice_cells,
+                               pair_triples, random_document, skipped_prefix)
 
 ALPHABET = "aA9(),$ "
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -369,6 +369,12 @@ def test_int64_guard_counts_every_code(monkeypatch):
     assert len(calls) == 4
 
 
+def c_costs(k, m, edges=(1, 1)):
+    """``c_call``'s cost block: every indel and replacement cost 1, a
+    symbol replaced by itself too, and the edge costs ``edges``."""
+    return [1] * k + [edges[0]] * k + [edges[1]] * k + [1] * (m + 1) * k
+
+
 def c_call(codes, a_end, b_start, k, m, threshold=0.0, edges=(1, 1), brk=-1, pairs=1,
            blank=None, max_cells=(1 << 63) - 1):
     """The C entry on ``codes``, stream A their first ``a_end`` and B those
@@ -381,7 +387,7 @@ def c_call(codes, a_end, b_start, k, m, threshold=0.0, edges=(1, 1), brk=-1, pai
     fn = kernel._compiled_library().wsadist_pairs
     codes = array("I", codes).tobytes()
     # indel, ws_del, ws_ins and a replacement table of k + 1 rows
-    costs = array("q", [1] * k + [edges[0]] * k + [edges[1]] * k + [1] * (k + 1) * k)
+    costs = array("q", c_costs(k, k, edges))
     size = max(pairs, 1)
     status, heavier, dists = array("B", bytes(size)), array("q", [0]) * size, array("q", [0]) * size
     sizes = array("q", [pairs, len(codes) // 4, a_end, b_start, brk, max_cells, k, m])
@@ -407,10 +413,16 @@ def test_c_kernel_refuses_code_outside_its_alphabet():
     # m outside [0, k]
     assert c_pair([0, 0], [1, 1], 1, -1)[0] == -2
     assert c_pair([0, 0], [1, 1], 1, 2)[0] == -2
-    # a valid m: row 0 of the table, or the shared row with its own column
-    # free (an identical pair would get 0 with no DP, so one line is longer)
-    assert c_pair([0, 0, 0], [1, 2], 1, 1) == (2, 2)
-    assert c_pair([0, 0, 0], [1, 2], 1, 0) == (2, 1)
+    # a valid m: the shared prefix leaves the first line empty, and its
+    # last row charges the one insertion
+    for m in (0, 1):
+        assert c_pair([0, 0, 0], [1, 2], 1, m) == (lattice_cells([0], [0, 0], c_costs(1, m), m), 1)
+    # lines that share no prefix read row 0 of the table, where this block
+    # replaces a symbol by itself at 1, or the shared row with its own
+    # column free
+    for m, d in ((2, 2), (0, 1)):
+        assert c_pair([1, 0, 0, 0], [2, 2], 2, m) == (
+            lattice_cells([1, 0], [0, 0], c_costs(2, m), m), d)
 
 
 @needs_compiler
@@ -455,7 +467,8 @@ def test_c_kernel_reads_its_edge_tables(codes, lengths, s1, s2):
         assert model.whitespace_cost("a") == edges[0]
         assert model.whitespace_insert_cost("a") == edges[1]
         assert c_pair(codes, lengths, 2, 0, edges=edges) == (
-            len(s1) * len(s2), ws_agnostic_naive(s1, s2, model, **padding)), (edges, s1, s2)
+            lattice_cells(s1, s2, c_costs(2, 0, edges), 0),
+            ws_agnostic_naive(s1, s2, model, **padding)), (edges, s1, s2)
     distances = {c_pair(codes, lengths, 2, 0, edges=edges)[1] for edges, _, _ in EDGE_CASES}
     assert len(distances) == (1 if s1 == s2 == "" else 2)
 
@@ -545,19 +558,20 @@ def assert_pairs_match(doc, model):
     for the classical one; the single-pair distances; and, on short pairs,
     the padded oracle (with no padding for the classical).  Every pair is
     scored, or with ``blank`` every pair of two lines with a character
-    that is not ``str.isspace``; the cells are n1 x n2 for each scored
-    pair of two lines that differ."""
+    that is not ``str.isspace``; the cells are ``lattice_cells`` of each
+    scored pair, under the document's cost block."""
     for ws_agnostic, weight, single, padding in (
             (True, line_whitespace_cost, levenshtein_ws_agnostic, {}),
             (False, indel_sum, levenshtein_standard, {"pad_limit": 0})):
         for blank in (False, True):
             status, heavier, dists, cells = score_lines(doc, model, ws_agnostic, blank=blank)
+            _, _, m, costs = encode_document(doc, model, ws_agnostic)
             assert list(heavier) == [max(weight(a, model), weight(b, model))
                                      for a, b in pairwise(doc)], doc
             assert status == bytes(not blank or bool(a.strip() and b.strip())
                                    for a, b in pairwise(doc)), doc
-            assert cells == sum(len(a) * len(b) for scored, a, b in zip(status, doc, doc[1:])
-                                if scored and a != b), doc
+            assert cells == sum(lattice_cells(a, b, costs, m)
+                                for scored, a, b in zip(status, doc, doc[1:]) if scored), doc
             for j, scored in enumerate(status):
                 if not scored:
                     assert dists[j] == 0
@@ -642,7 +656,8 @@ def test_c_batch_refuses_code_outside_its_alphabet_or_m():
 
 def reference_streams(codes, a_end, b_start, brk, pairs, costs, m, blank, max_cells):
     """``wsadist_pairs``'s return value, status, heavier weights and
-    distances, by its rule in plain Python over ``dp_interpreted``."""
+    distances, by its rule in plain Python over ``dp_interpreted``, which
+    runs on each pair past its ``skipped_prefix``."""
     k = len(costs) // (m + 4)
 
     def lines(stream):
@@ -665,8 +680,9 @@ def reference_streams(codes, a_end, b_start, brk, pairs, costs, m, blank, max_ce
             continue
         status[i] = 1
         if one != two:
-            dists[i] = kernel.dp_interpreted(one, two, costs, m)
-            cells += len(one) * len(two)
+            q = skipped_prefix(one, two, costs, m)
+            dists[i] = kernel.dp_interpreted(one[q:], two[q:], costs, m)
+            cells += lattice_cells(one, two, costs, m)
     return cells, bytes(status), heavier, dists
 
 
@@ -695,7 +711,7 @@ def test_c_kernel_finds_the_lines_of_two_streams():
         edges = (rng.randint(0, 1), rng.randint(0, 1))
         blank = rng.choice([None, bytes(rng.randint(0, 1) for _ in range(k))])
         max_cells = rng.choice([(1 << 63) - 1, rng.randint(0, 12)])
-        costs = [1] * k + [edges[0]] * k + [edges[1]] * k + [1] * (m + 1) * k
+        costs = c_costs(k, m, edges)
         result, status, heavier, dists = c_call(codes, a_end, b_start, k, m, 0.0, edges, brk,
                                                 pairs, blank, max_cells)
         expected = reference_streams(codes, a_end, b_start, brk, pairs, costs, m, blank,
@@ -715,7 +731,9 @@ from test_table_detect import MODELS, pair_triples, random_document, skewed_docu
 
 print(kernel_backend())
 rng = random.Random(20261024)
-docs = [random_document(rng) for _ in range(60)] + [["a", "9"], ["Ab 9", "A 99"], ["x", "", "y"]]
+# the last document's lines share prefixes, and one is a prefix of the next
+docs = [random_document(rng) for _ in range(60)] + [["a", "9"], ["Ab 9", "A 99"], ["x", "", "y"],
+                                                    ["Ab 9 (a)", "Ab 9 (b)", "Ab 9", "Ab 9   "]]
 # two 1-character lines reach 2 ** 63 here: past int64 in C; and 2 ** 63 - 2
 # at the edge, where they run compiled
 big = CostModel(indel_default=1 << 62, replace_default=1 << 62)
@@ -753,11 +771,12 @@ for model in MODELS:
 # `dist --files`: every line pair of two files in one kernel call
 with tempfile.TemporaryDirectory() as tmp:
     paths = [os.path.join(tmp, name) for name in ("left", "right", "model.json")]
-    # the first five pairs: an empty left line, an empty right line, both,
-    # two identical lines, and two of one length that differ in their last
-    # character
-    for path, part in zip(paths, ([["", "A 9", "", "Ab 9", "Ab 9"]] + docs[:30],
-                                  [["a", "", "", "Ab 9", "Ab 8"]] + docs[30:60])):
+    # the first seven pairs: an empty left line, an empty right line, both,
+    # two identical lines, two of one length that differ in their last
+    # character, and a line that is a prefix of the other, either way round
+    for path, part in zip(paths, ([["", "A 9", "", "Ab 9", "Ab 9", "Ab 9", "Ab 9  "]] + docs[:30],
+                                  [["a", "", "", "Ab 9", "Ab 8", "Ab 9 (b)", "Ab"]]
+                                  + docs[30:60])):
         with open(path, "w", encoding="utf-8") as fh:
             fh.writelines(line + "\\n" for doc in part for line in doc)
     # documents of empty lines alone, whose codes are an empty array
@@ -912,6 +931,69 @@ def test_identical_lines_on_interpreted_kernel_score_zero(fresh_kernel, monkeypa
     with caplog.at_level(logging.WARNING, logger="wsadist"):
         assert kernel_backend() == "interpreted"
         assert_identical_lines_score_zero(20261104)
+
+
+# indels of 9 and 1 with a free replacement between the two: the dearest
+# indel less the cheapest exceeds the cheapest replacement, so no shared
+# prefix may be skipped; skipping "xa" or "  " would give the classical
+# distances 19 and 11
+UNEVEN_INDELS = CostModel(indel_costs={"a": 9, "x": 1},
+                          replace_costs={("a", "x"): 0, ("x", "a"): 0})
+UNSKIPPABLE = [("xaxaa", "xa", 11), ("  a  ", "  ", 4)]
+
+
+def assert_unskippable_prefix_is_scored():
+    """Under ``UNEVEN_INDELS`` both distances equal the oracle, and the
+    kernel computes every cell of each pair, its shared prefix too."""
+    for s1, s2, classical in UNSKIPPABLE:
+        for ws_agnostic, padding in ((True, {}), (False, {"pad_limit": 0})):
+            _, _, dists, cells = kernel.score_document(s1 + s2, len(s1), len(s1), None, 1,
+                                                       UNEVEN_INDELS, ws_agnostic, 0.0)
+            assert dists[0] == ws_agnostic_naive(s1, s2, UNEVEN_INDELS, **padding), (s1, s2)
+            assert cells == len(s1) * len(s2), (s1, s2)
+        assert levenshtein_standard(s1, s2, UNEVEN_INDELS) == classical
+
+
+@needs_compiler
+def test_unskippable_prefix_on_compiled_kernel_is_scored():
+    assert kernel_backend() == "compiled"
+    assert_unskippable_prefix_is_scored()
+
+
+def test_unskippable_prefix_on_interpreted_kernel_is_scored(fresh_kernel, monkeypatch, caplog):
+    monkeypatch.setenv("CC", "/nonexistent/cc")
+    with caplog.at_level(logging.WARNING, logger="wsadist"):
+        assert kernel_backend() == "interpreted"
+        assert_unskippable_prefix_is_scored()
+
+
+def assert_trailing_whitespace_needs_no_cells():
+    """Under appendix-a, a line against itself with trailing spaces, either
+    way round: past the shared prefix one line is empty, so the pair costs
+    its edge sum with no cells, 0 ws-agnostic and a space's indel each for
+    the classical distance."""
+    model = appendix_model()
+    for s1, s2 in (("Aa 9", "Aa 9   "), ("Aa 9   ", "Aa 9")):
+        for ws_agnostic, expected, single in ((True, 0, levenshtein_ws_agnostic),
+                                              (False, 3, levenshtein_standard)):
+            _, _, dists, cells = kernel.score_document(s1 + s2, len(s1), len(s1), None, 1,
+                                                       model, ws_agnostic, 0.0)
+            assert (dists[0], cells) == (expected, 0), (s1, s2, ws_agnostic)
+            assert single(s1, s2, model) == expected
+
+
+@needs_compiler
+def test_trailing_whitespace_on_compiled_kernel_needs_no_cells():
+    assert kernel_backend() == "compiled"
+    assert_trailing_whitespace_needs_no_cells()
+
+
+def test_trailing_whitespace_on_interpreted_kernel_needs_no_cells(fresh_kernel, monkeypatch,
+                                                                   caplog):
+    monkeypatch.setenv("CC", "/nonexistent/cc")
+    with caplog.at_level(logging.WARNING, logger="wsadist"):
+        assert kernel_backend() == "interpreted"
+        assert_trailing_whitespace_needs_no_cells()
 
 
 def test_pair_of_distinct_symbols_has_one_shared_row():

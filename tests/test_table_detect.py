@@ -576,6 +576,13 @@ CUTOFF_CASES = [
     ("99 9" + " " * 20 + "b", "99 9 b", appendix_model()),
     ("aaa b", "aaa c" + " " * 20, unit_model()),  # every band ends before column n2 - 1
     ("aba b", "ab bb", ZERO_INDEL),            # min_indel = 0
+    # the same shapes with no shared prefix, which the kernel would skip
+    ("a", "Aa  b", unit_model()),
+    ("Aa  b", "a", unit_model()),
+    ("Aa b" + " " * 30, "a b", unit_model()),
+    ("a99 9" + " " * 20 + "b", "99 9 b", appendix_model()),
+    ("baa b", "aaa c" + " " * 20, unit_model()),
+    ("bba b", "ab bb", ZERO_INDEL),
 ]
 
 
@@ -595,22 +602,63 @@ def test_cutoff_at_a_pairs_own_score(s1, s2, model):
         assert_cutoff_keeps_decisions([s1, s2], model, threshold, mode)
 
 
+def skipped_prefix(one, two, costs, m):
+    """The length of the prefix of two lines, strings or code lists, that
+    the kernel skips under the cost block ``costs`` with m replacement rows
+    of their own: the prefix the two share, when the dearest indel less the
+    cheapest is no more than the cheapest replacement of a symbol by
+    another, each column of row m counted; else none."""
+    k = len(costs) // (m + 4)
+    indel = costs[:k]
+    swaps = [costs[(3 + a) * k + b] for a in range(m + 1) for b in range(k) if a == m or a != b]
+    if indel and max(indel) - min(indel) > min(swaps):
+        return 0
+    shared = 0
+    for x, y in zip(one, two):
+        if x != y:
+            break
+        shared += 1
+    return shared
+
+
+def lattice_cells(one, two, costs, m):
+    """The cells that the kernel computes for a pair run in full, with no
+    cutoff: none for identical lines, else the product of the two lengths
+    past the skipped prefix."""
+    q = skipped_prefix(one, two, costs, m)
+    return 0 if one == two else (len(one) - q) * (len(two) - q)
+
+
+def pair_block(s1, s2, model):
+    """The ws-agnostic cost block and m with which ``score_document``
+    scores the pair ``s1``, ``s2`` laid out as one text."""
+    alphabet = kernel.model_alphabet(model, s1 + s2)
+    m = len(alphabet)
+    kernel.encode(s1 + s2, alphabet)
+    return kernel.alphabet_costs(alphabet, m, model, True), m
+
+
 def band_cells(s1, s2, model, threshold):
     """The lattice cells that the compiled kernel computes for the pair at
-    ``threshold``, by its arithmetic: none when the length bound rules the
-    pair out; else, each row but the last, the interior cells within the
+    ``threshold``, by its arithmetic on the lines past their skipped
+    prefix: none when the length bound rules the pair out or a line is
+    empty; else, each row but the last, the interior cells within the
     band's width of the diagonal and the last column's, and the last row
-    in full."""
-    n1, n2 = len(s1), len(s2)
+    in full.  The cutoff reads the whole lines' weights."""
     heavier = max(line_whitespace_cost(s1, model), line_whitespace_cost(s2, model))
     # the least d that rules the pair out, in the double arithmetic of its score
     limit = 1 + max(t for t in range(heavier + 1) if 1.0 - t / heavier >= threshold)
+    min_indel = min(model.indel(c) for c in s1 + s2)
+    q = skipped_prefix(s1, s2, *pair_block(s1, s2, model))
+    s1, s2 = s1[q:], s2[q:]
+    n1, n2 = len(s1), len(s2)
     dels, ins = [model.whitespace_cost(c) for c in s1], [model.whitespace_insert_cost(c)
                                                          for c in s2]
     if (sum(dels) - n2 * max(dels, default=0) >= limit
             or sum(ins) - n1 * max(ins, default=0) >= limit):
         return 0
-    min_indel = min(model.indel(c) for c in s1 + s2)
+    if not (n1 and n2):
+        return 0
     width = (limit - 1) // min_indel if min_indel else n1 + n2
     return n2 + sum(max(min(n2 - 1, i + width) - max(1, i - width) + 1, 0) + 1
                     for i in range(1, n1))
@@ -618,9 +666,10 @@ def band_cells(s1, s2, model, threshold):
 
 @pytest.mark.parametrize("s1, s2, model", CUTOFF_CASES)
 def test_kernel_counts_its_cells(s1, s2, model):
-    """The cells that the kernel counts: n1 x n2 at threshold 0, on either
-    route, and the band arithmetic of ``band_cells`` at a threshold equal
-    to the pair's own score and just above it, on the compiled kernel."""
+    """The cells that the kernel counts: ``lattice_cells`` at threshold 0,
+    on either route, and the band arithmetic of ``band_cells`` at a
+    threshold equal to the pair's own score and just above it, on the
+    compiled kernel."""
     d = levenshtein_ws_agnostic(s1, s2, model)
     heavier = max(line_whitespace_cost(s1, model), line_whitespace_cost(s2, model))
     edge = 1.0 - d / heavier
@@ -629,7 +678,7 @@ def test_kernel_counts_its_cells(s1, s2, model):
         return kernel.score_document(s1 + s2, len(s1), len(s1), None, 1, model, True,
                                      threshold)[3]
 
-    assert cells(0.0) == len(s1) * len(s2)
+    assert cells(0.0) == lattice_cells(s1, s2, *pair_block(s1, s2, model))
     if kernel_backend() == "compiled":
         for threshold in (edge, math.nextafter(edge, 2.0)):
             assert cells(threshold) == band_cells(s1, s2, model, threshold), threshold
