@@ -22,13 +22,6 @@ from .distance import (
 )
 from .kernel import kernel_backend
 from .normalizer import NormalizationMode, normalize_line, normalize_lines
-from .table_detect import (
-    DetectConfig,
-    TableRegion,
-    detect_tables,
-    line_whitespace_cost,
-    row_similarity,
-)
 
 __version__ = "0.1.0"
 
@@ -62,11 +55,20 @@ __all__ = [
 ]
 
 
-def __getattr__(name):
-    """The reference oracles, whose module is imported on first access:
-    no production path runs them."""
-    if name in ("ws_agnostic_naive", "ws_agnostic_recursive_unit"):
-        from . import oracles
+_DETECTION = ("DetectConfig", "TableRegion", "detect_tables", "line_whitespace_cost",
+              "row_similarity")
+_ORACLES = ("ws_agnostic_naive", "ws_agnostic_recursive_unit")
 
-        return getattr(oracles, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+def __getattr__(name):
+    """Detection's names, which ``wsadist dist`` does not run, and the
+    reference oracles, which no production path runs, from their modules,
+    imported on first access.  ``distance`` is bound at import, since the
+    function shadows its submodule's name."""
+    if name in _DETECTION:
+        from . import table_detect as module
+    elif name in _ORACLES:
+        from . import oracles as module
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(module, name)

@@ -1,5 +1,5 @@
 /* Two-row DP over the (n1+1) x (n2+1) edit lattice: the compiled form of
- * wsadist.kernel.dp_interpreted, whose docstring documents the cost
+ * wsadist._interpreted.dp_interpreted, whose docstring documents the cost
  * tables and m.  There is one lattice: its last column charges a deletion
  * ws_del, its last row an insertion ws_ins, and every other move indel or
  * rep.  Edge tables of whitespace costs give the ws-agnostic distance,

@@ -16,7 +16,6 @@ A line of input ends at "\n", which the last line may lack; one "\r"
 before it is dropped.  No other character breaks a line.
 """
 
-import json
 import os
 import re
 import sys
@@ -26,7 +25,6 @@ from types import SimpleNamespace
 from .cost_model import CostModel, ModelError, appendix_model, load_model_file, unit_model
 from .distance import _DISPATCH, Algorithm, SizeLimitError, _paired_distances
 from .normalizer import NormalizationMode, normalize_line
-from .table_detect import DetectConfig, _regions
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -112,6 +110,9 @@ def _run_normalize(args) -> str:
 
 
 def _run_detect(args) -> str:
+    # imported here, so that dist loads no detection
+    from .table_detect import DetectConfig, _regions
+
     config = DetectConfig(
         threshold=args.threshold,
         min_rows=args.min_rows,
@@ -123,13 +124,17 @@ def _run_detect(args) -> str:
     text, count = fold_lines(_read_text(args.input).expandtabs(args.tab_width))
     regions = _regions(text, "\n", max(count - 1, 0), config)
     if args.format == "json":
-        return json.dumps({
-            "regions": [
-                {"start_line": r.start_line, "end_line": r.end_line, "score": r.score}
-                for r in regions
-            ]
-        }) + "\n"
+        return _regions_json(regions)
     return "".join(f"{r.start_line} {r.end_line} {r.score:.4f}\n" for r in regions)
+
+
+def _regions_json(regions) -> str:
+    """``detect --format json``'s output for ``regions``: json.dumps's text,
+    written without ``json``: ``%d`` gives its text for the line numbers,
+    exact at any size, and ``%r`` for the scores, finite floats."""
+    fields = [value for r in regions for value in (r.start_line, r.end_line, r.score)]
+    items = ", ".join(['{"start_line": %d, "end_line": %d, "score": %r}'] * len(regions))
+    return '{"regions": [%s]}\n' % (items % tuple(fields))
 
 
 def tab_width(text: str) -> int:

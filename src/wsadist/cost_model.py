@@ -6,10 +6,9 @@ a model may be declared symmetric (the default), in which case symmetry
 is validated when the model is built.
 """
 
-import json
-import os
 from collections.abc import Mapping
 from functools import cache
+from itertools import combinations
 
 
 class ModelError(ValueError):
@@ -214,6 +213,8 @@ class CostModel(_Record):
 
 
 def serialize_model(model: CostModel) -> str:
+    import json
+
     return json.dumps(model.to_dict(), indent=2)
 
 
@@ -267,7 +268,10 @@ def model_from_dict(doc: dict) -> CostModel:
 
 def load_model(config_text: str) -> CostModel:
     """Build a model from its JSON document; raises ModelParseError on
-    malformed JSON and ModelValidationError on invariant violations."""
+    malformed JSON and ModelValidationError on invariant violations.
+    ``json`` is imported on the first call: the built-in models need none."""
+    import json
+
     try:
         doc = json.loads(config_text)
     except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
@@ -287,11 +291,27 @@ def unit_model() -> CostModel:
     return CostModel(indel_default=1, replace_default=1)
 
 
+# The appendix-a preset, the document that presets/appendix_a.json holds:
+# each pair of its symbols listed once, in that file's order, at its graded
+# cost or else 999
+_GRADED = {"aA": 2, "a9": 4, "a ": 1, "A9": 4, "A ": 1, "9 ": 4}
+_APPENDIX_A = {
+    "indel_default": 1,
+    "replace_default": 999,
+    "symmetric": True,
+    "whitespace_char": " ",
+    "indel": {},
+    "replace": [{"a": a, "b": b, "cost": _GRADED.get(a + b, 999)}
+                for a, b in combinations("aA9(),$ ", 2)],
+}
+
+
 @cache
 def appendix_model() -> CostModel:
     """The shipped 8-symbol preset over {a, A, 9, (, ), ',', $, space}:
     unit insertion/deletion, graded replacement costs, 999 for pairs
-    outside the table.  Parsed once per process: every call returns the
-    same shared, read-only instance."""
-    return load_model_file(os.path.join(os.path.dirname(__file__), "presets",
-                                        "appendix_a.json"))
+    outside the table.  Built once per process, from the document that
+    ``presets/appendix_a.json`` also holds, through ``model_from_dict``
+    and without parsing JSON: every call returns the same shared,
+    read-only instance."""
+    return model_from_dict(_APPENDIX_A)

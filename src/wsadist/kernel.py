@@ -33,14 +33,21 @@ When the build or the load fails, one warning on the ``wsadist`` logger
 gives the reason, and ``dp_interpreted`` -- the same recurrence in plain
 Python -- runs instead, once for each pair.  It is orders of magnitude
 slower.  ``kernel_backend()`` reports which of the two is in use.
-``logging`` is imported only to give that warning, ``shlex`` only to
-split a ``$CC`` that is set, and ``subprocess`` and ``tempfile`` only to
-build: a fresh process that loads a cached build starts without them.
 Codes whose path sums could exceed int64 -- their number (at least 1)
 times the dearest cost, which bounds every pair's sums, since a pair's
 two lines hold no more codes than the buffer they lie in -- always take
 the interpreted kernel, which computes over Python ints; ``dp_pairs``
 alone decides this.
+
+A fresh process that loads a cached build compiles and imports only
+what it runs: the build and the pruning of old builds live in
+``wsadist._build``, with the ``subprocess``, ``tempfile`` and ``shlex``
+they use, which ``_load`` imports only on a cache miss; the interpreted
+route (``dp_interpreted``, the per-pair loop and the exact cutoff rule)
+lives in ``wsadist._interpreted``, which ``dp_pairs`` imports only when
+it takes that route or must rule pairs out itself.  ``logging`` is
+imported only to warn of the fallback, and ``shlex`` here only to split
+a ``$CC`` that is set.
 
 Only this module knows the kernel's input: detection's lines, the lines
 of two files for ``wsadist dist --files`` and a single pair all go
@@ -69,7 +76,6 @@ import os
 import sys
 import zlib
 from array import array
-from itertools import accumulate
 
 from .cost_model import CostModel
 from .normalizer import normalize_line
@@ -109,63 +115,6 @@ def _private_dir(path: str) -> str:
     return path
 
 
-def _unlink(path: str) -> None:
-    try:
-        os.unlink(path)
-    except FileNotFoundError:
-        pass
-
-
-def _build(base: str, command: list[str], key: bytes) -> None:
-    """Build the kernel into ``base.so``, then write ``key`` to ``base.key``,
-    each through a temporary file renamed into place, after deleting the
-    stale ``base.key``: a build cut short leaves no key that could match."""
-    import shlex
-    import subprocess
-    import tempfile
-
-    _unlink(base + ".key")
-    directory, name = os.path.split(base)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=name, suffix=".tmp")
-    os.close(fd)
-    try:
-        argv = [*command, "-o", tmp, _SOURCE]
-        try:
-            proc = subprocess.run(argv, capture_output=True, text=True, timeout=120)
-        except subprocess.SubprocessError as exc:
-            raise OSError(f"{shlex.join(argv)}: {exc}") from exc
-        if proc.returncode != 0:
-            raise OSError(
-                f"{shlex.join(argv)} exited {proc.returncode}: {proc.stderr.strip()[-400:]}"
-            )
-        os.replace(tmp, base + ".so")
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=name, suffix=".tmp")
-        with open(fd, "wb") as fh:
-            fh.write(key)
-        os.replace(tmp, base + ".key")
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-
-
-def _prune(keep: str) -> None:
-    """Delete the ``kernel-*.so`` builds beside ``keep`` but the four most
-    recently modified, ``keep`` among them, each with its ``.key``: two
-    sources compared in one process both load without a rebuild, and a
-    process that loaded a deleted build keeps its mapping."""
-    directory = os.path.dirname(keep)
-    try:
-        builds = [os.path.join(directory, name) for name in os.listdir(directory)
-                  if name.startswith("kernel-") and name.endswith(".so")]
-        builds.sort(key=os.path.getmtime)
-        for old in builds[:-4]:
-            if old != keep:
-                os.unlink(old)
-                _unlink(old.removesuffix(".so") + ".key")
-    except OSError:  # another process pruning at once
-        pass
-
-
 def _load():
     """Build the kernel unless the cached build's key is today's, then load it."""
     cc = os.environ.get("CC")
@@ -185,8 +134,10 @@ def _load():
     except FileNotFoundError:
         current = False
     if not current:
-        _build(base, command, key)
-        _prune(base + ".so")
+        from . import _build
+
+        _build.build(base, command, key)
+        _build.prune(base + ".so")
     lib = ctypes.CDLL(base + ".so")
     lib.wsadist_pairs.argtypes = _PAIRS_ARGTYPES
     lib.wsadist_pairs.restype = ctypes.c_int64
@@ -317,7 +268,7 @@ def dp_pairs(codes, a_end: int, b_start: int, brk: int, pairs: int, m: int, cost
     which nothing reads, for the classical distance); ``dists[i]`` a
     scored pair's distance d, else 0; ``cells`` the lattice cells
     computed: (n1 - q) x (n2 - q) for a pair run in full, q being the
-    prefix its lines share when ``_skips_prefix`` passes on ``costs``
+    prefix its lines share when the block passes ``_kernel.c``'s check
     and else 0, fewer in a band, none for identical lines, a line the
     prefix empties, or a pair ruled out with no DP.  Both routes skip
     the same prefixes and count the same cells at threshold 0.
@@ -326,15 +277,16 @@ def dp_pairs(codes, a_end: int, b_start: int, brk: int, pairs: int, m: int, cost
     and d -1 exactly when its ``1.0 - d / D`` falls below it, and d is
     exact for every other pair.  Threshold 0 rules nothing out.  Runs the
     compiled kernel on the block as one array('q') when it is available
-    and no path sum can exceed int64, else ``dp_interpreted`` on each
-    scored pair past its skipped prefix, in full, over Python ints.  A pair's path sums, its
-    weights among them, are at most n1 + n2 steps of the dearest cost, and
-    n1 + n2 is at most the number of codes, with equality for a single
-    pair: the route is decided on that bound, at no cost per line.  Where
-    the compiled cutoff cannot rule pairs out exactly -- on the
-    interpreted route, past 2^53, where a double no longer holds every
-    weight, or in a build that evaluates doubles wider -- ``_rule_out``
-    does so on the exact d.
+    and no path sum can exceed int64, else ``_interpreted.score_pairs``:
+    ``dp_interpreted`` on each scored pair past its skipped prefix, in
+    full, over Python ints.  A pair's path sums, its weights among them,
+    are at most n1 + n2 steps of the dearest cost, and n1 + n2 is at most
+    the number of codes, with equality for a single pair: the route is
+    decided on that bound, at no cost per line.  Where the compiled cutoff
+    cannot rule pairs out exactly -- on the interpreted route, past 2^53,
+    where a double no longer holds every weight, or in a build that
+    evaluates doubles wider -- ``_interpreted.rule_out`` does so on the
+    exact d.
     """
     ncodes = len(codes) // 4
     lib = _compiled_library()
@@ -342,24 +294,10 @@ def dp_pairs(codes, a_end: int, b_start: int, brk: int, pairs: int, m: int, cost
     bound = max(ncodes, 1) * max(costs, default=0)
     # a cost beyond int64 stays interpreted anyway
     if lib is None or bound > _INT64_MAX:
-        ws_del, text = costs[k:2 * k], codes.decode(_UTF32, "surrogatepass")  # one code a char
-        skip_prefix = _skips_prefix(costs, k, m)
-        streams = [(part.split(chr(brk)) if 0 <= brk < k else [part]) + [""] * pairs
-                   for part in (text[:a_end], text[b_start:])]
-        status, heavier, dists, cells = bytearray(pairs), [0] * pairs, [0] * pairs, 0
-        for i, *pair in zip(range(pairs), *streams):
-            one, two = (list(map(ord, line)) for line in pair)
-            heavier[i] = max(sum(ws_del[c] for c in one), sum(ws_del[c] for c in two))
-            if blank is not None and not all(any(not blank[c] for c in line)
-                                             for line in (one, two)):
-                continue
-            status[i] = 1 + (len(one) * len(two) > max_cells)
-            if status[i] == 1 and one != two:
-                if skip_prefix:
-                    q = len(os.path.commonprefix(pair))
-                    one, two = one[q:], two[q:]
-                dists[i] = dp_interpreted(one, two, costs, m)
-                cells += len(one) * len(two)
+        from ._interpreted import score_pairs
+
+        status, heavier, dists, cells = score_pairs(codes, a_end, b_start, brk, pairs, m, costs,
+                                                    blank, max_cells)
     else:
         sizes = array("q", (pairs, ncodes, a_end, b_start, brk, max_cells, k, m))
         status = array("B", b"\0") * pairs
@@ -375,57 +313,8 @@ def dp_pairs(codes, a_end: int, b_start: int, brk: int, pairs: int, m: int, cost
                                "outside [0, k], streams outside its codes, a negative count "
                                "or a threshold outside [0, 1]")
     if threshold > 0 and (lib is None or bound > _EXACT_DOUBLE or not lib.exact_cutoff):
-        _rule_out(status, heavier, dists, threshold)
+        from ._interpreted import rule_out
+
+        rule_out(status, heavier, dists, threshold)
     return bytes(status), heavier, dists, cells
 
-
-def _skips_prefix(costs, k: int, m: int) -> bool:
-    """Whether a prefix that two lines share may be skipped under the block
-    ``costs``: when the dearest indel less the cheapest is at most the
-    cheapest replacement of a symbol by another, each column of row m
-    counted, as ``_kernel.c`` decides it once a call."""
-    indel, rep = costs[:k], costs[3 * k:]
-    return not k or max(indel) - min(indel) <= min(
-        rep[a * k + b] for a in range(m + 1) for b in range(k) if a == m or a != b)
-
-
-def _rule_out(status, heavier, dists, threshold: float) -> None:
-    """Mark 3, with d -1, each scored pair whose exact ``1.0 - d / D``
-    falls below ``threshold``; a pair of D = 0 scores 1.0, and one the
-    compiled kernel ruled out stays as it is."""
-    for j, scored in enumerate(status):
-        d, weight = dists[j], heavier[j]
-        if scored == 1 and d > 0 and weight and 1.0 - d / weight < threshold:
-            status[j], dists[j] = 3, -1
-
-
-def dp_interpreted(code1, code2, costs, m: int) -> int:
-    """Two-row DP over the (n1+1) x (n2+1) lattice, in plain Python.
-
-    code1 and code2 index one alphabet of size k, and ``costs`` is its
-    block as ``alphabet_costs`` lays it out, of (m + 4) x k entries; m is in
-    [0, k].  A row symbol from m on takes row m with its own column as 0.
-    With n1 = 0, row 0 is the last row, and with n2 = 0, column 0 the last
-    column.
-    """
-    n1, n2, k = len(code1), len(code2), len(costs) // (m + 4)
-    indel, ws_del, ws_ins = costs[:k], costs[k:2 * k], costs[2 * k:3 * k]
-    ins = [(ws_ins if n1 == 0 else indel)[b] for b in code2]
-    prev = list(accumulate(ins, initial=0))
-    for i, a in enumerate(code1, 1):
-        dcost = ws_del[a] if n2 == 0 else indel[a]
-        if i == n1:
-            ins = [ws_ins[b] for b in code2]
-        shared = min(a, m) + 3  # the replacement rows follow the three k-entry tables
-        row = costs[shared * k:(shared + 1) * k]
-        if a >= m:
-            row[a] = 0
-        left = prev[0] + dcost
-        cur = [left]
-        for j in range(1, n2 + 1):
-            if j == n2:
-                dcost = ws_del[a]
-            left = min(prev[j] + dcost, left + ins[j - 1], prev[j - 1] + row[code2[j - 1]])
-            cur.append(left)
-        prev = cur
-    return prev[n2]

@@ -15,13 +15,14 @@ from itertools import zip_longest
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wsadist import (
     Algorithm,
     CostModel,
     DetectConfig,
     NormalizationMode,
+    TableRegion,
     appendix_model,
     detect_tables,
     distance,
@@ -29,11 +30,11 @@ from wsadist import (
     normalize_line,
     serialize_model,
 )
-from wsadist.cli import COMMANDS, fold_lines, main, parse_args
+from wsadist.cli import COMMANDS, _regions_json, fold_lines, main, parse_args
 from wsadist.distance import _DISPATCH
 from test_cost_model import UNPARSABLE_JSON
 from test_kernel import LIST_TABLES
-from test_table_detect import MODELS, PIECES
+from test_table_detect import MODELS, PIECES, random_document
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -866,6 +867,43 @@ class TestFileModeOneKernelCall:
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (0, want, "")
         assert json.loads(out)["total"] >= (1 << 64 if model is BIG else 1)
+
+
+def regions_dumps(regions):
+    """``detect --format json``'s output for ``regions`` by ``json.dumps``."""
+    return json.dumps({"regions": [
+        {"start_line": r.start_line, "end_line": r.end_line, "score": r.score} for r in regions
+    ]}) + "\n"
+
+
+@settings(max_examples=500, deadline=None)
+@example([(1 << 31, (1 << 63) + 5, 0.0), (0, 1, 1.0), ((1 << 64) + 1, 1 << 70, 0.1)])
+@given(st.lists(st.tuples(st.integers(0, 1 << 70), st.integers(0, 1 << 70),
+                          st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))))
+def test_detect_json_is_json_dumps(rows):
+    """``detect``'s JSON, written without ``json``, is byte for byte
+    ``json.dumps``'s for the same regions: line numbers at any size, past
+    2 ** 31 too, and scores of 0.0, 1.0 and anything between."""
+    regions = [TableRegion(*row) for row in rows]
+    assert _regions_json(regions) == regions_dumps(regions)
+
+
+def test_detect_output_is_detect_tables(capsys, tmp_path):
+    """``detect`` in either format on random documents, of table rows and
+    of ``random_text``'s lines, against ``detect_tables`` on their lines,
+    split one at a time by ``reference_lines``, its JSON written by
+    ``json.dumps``."""
+    rng = random.Random(20261021)
+    doc = tmp_path / "doc.txt"
+    for n in range(60):
+        text = random_text(rng) if n % 3 == 0 else "\n".join(random_document(rng))
+        doc.write_bytes(text.encode())
+        threshold, min_rows = rng.choice([0.0, 0.25, 0.5, 0.9]), rng.randint(2, 4)
+        regions = detect_tables(reference_lines(text), DetectConfig(threshold, min_rows))
+        argv = ["detect", "--threshold", str(threshold), "--min-rows", str(min_rows), str(doc)]
+        assert run(capsys, *argv, "--format", "json") == (0, regions_dumps(regions), ""), text
+        assert run(capsys, *argv) == (0, "".join(
+            f"{r.start_line} {r.end_line} {r.score:.4f}\n" for r in regions), ""), text
 
 
 def line_split_text(rng):

@@ -93,9 +93,14 @@ class TestAppendixModel:
         assert appendix.replace("z", "z") == 0
 
     def test_parsed_once_per_process(self):
+        """Built once, and equal to the shipped preset file's model, its
+        replacement table in the same order, which ``model_alphabet``
+        reads its row symbols in."""
         text = resources.files("wsadist").joinpath("presets/appendix_a.json").read_text("utf-8")
         assert appendix_model() is appendix_model()
         assert appendix_model() == load_model(text)
+        assert list(appendix_model().replace_costs.items()) == list(
+            load_model(text).replace_costs.items())
 
     def test_unit_model_built_once_per_process(self):
         assert unit_model() is unit_model()

@@ -30,9 +30,10 @@ from wsadist import (
     line_whitespace_cost,
     ws_agnostic_naive,
 )
+from wsadist._interpreted import dp_interpreted
 from wsadist.normalizer import NormalizationMode, normalize_line
 from test_table_detect import (MODELS, PIECES, assert_cutoff_keeps_decisions, lattice_cells,
-                               pair_triples, random_document, skipped_prefix)
+                               pair_triples, random_document)
 
 ALPHABET = "aA9(),$ "
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -332,13 +333,13 @@ def test_int64_guard_at_its_edge(monkeypatch, cost, interpreted):
     """Two 1-character lines, whose path sums reach twice the dearest cost:
     2 ** 63 - 2 fits int64 and runs compiled, 2 ** 63 runs interpreted."""
     assert kernel_backend() == "compiled"
-    calls, dp_interpreted = [], kernel.dp_interpreted
+    calls = []
 
     def counted(*args):
         calls.append(args)
         return dp_interpreted(*args)
 
-    monkeypatch.setattr(kernel, "dp_interpreted", counted)
+    monkeypatch.setattr("wsadist._interpreted.dp_interpreted", counted)
     model = CostModel(indel_default=cost, replace_default=cost)
     assert levenshtein_ws_agnostic("a", "b", model) == ws_agnostic_naive("a", "b", model)
     assert levenshtein_standard("a", "b", model) == ws_agnostic_naive("a", "b", model,
@@ -352,13 +353,13 @@ def test_int64_guard_counts_every_code(monkeypatch):
     int64, but the guard bounds every pair by the document's 5 codes,
     breaks included, so they run interpreted, and stay exact."""
     assert kernel_backend() == "compiled"
-    calls, dp_interpreted = [], kernel.dp_interpreted
+    calls = []
 
     def counted(*args):
         calls.append(args)
         return dp_interpreted(*args)
 
-    monkeypatch.setattr(kernel, "dp_interpreted", counted)
+    monkeypatch.setattr("wsadist._interpreted.dp_interpreted", counted)
     cost = (1 << 62) - 1
     model = CostModel(indel_default=cost, replace_default=cost)
     doc = ["a", "b", "c"]
@@ -370,24 +371,28 @@ def test_int64_guard_counts_every_code(monkeypatch):
 
 
 def c_costs(k, m, edges=(1, 1)):
-    """``c_call``'s cost block: every indel and replacement cost 1, a
-    symbol replaced by itself too, and the edge costs ``edges``."""
-    return [1] * k + [edges[0]] * k + [edges[1]] * k + [1] * (m + 1) * k
+    """``c_call``'s cost block for m row symbols: every indel cost 1, the
+    edge costs ``edges``, and replacement rows that, as the kernel's
+    contract asks, replace a row symbol below m by itself at 0 and any
+    other pair at 1; the shared row m costs 1 throughout, its own column
+    read as 0 by the kernel."""
+    rows = [int(a != b) for a in range(m) for b in range(k)]
+    return [1] * k + [edges[0]] * k + [edges[1]] * k + rows + [1] * k
 
 
 def c_call(codes, a_end, b_start, k, m, threshold=0.0, edges=(1, 1), brk=-1, pairs=1,
-           blank=None, max_cells=(1 << 63) - 1):
+           blank=None, max_cells=(1 << 63) - 1, costs=None):
     """The C entry on ``codes``, stream A their first ``a_end`` and B those
     from ``b_start`` on, split at ``brk``, for ``pairs`` pairs, with every
-    indel and replacement cost 1 and the edge costs ``edges`` (deletion
-    side, insertion side) in tables of their own, all in one block: its
-    return value, the status bytes, the heavier weights and the distances
-    (-1 for a pair that cannot reach ``threshold``).  The codes go to the
-    kernel as bytes, as ``kernel.encode`` makes them."""
+    indel cost 1, a symbol replaced by another at 1 and the edge costs
+    ``edges`` (deletion side, insertion side), all in one ``c_costs``
+    block, or the block ``costs``: its return value, the status bytes, the
+    heavier weights and the distances (-1 for a pair that cannot reach
+    ``threshold``).  The codes go to the kernel as bytes, as
+    ``kernel.encode`` makes them."""
     fn = kernel._compiled_library().wsadist_pairs
     codes = array("I", codes).tobytes()
-    # indel, ws_del, ws_ins and a replacement table of k + 1 rows
-    costs = array("q", c_costs(k, k, edges))
+    costs = array("q", c_costs(k, m, edges) if costs is None else costs)
     size = max(pairs, 1)
     status, heavier, dists = array("B", bytes(size)), array("q", [0]) * size, array("q", [0]) * size
     sizes = array("q", [pairs, len(codes) // 4, a_end, b_start, brk, max_cells, k, m])
@@ -397,12 +402,13 @@ def c_call(codes, a_end, b_start, k, m, threshold=0.0, edges=(1, 1), brk=-1, pai
     return result, status.tobytes(), list(heavier), list(dists)
 
 
-def c_pair(codes, lengths, k, m, threshold=0.0, edges=(1, 1)):
+def c_pair(codes, lengths, k, m, threshold=0.0, edges=(1, 1), costs=None):
     """``c_call`` on a pair of lines of ``lengths`` codes, the first as
     stream A and the second as B, with no break: its return value, the
     lattice cells computed, and the pair's distance."""
     assert sum(lengths) == len(codes)
-    result, _, _, dists = c_call(codes, lengths[0], lengths[0], k, m, threshold, edges)
+    result, _, _, dists = c_call(codes, lengths[0], lengths[0], k, m, threshold, edges,
+                                 costs=costs)
     return result, dists[0]
 
 
@@ -417,12 +423,13 @@ def test_c_kernel_refuses_code_outside_its_alphabet():
     # last row charges the one insertion
     for m in (0, 1):
         assert c_pair([0, 0, 0], [1, 2], 1, m) == (lattice_cells([0], [0, 0], c_costs(1, m), m), 1)
-    # lines that share no prefix read row 0 of the table, where this block
-    # replaces a symbol by itself at 1, or the shared row with its own
-    # column free
-    for m, d in ((2, 2), (0, 1)):
-        assert c_pair([1, 0, 0, 0], [2, 2], 2, m) == (
-            lattice_cells([1, 0], [0, 0], c_costs(2, m), m), d)
+    # lines that share no prefix: code 1 reads its own row 1 when it is
+    # below m, where this block replaces it by 0 at 2, else the shared row
+    # m, at 1; the indel path costs 2
+    for m, d in ((2, 2), (1, 1), (0, 1)):
+        block = [1] * 6 + [2 * (a != b) for a in range(m) for b in range(2)] + [1, 1]
+        assert c_pair([1, 0, 0, 0], [2, 2], 2, m, costs=block) == (
+            lattice_cells([1, 0], [0, 0], block, m), d)
 
 
 @needs_compiler
@@ -656,8 +663,8 @@ def test_c_batch_refuses_code_outside_its_alphabet_or_m():
 
 def reference_streams(codes, a_end, b_start, brk, pairs, costs, m, blank, max_cells):
     """``wsadist_pairs``'s return value, status, heavier weights and
-    distances, by its rule in plain Python over ``dp_interpreted``, which
-    runs on each pair past its ``skipped_prefix``."""
+    distances, by its rule in plain Python: ``dp_interpreted`` on each
+    scored pair's full lattice, and ``lattice_cells`` for the cells."""
     k = len(costs) // (m + 4)
 
     def lines(stream):
@@ -679,10 +686,8 @@ def reference_streams(codes, a_end, b_start, brk, pairs, costs, m, blank, max_ce
             status[i] = 2
             continue
         status[i] = 1
-        if one != two:
-            q = skipped_prefix(one, two, costs, m)
-            dists[i] = kernel.dp_interpreted(one[q:], two[q:], costs, m)
-            cells += lattice_cells(one, two, costs, m)
+        dists[i] = dp_interpreted(one, two, costs, m)
+        cells += lattice_cells(one, two, costs, m)
     return cells, bytes(status), heavier, dists
 
 
@@ -1038,50 +1043,79 @@ def test_encode_makes_one_copy_of_the_codes():
 # program, and dataclasses (with inspect), logging and platform add about
 # 25 ms to every run of the CLI; hashlib (with OpenSSL), shlex, threading,
 # pathlib and the oracles add 12-15 ms more to an import of 44-58 ms under
-# python -S, and __future__, which no code reads at run time, 0.3 ms.
-# logging is allowed only for the fallback's warning, when there is no
-# compiled kernel, and shlex only to split a $CC that is set.
-IMPORT_GUARD = """
+# python -S, and __future__, which no code reads at run time, 0.3 ms; json,
+# about 2 ms, is left to a model file and serialize_model.  logging is
+# allowed only for the fallback's warning, when there is no compiled
+# kernel, and shlex only to split a $CC that is set.  The builder and the
+# interpreted route load only on a cache miss or with no compiled kernel,
+# and the interpreted route's cutoff rule also where the compiled cutoff
+# cannot be exact.
+ALLOWED = """
 import os
+from wsadist import kernel
+allowed = set()
+if kernel.kernel_backend() == "interpreted":
+    allowed |= {"logging", "wsadist._build", "wsadist._interpreted"}
+elif not kernel._compiled.exact_cutoff:
+    allowed.add("wsadist._interpreted")
+if os.environ.get("CC"):
+    allowed.add("shlex")
+"""
+IMPORT_GUARD = ALLOWED + """
 import sys
-from wsadist import kernel_backend
 from wsadist.cli import main
 doc, left, right, *forbidden = sys.argv[1:]
 assert main(["detect", doc]) == 0
+assert main(["detect", "--format", "json", doc]) == 0
 assert main(["dist", "--files", left, right]) == 0
-if kernel_backend() == "interpreted":
-    forbidden.remove("logging")
-if os.environ.get("CC"):
-    forbidden.remove("shlex")
-print(sorted(set(forbidden) & set(sys.modules)))
+assert main(["dist", "--files", "--format", "json", left, right]) == 0
+print(sorted(set(forbidden) & set(sys.modules) - allowed))
+"""
+# dist alone: no detection either
+DIST_IMPORT_GUARD = ALLOWED + """
+import sys
+from wsadist.cli import main
+left, right, *forbidden = sys.argv[1:]
+assert main(["dist", "--files", left, right]) == 0
+assert main(["dist", "Ab 9", "Ab  9 "]) == 0
+print(sorted(set(forbidden) & set(sys.modules) - allowed))
 """
 
 
 def test_import_needs_neither_numpy_nor_numba(tmp_path):
     """Nor dataclasses, inspect, logging, platform, importlib.resources,
-    hashlib, shlex, threading, pathlib, the oracles or ``__future__``,
-    after ``import wsadist.cli`` and a run of ``detect`` and of ``dist
-    --files`` on tiny files, in a fresh process.  It runs under ``python
-    -S``, so that no ``site`` hook (a ``.pth`` file) loads any of them
-    first: the appendix preset is read next to the package's
-    ``__file__``, without ``importlib.resources`` and the ``zipfile`` and
-    ``tempfile`` that it pulls in.  Nor argparse, which the CLI's own
-    parser replaced: under ``-S``, ``-X importtime`` read 1.1 ms for
-    argparse itself and 0.6 ms for the ``gettext`` it imports, and
-    building its parser imported ``locale`` (0.9 ms) and ``shutil``
-    (1.8 ms, with ``bz2``, ``lzma`` and ``zlib``) on every run."""
+    hashlib, shlex, threading, pathlib, the oracles, ``__future__``, the
+    kernel's builder or its interpreted route, after ``import
+    wsadist.cli`` and a run of ``detect`` and of ``dist --files``, in
+    either format, on tiny files, in a fresh process that finds the
+    compiled kernel cached.  It runs under ``python -S``, so that no
+    ``site`` hook (a ``.pth`` file) loads any of them first: the appendix
+    preset is built from data in ``cost_model``, without
+    ``importlib.resources`` and the ``zipfile`` and ``tempfile`` that it
+    pulls in, and without ``json``, which neither format's output needs
+    either.  Nor argparse, which the CLI's own parser replaced: under
+    ``-S``, ``-X importtime`` read 1.1 ms for argparse itself and 0.6 ms
+    for the ``gettext`` it imports, and building its parser imported
+    ``locale`` (0.9 ms) and ``shutil`` (1.8 ms, with ``bz2``, ``lzma`` and
+    ``zlib``) on every run.  A run of ``dist`` alone loads no detection."""
     files = [tmp_path / name for name in ("doc", "left", "right")]
     for path, text in zip(files, ("a 1\tb\nc 2\td\ne 3\tf\n", "x 1\n\ny\n", "x 2\nz\n")):
         path.write_text(text, encoding="utf-8")
     forbidden = ["numpy", "numba", "dataclasses", "inspect", "logging", "platform",
                  "importlib.resources", "zipfile", "tempfile", "hashlib", "_hashlib", "shlex",
                  "threading", "pathlib", "wsadist.oracles", "__future__", "argparse", "gettext",
-                 "locale", "shutil"]
+                 "locale", "shutil", "json", "json.decoder", "json.encoder", "_json",
+                 "wsadist._build", "wsadist._interpreted"]
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run([sys.executable, "-S", "-c", IMPORT_GUARD, *map(str, files),
                           *forbidden], env=env, capture_output=True, text=True, check=True).stdout
-    assert out.splitlines()[0] == "0 2 1.0000"
+    assert out.splitlines()[:2] == [
+        "0 2 1.0000", '{"regions": [{"start_line": 0, "end_line": 2, "score": 1.0}]}']
     assert out.splitlines()[-1] == "[]"
+    out = subprocess.run([sys.executable, "-S", "-c", DIST_IMPORT_GUARD, *map(str, files[1:]),
+                          *forbidden, "wsadist.table_detect"], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.splitlines() == ["0\t0", "1\t1", "2\t1", "total\t2", "1", "[]"]
 
 
 ORACLES_ON_FIRST_USE = """
@@ -1128,3 +1162,33 @@ def test_oracles_load_on_first_use(tmp_path):
         '"total": 2}',
         "True",
     ]
+
+
+DETECTION_ON_FIRST_USE = """
+import pickle
+import sys
+import wsadist
+assert "wsadist.table_detect" not in sys.modules
+import wsadist.table_detect
+import wsadist.distance
+print(wsadist.distance is sys.modules["wsadist.distance"].distance)
+names = {}
+exec("from wsadist import *", names)
+print(sorted(set(wsadist.__all__) - set(names)), wsadist.distance is names["distance"])
+records = (wsadist.TableRegion(1, 3, 0.75), wsadist.DetectConfig(threshold=0.25, min_rows=4))
+print(pickle.loads(pickle.dumps(records)) == records,
+      wsadist.DetectConfig is wsadist.table_detect.DetectConfig)
+"""
+
+
+def test_detection_names_resolve_on_first_use():
+    """In a fresh process, ``import wsadist`` loads no detection, and once
+    ``wsadist.table_detect`` and ``wsadist.distance`` are imported by name,
+    ``wsadist.distance`` is still the function ``distance()``, which
+    shadows its submodule; ``from wsadist import *`` gives every name of
+    ``__all__``, and ``TableRegion`` and ``DetectConfig`` survive a pickle
+    round trip."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", DETECTION_ON_FIRST_USE], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines() == ["True", "[] True", "True True"]
