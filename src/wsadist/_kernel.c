@@ -66,6 +66,12 @@
  * reads lies outside the alphabet, m is not in [0, k], a stream lies
  * outside the codes, the pair count or max_cells is negative, or the
  * threshold is outside [0, 1].
+ *
+ * A second entry, wsadist_rows, writes the text of `wsadist dist`'s
+ * output from the dists that wsadist_pairs wrote: each line number and
+ * its cost between pieces that the caller passes, in one caller buffer
+ * with the caller's head and tail.  It knows no output format: the
+ * pieces make the rows JSON objects or tab-separated lines.
  */
 #include <float.h>
 #include <stdint.h>
@@ -344,4 +350,76 @@ int64_t wsadist_pairs(const int64_t *sizes, const uint32_t *codes, const unsigne
     }
     free(base);
     return cells;
+}
+
+/* The number of characters of v in decimal, its minus sign counted. */
+static int64_t width(int64_t v)
+{
+    /* the magnitude in unsigned arithmetic: INT64_MIN negates no signed value */
+    uint64_t u = v < 0 ? 0 - (uint64_t)v : (uint64_t)v;
+    int64_t w = 1 + (v < 0);
+    for (; u >= 10; u /= 10)
+        w++;
+    return w;
+}
+
+/* Writes v in decimal, width(v) characters, at p; returns their end. */
+static char *put_int(char *p, int64_t v)
+{
+    uint64_t u = v < 0 ? 0 - (uint64_t)v : (uint64_t)v;
+    char *end = p + width(v);
+    p = end;
+    do {
+        *--p = (char)('0' + u % 10);
+        u /= 10;
+    } while (u != 0);
+    if (v < 0)
+        *--p = '-';
+    return end;
+}
+
+/* Copies the len characters at s to p; returns their end. */
+static char *put(char *p, const char *s, size_t len)
+{
+    while (len-- > 0)
+        *p++ = *s++;
+    return p;
+}
+
+/* The text of n rows, one for each of dists[0..n): `head`, then row i,
+ * led by `sep` from the second row on -- `before`, i, `between`, dists[i],
+ * `after` -- then `tail`.  The pieces are NUL-terminated, the numbers
+ * written in decimal.  It knows no output format: the caller's pieces
+ * make the rows JSON objects or lines of text.  With out NULL it writes
+ * nothing and returns the text's size; else it writes the text, with no
+ * NUL, into out's `size` bytes and returns its size, or -2, having
+ * written nothing, when the text would not fit.  Returns -2 too for a
+ * negative n. */
+int64_t wsadist_rows(const int64_t *dists, int64_t n, const char *head, const char *before,
+                     const char *between, const char *after, const char *sep, const char *tail,
+                     char *out, int64_t size)
+{
+    if (n < 0)
+        return -2;
+    size_t lh = strlen(head), lb = strlen(before), lm = strlen(between), la = strlen(after);
+    size_t ls = strlen(sep), lt = strlen(tail);
+    int64_t need = (int64_t)(lh + lt) + (n > 0 ? (n - 1) * (int64_t)ls : 0);
+    for (int64_t i = 0; i < n; i++)
+        need += (int64_t)(lb + lm + la) + width(i) + width(dists[i]);
+    if (out == NULL)
+        return need;
+    if (need > size)
+        return -2;
+    char *p = put(out, head, lh);
+    for (int64_t i = 0; i < n; i++) {
+        if (i > 0)
+            p = put(p, sep, ls);
+        p = put(p, before, lb);
+        p = put_int(p, i);
+        p = put(p, between, lm);
+        p = put_int(p, dists[i]);
+        p = put(p, after, la);
+    }
+    put(p, tail, lt);
+    return need;
 }

@@ -19,11 +19,13 @@ before it is dropped.  No other character breaks a line.
 import os
 import re
 import sys
+from array import array
 from itertools import islice, zip_longest
 from types import SimpleNamespace
 
 from .cost_model import CostModel, ModelError, appendix_model, load_model_file, unit_model
 from .distance import _DISPATCH, Algorithm, SizeLimitError, _paired_distances
+from .kernel import write_rows
 from .normalizer import NormalizationMode, normalize_line
 
 EXIT_OK = 0
@@ -90,17 +92,35 @@ def _run_dist(args) -> str:
     else:
         costs = _paired_distances(left, right, brk, pairs, model,
                                   algorithm is Algorithm.WS_AGNOSTIC, mode)
-    total, n = sum(costs), len(costs)
-    # each line number and its cost, for one % over a repeated template:
-    # json.dumps's text for these ints, exact at any size
+    # the exact sum: past int64 too
+    total = sum(costs)
+    if args.format == "json":
+        return _rows(costs, '{"pairs": [', _JSON_ROW, f'], "total": {total}}}\n')
+    if args.files:
+        return _rows(costs, "", _TEXT_ROW, f"total\t{total}\n")
+    return f"{total}\n"
+
+
+# the pieces that a row's line number and cost lie between, and the
+# separator between rows: json.dumps's, and the tab-separated lines'
+_JSON_ROW = ('{"line": ', ', "cost": ', "}", ", ")
+_TEXT_ROW = ("", "\t", "\n", "")
+
+
+def _rows(costs, head: str, row, tail: str) -> str:
+    """``head``, each line number i and ``costs[i]`` between the pieces of
+    ``row`` -- before, between and after, then the separator between rows
+    -- and ``tail``.  The compiled kernel's int64 costs are written in
+    one pass in C; other costs, on the interpreted and beyond-int64
+    routes and from the naive oracle, by one % over a repeated template,
+    json.dumps's text for these ints at any size."""
+    if isinstance(costs, array):
+        return write_rows(costs, head, *row, tail)
+    before, between, after, sep = row
+    n = len(costs)
     numbered = [0] * (2 * n)
     numbered[::2], numbered[1::2] = range(n), costs
-    if args.format == "json":
-        items = ", ".join(['{"line": %d, "cost": %d}'] * n) % tuple(numbered)
-        return f'{{"pairs": [{items}], "total": {total}}}\n'
-    if args.files:
-        return ("%d\t%d\n" * n + "total\t%d\n") % (*numbered, total)
-    return f"{total}\n"
+    return (head + sep.join([f"{before}%d{between}%d{after}"] * n) + tail) % tuple(numbered)
 
 
 def _run_normalize(args) -> str:

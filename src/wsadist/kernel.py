@@ -5,7 +5,10 @@ package), with one entry, ``wsadist_pairs`` (``dp_pairs``): in one call
 it finds the lines of two streams of codes, weighs them, and scores line
 i of the one against line i of the other in one lattice, whose last
 column and last row, where a string has run out, charge the edge tables
-``ws_del`` and ``ws_ins``.
+``ws_del`` and ``ws_ins``.  The same library's second entry,
+``wsadist_rows`` (``write_rows``), writes the costs that ``dp_pairs``
+returns, each after its line number, between pieces its caller passes:
+it knows no output format, and ``wsadist.cli`` keeps the pieces.
 ``edge_costs`` picks the ``CostModel`` methods that fill them: the
 whitespace costs for the ws-agnostic distance, ``indel`` for the
 classical one.
@@ -91,6 +94,8 @@ _UTF32 = "utf-32-le" if sys.byteorder == "little" else "utf-32-be"
 _PTR, _F64 = ctypes.c_void_p, ctypes.c_double
 # sizes, codes, blank, costs, status, heavier, dists, threshold
 _PAIRS_ARGTYPES = [_PTR, ctypes.c_char_p, ctypes.c_char_p, _PTR, _PTR, _PTR, _PTR, _F64]
+# dists, n, head, before, between, after, sep, tail, out, size
+_ROWS_ARGTYPES = [_PTR, ctypes.c_int64, *[ctypes.c_char_p] * 6, _PTR, ctypes.c_int64]
 
 _UNTRIED = object()
 _compiled = _UNTRIED  # the loaded C library, or None once it failed
@@ -141,6 +146,8 @@ def _load():
     lib = ctypes.CDLL(base + ".so")
     lib.wsadist_pairs.argtypes = _PAIRS_ARGTYPES
     lib.wsadist_pairs.restype = ctypes.c_int64
+    lib.wsadist_rows.argtypes = _ROWS_ARGTYPES
+    lib.wsadist_rows.restype = ctypes.c_int64
     lib.exact_cutoff = ctypes.c_int.in_dll(lib, "wsadist_exact_cutoff").value
     return lib
 
@@ -318,3 +325,20 @@ def dp_pairs(codes, a_end: int, b_start: int, brk: int, pairs: int, m: int, cost
         rule_out(status, heavier, dists, threshold)
     return bytes(status), heavier, dists, cells
 
+
+def write_rows(dists, head: str, before: str, between: str, after: str, sep: str,
+               tail: str) -> str:
+    """``head``, then row i for each cost of ``dists``, the array('q') that
+    ``dp_pairs``'s compiled route returns -- ``before``, i, ``between``,
+    ``dists[i]``, ``after``, each row but the first led by ``sep`` -- then
+    ``tail``; the numbers in decimal, the pieces ASCII with no NUL.  One
+    ``wsadist_rows`` call sizes the text and a second writes it, which is
+    then decoded once."""
+    lib = _compiled_library()
+    address, n = dists.buffer_info()
+    pieces = [piece.encode("ascii") for piece in (head, before, between, after, sep, tail)]
+    size = lib.wsadist_rows(address, n, *pieces, None, 0)
+    out = array("B", b"\0") * size
+    if lib.wsadist_rows(address, n, *pieces, out.buffer_info()[0], size) != size:
+        raise RuntimeError("DP kernel wrote rows of another size than it gave")
+    return str(out, "ascii")

@@ -11,6 +11,7 @@ import signal
 import subprocess
 import sys
 import tracemalloc
+from array import array
 from itertools import zip_longest
 from pathlib import Path
 
@@ -30,7 +31,9 @@ from wsadist import (
     normalize_line,
     serialize_model,
 )
-from wsadist.cli import COMMANDS, _regions_json, fold_lines, main, parse_args
+import wsadist.cli as cli
+import wsadist.kernel as kernel
+from wsadist.cli import COMMANDS, _regions_json, _rows, fold_lines, main, parse_args
 from wsadist.distance import _DISPATCH
 from test_cost_model import UNPARSABLE_JSON
 from test_kernel import LIST_TABLES
@@ -869,6 +872,63 @@ class TestFileModeOneKernelCall:
         assert json.loads(out)["total"] >= (1 << 64 if model is BIG else 1)
 
 
+@settings(max_examples=300, deadline=None)
+@example([], "x")
+@example([0], "")
+@example([9], "x")
+@example([0, 9, 10, (1 << 63) - 1], "")
+@given(st.lists(st.integers(-(1 << 63), (1 << 63) - 1)), st.text("ab9 ]}", max_size=4))
+def test_c_rows_are_the_percent_template(costs, tail):
+    """The C library's rows, written from an array('q'), are byte for byte
+    the % template's, written from the same costs as a list, with JSON's
+    pieces and with text's, for no rows, one row and many, costs at the
+    int64 extremes included."""
+    if kernel_backend() != "compiled":
+        pytest.skip("no compiled kernel")
+    for head, row in (('{"pairs": [', cli._JSON_ROW), ("", cli._TEXT_ROW)):
+        assert _rows(array("q", costs), head, row, tail) == _rows(costs, head, row, tail)
+
+
+DIST_TEXTS = ["", "\n", "aaa\nAb 9\n\n\tx\n", "bbbb\nAb 9\nx\ty", "Ab 9 \n  \n"]
+
+
+def test_dist_output_on_both_kernel_routes(capsys, tmp_path, monkeypatch):
+    r"""``dist``'s stdout is byte for byte the same whether the C library
+    writes it, from the compiled kernel's int64 costs, or the % template
+    does, from the interpreted kernel's ints: in both formats, on empty
+    files, files of unequal line counts, last lines with no "\n", single
+    pairs, and a model whose sums pass int64, which takes the interpreted
+    route and the template on both."""
+    if kernel_backend() != "compiled":
+        pytest.skip("no compiled kernel")
+    argvs = []
+    for n, model in enumerate([appendix_model(), MODELS[2], BIG]):
+        (tmp_path / f"model{n}.json").write_text(serialize_model(model))
+        flags = ["--model", str(tmp_path / f"model{n}.json"), "--normalize", "none"]
+        for fmt in ("text", "json"):
+            for mode in ("ws-agnostic", "standard"):
+                argvs += [["dist", *flags, "--format", fmt, "--mode", mode, "Ab 9", "a  "]]
+                for i, left in enumerate(DIST_TEXTS):
+                    for j, right in enumerate(DIST_TEXTS):
+                        paths = [tmp_path / f"left{i}.txt", tmp_path / f"right{j}.txt"]
+                        for path, text in zip(paths, (left, right)):
+                            path.write_bytes(text.encode())
+                        argvs.append(["dist", "--files", *flags, "--format", fmt, "--mode", mode,
+                                      *map(str, paths)])
+    written = []
+    monkeypatch.setattr(cli, "write_rows", lambda *args: written.append(args) or
+                        kernel.write_rows(*args))
+    compiled = [run(capsys, *argv) for argv in argvs]
+    # at least every --files run and JSON single pair under the two int64 models
+    calls = len(written)
+    assert calls >= 2 * 2 * (2 * len(DIST_TEXTS) ** 2 + 1)
+    monkeypatch.setattr(kernel, "_compiled", None)
+    assert kernel_backend() == "interpreted"
+    for argv, output in zip(argvs, compiled):
+        assert run(capsys, *argv) == output, argv
+    assert len(written) == calls
+
+
 def regions_dumps(regions):
     """``detect --format json``'s output for ``regions`` by ``json.dumps``."""
     return json.dumps({"regions": [
@@ -987,16 +1047,17 @@ def peak_per_input_byte(capsys, argv, paths):
     return peak / size
 
 
-def test_file_mode_memory_per_input_byte(capsys, tmp_path):
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_file_mode_memory_per_input_byte(capsys, tmp_path, fmt):
     """``dist --files`` on two texts of about 1 MB, of short lines, holds at
     its peak the texts, their normalized and translated copies and the
-    four bytes of each code, under 9 bytes per input byte: no list of
-    lines, which took about 14."""
+    four bytes of each code, under 9 bytes per input byte, in either
+    format: no list of lines, which took about 14."""
     paths = [tmp_path / "left.txt", tmp_path / "right.txt"]
     rng = random.Random(20261111)
     for path in paths:
         short_lines(path, rng, 45_000)
-    argv = ["dist", "--files", "--format", "json", *map(str, paths)]
+    argv = ["dist", "--files", "--format", fmt, *map(str, paths)]
     assert peak_per_input_byte(capsys, argv, paths) < 9
 
 

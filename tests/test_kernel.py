@@ -813,6 +813,22 @@ with tempfile.TemporaryDirectory() as tmp:
                 for mode in ("ws-agnostic", "standard"):
                     assert main(["dist", "--files", "--mode", mode, "--model", paths[2],
                                  *paths[:2]]) == 0
+# the row writer called on its own, into buffers of exactly the size it gives,
+# on no rows, one row and the int64 extremes, with either output's pieces; a
+# buffer one byte short is refused and left as it was
+from array import array
+import wsadist.kernel as kernel
+lib = kernel._compiled_library()
+for pieces in ([b'{"pairs": [', b'{"line": ', b', "cost": ', b"}", b", ", b'], "total": 0}\\n'],
+               [b"", b"", b"\\t", b"\\n", b"", b"total\\t0\\n"]):
+    for costs in ([] if lib is None else [[], [9], [-(1 << 63), (1 << 63) - 1]]):
+        dists = array("q", costs)
+        rows = lambda buffer, size: lib.wsadist_rows(dists.buffer_info()[0], len(dists), *pieces,
+                                                      buffer, size)
+        size = rows(None, 0)
+        out, short = array("B", b"\\0") * size, array("B", b"\\0") * (size - 1)
+        print(size, rows(out.buffer_info()[0], size), out.tobytes(),
+              rows(short.buffer_info()[0], size - 1), short.tobytes())
 # caller lines that hold line breaks stay one line each, in a list or a generator
 broken = [["a\\n9", "a\\r9", "\\r\\n", "Ab\\t9\\n"], ["\\n", "\\0\\n", "a 9\\r", "a 9"],
           ["".join(map(chr, range(32))) + "a\\t9"] * 3]
