@@ -15,7 +15,8 @@ def score_pairs(codes, a_end: int, b_start: int, brk: int, pairs: int, m: int, c
                 max_cells: int):
     """``dp_pairs`` at threshold 0, as ``(status, heavier, dists, cells)``:
     ``dp_interpreted`` on each scored pair past the prefix its lines share
-    when ``_skips_prefix`` passes on ``costs``, in full otherwise."""
+    when ``_skips_prefix`` passes on ``costs`` or the lines are identical,
+    in full otherwise."""
     k = len(costs) // (m + 4)
     ws_del, text = costs[k:2 * k], codes.decode(_UTF32, "surrogatepass")  # one code a char
     skip_prefix = _skips_prefix(costs, k, m)
@@ -29,8 +30,8 @@ def score_pairs(codes, a_end: int, b_start: int, brk: int, pairs: int, m: int, c
                                          for line in (one, two)):
             continue
         status[i] = 1 + (len(one) * len(two) > max_cells)
-        if status[i] == 1 and one != two:
-            if skip_prefix:
+        if status[i] == 1:
+            if skip_prefix or one == two:
                 q = len(os.path.commonprefix(pair))
                 one, two = one[q:], two[q:]
             dists[i] = dp_interpreted(one, two, costs, m)

@@ -32,19 +32,20 @@
  * last column stay full, since edge moves there can be free.  Threshold
  * 0 is no cutoff: every d is exact.
  *
- * A scored pair of two identical lines gets d = 0 with no DP: most line
- * pairs of two versions of a text are unchanged.  Other pairs skip the
- * prefix of q codes that their lines share, and are scored on the
- * lattice after it, when the cost block passes one check, made once a
- * call: the dearest indel cost less the cheapest is at most the cheapest
- * replacement of a symbol by another, every column of row m counted.
+ * A scored pair skips the prefix of q codes that its lines share, and is
+ * scored on the lattice after it, when the cost block passes one check,
+ * made once a call: the dearest indel cost less the cheapest is at most
+ * the cheapest replacement of a symbol by another, every column of row m
+ * counted.
  * Then indel(a) <= indel(x) + rep(a, x) and indel(a) <= indel(x) +
  * rep(x, a) for all a and x, so when both lines start with x, an optimal
  * path that does not take the diagonal (0,0) -> (1,1) can be rerouted
  * through it at no extra cost, edge costs being no more than indel costs;
- * by induction one passes (q,q), and d is exact.  A line the prefix
- * empties leaves the other's edge costs: a line against itself with
- * trailing whitespace costs its ws_ins or ws_del sum, 0 for the
+ * by induction one passes (q,q), and d is exact.  Two identical lines
+ * skip all of both under every block, check or no, since they cost 0:
+ * most line pairs of two versions of a text are unchanged.  A line the
+ * prefix empties leaves the other's edge costs: a line against itself
+ * with trailing whitespace costs its ws_ins or ws_del sum, 0 for the
  * ws-agnostic distance, in no cells.  The length bound is taken on the
  * lines after the prefix, and D and the cutoff on the whole lines.  A
  * shared suffix is not skipped: the last row and column charge edge
@@ -56,16 +57,15 @@
  *
  * Requires non-negative costs, a symbol replaced by itself to cost 0 (in
  * its own row of rep, and in its own column of the shared row m, as
- * wsadist.kernel.alphabet_costs builds them; the shortcut for identical
- * lines and the prefix skip rest on it), no edge cost above its symbol's
- * indel cost (the length bound and the prefix skip rest on it, for any
- * such edge tables), and every path
- * sum to fit in int64 (the caller checks); the cells skipped by a cutoff
- * hold T + 1 <= D, which adds no larger sum.  Returns the number of
- * lattice cells computed, or -1 when out of memory, or -2 when a code it
- * reads lies outside the alphabet, m is not in [0, k], a stream lies
- * outside the codes, the pair count or max_cells is negative, or the
- * threshold is outside [0, 1].
+ * wsadist.kernel.alphabet_costs builds them; the prefix skip rests on
+ * it), no edge cost above its symbol's indel cost (the length bound and
+ * the prefix skip rest on it, for any such edge tables), and every path
+ * sum to lie below INT64_MAX, which stands for no cutoff (the caller
+ * checks); the cells skipped by a cutoff hold T + 1 <= D, which adds no
+ * larger sum.  Returns the number of lattice cells computed, or -1 when
+ * out of memory, or -2 when a code it reads lies outside the alphabet, m
+ * is not in [0, k], a stream lies outside the codes, the pair count or
+ * max_cells is negative, or the threshold is outside [0, 1].
  *
  * A second entry, wsadist_rows, writes the text of `wsadist dist`'s
  * output from the dists that wsadist_pairs wrote: each line number and
@@ -221,9 +221,9 @@ static int64_t scan(const uint32_t *codes, int64_t at, int64_t end, int64_t brk,
  * when it scores the pair, or 3 when the pair falls below a threshold
  * above 0.  For a scored pair it writes the distance from A's line to
  * B's to dists[i], -1 for status 3; it writes no other dists.  Either
- * line of a pair may be empty; two identical lines, empty ones too, get
- * 0 with no DP, and other pairs may skip their shared prefix, as the
- * header says.
+ * line of a pair may be empty.  A pair may skip the prefix its lines
+ * share, as the header says; two identical lines, empty ones too, skip
+ * all of both and get 0 in no cells.
  * Returns the cells computed, or -1 or -2 as the header says. */
 int64_t wsadist_pairs(const int64_t *sizes, const uint32_t *codes, const unsigned char *blank,
                       const int64_t *costs, unsigned char *status, int64_t *heavier,
@@ -298,11 +298,8 @@ int64_t wsadist_pairs(const int64_t *sizes, const uint32_t *codes, const unsigne
         int64_t q = 0, shorter = n1 < n2 ? n1 : n2;
         while (q < shorter && code1[q] == code2[q])
             q++;
-        if (q == n1 && q == n2) {
-            dists[i] = 0;
-            continue;
-        }
-        if (skip_prefix) {
+        /* identical lines skip all of both under every block: they cost 0 */
+        if (skip_prefix || (q == n1 && q == n2)) {
             n1 -= q;
             n2 -= q;
             code1 += q;

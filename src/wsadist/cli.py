@@ -19,7 +19,6 @@ before it is dropped.  No other character breaks a line.
 import os
 import re
 import sys
-from array import array
 from itertools import islice, zip_longest
 from types import SimpleNamespace
 
@@ -92,12 +91,13 @@ def _run_dist(args) -> str:
     else:
         costs = _paired_distances(left, right, brk, pairs, model,
                                   algorithm is Algorithm.WS_AGNOSTIC, mode)
+    del left, right  # done with: freed before the output is written
     # the exact sum: past int64 too
     total = sum(costs)
     if args.format == "json":
-        return _rows(costs, '{"pairs": [', _JSON_ROW, f'], "total": {total}}}\n')
+        return write_rows(costs, '{"pairs": [', _JSON_ROW, f'], "total": {total}}}\n')
     if args.files:
-        return _rows(costs, "", _TEXT_ROW, f"total\t{total}\n")
+        return write_rows(costs, "", _TEXT_ROW, f"total\t{total}\n")
     return f"{total}\n"
 
 
@@ -105,22 +105,6 @@ def _run_dist(args) -> str:
 # separator between rows: json.dumps's, and the tab-separated lines'
 _JSON_ROW = ('{"line": ', ', "cost": ', "}", ", ")
 _TEXT_ROW = ("", "\t", "\n", "")
-
-
-def _rows(costs, head: str, row, tail: str) -> str:
-    """``head``, each line number i and ``costs[i]`` between the pieces of
-    ``row`` -- before, between and after, then the separator between rows
-    -- and ``tail``.  The compiled kernel's int64 costs are written in
-    one pass in C; other costs, on the interpreted and beyond-int64
-    routes and from the naive oracle, by one % over a repeated template,
-    json.dumps's text for these ints at any size."""
-    if isinstance(costs, array):
-        return write_rows(costs, head, *row, tail)
-    before, between, after, sep = row
-    n = len(costs)
-    numbered = [0] * (2 * n)
-    numbered[::2], numbered[1::2] = range(n), costs
-    return (head + sep.join([f"{before}%d{between}%d{after}"] * n) + tail) % tuple(numbered)
 
 
 def _run_normalize(args) -> str:
@@ -150,11 +134,11 @@ def _run_detect(args) -> str:
 
 def _regions_json(regions) -> str:
     """``detect --format json``'s output for ``regions``: json.dumps's text,
-    written without ``json``: ``%d`` gives its text for the line numbers,
-    exact at any size, and ``%r`` for the scores, finite floats."""
-    fields = [value for r in regions for value in (r.start_line, r.end_line, r.score)]
-    items = ", ".join(['{"start_line": %d, "end_line": %d, "score": %r}'] * len(regions))
-    return '{"regions": [%s]}\n' % (items % tuple(fields))
+    written without ``json``: ``str`` gives its text for the line numbers,
+    exact at any size, and ``repr`` for the scores, finite floats."""
+    return '{"regions": [' + ", ".join([
+        f'{{"start_line": {r.start_line}, "end_line": {r.end_line}, "score": {r.score!r}}}'
+        for r in regions]) + "]}\n"
 
 
 def tab_width(text: str) -> int:

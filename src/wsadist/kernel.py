@@ -5,13 +5,15 @@ package), with one entry, ``wsadist_pairs`` (``dp_pairs``): in one call
 it finds the lines of two streams of codes, weighs them, and scores line
 i of the one against line i of the other in one lattice, whose last
 column and last row, where a string has run out, charge the edge tables
-``ws_del`` and ``ws_ins``.  The same library's second entry,
-``wsadist_rows`` (``write_rows``), writes the costs that ``dp_pairs``
-returns, each after its line number, between pieces its caller passes:
-it knows no output format, and ``wsadist.cli`` keeps the pieces.
-``edge_costs`` picks the ``CostModel`` methods that fill them: the
-whitespace costs for the ws-agnostic distance, ``indel`` for the
-classical one.
+``ws_del`` and ``ws_ins``.  ``edge_costs`` picks the ``CostModel``
+methods that fill them: the whitespace costs for the ws-agnostic
+distance, ``indel`` for the classical one.  The same library's second
+entry, ``wsadist_rows``, writes the costs that ``dp_pairs`` returns,
+each after its line number, between pieces its caller passes: it knows
+no output format, and ``wsadist.cli`` keeps the pieces.  ``write_rows``
+writes every ``wsadist dist`` output: the compiled route's costs
+through ``wsadist_rows``, any other costs by one plain join of the same
+pieces, which never loads the library.
 
 On first use the kernel is built with the system C compiler -- ``$CC``
 if set, else ``cc`` -- as ``cc -O2 -falign-loops=32 -shared -fPIC``
@@ -36,11 +38,12 @@ When the build or the load fails, one warning on the ``wsadist`` logger
 gives the reason, and ``dp_interpreted`` -- the same recurrence in plain
 Python -- runs instead, once for each pair.  It is orders of magnitude
 slower.  ``kernel_backend()`` reports which of the two is in use.
-Codes whose path sums could exceed int64 -- their number (at least 1)
-times the dearest cost, which bounds every pair's sums, since a pair's
-two lines hold no more codes than the buffer they lie in -- always take
-the interpreted kernel, which computes over Python ints; ``dp_pairs``
-alone decides this.
+Codes whose path sums could reach 2^63 - 1, the C kernel's limit when
+it has no cutoff -- their number (at least 1) times the dearest cost,
+which bounds every pair's sums, since a pair's two lines hold no more
+codes than the buffer they lie in -- always take the interpreted
+kernel, which computes over Python ints; ``dp_pairs`` alone decides
+this.
 
 A fresh process that loads a cached build compiles and imports only
 what it runs: the build and the pruning of old builds live in
@@ -59,11 +62,12 @@ into bytes that the kernel reads in place as two streams of lines, A and
 B, split at a break code, and builds one cost block (``alphabet_costs``)
 for one ``dp_pairs`` call.  The kernel finds the lines, weighs them and
 flags the blank ones in one pass, so no list of lines is built for it.
-A pair of identical lines costs 0 with no DP, and other pairs are
-scored past the prefix their lines share whenever the cost block shows
-that some optimal path runs through it (see ``_kernel.c``): a line that
-differs from its neighbour only in trailing whitespace then costs its
-edge sum, 0 ws-agnostic, with no DP.
+A pair is scored past the prefix its lines share whenever the cost
+block shows that some optimal path runs through it (see ``_kernel.c``),
+and a pair of identical lines past all of both under every block, since
+it costs 0: it takes no DP, nor, when the block passes, does a line that
+differs from its neighbour only in trailing whitespace, which costs its
+edge sum, 0 ws-agnostic.
 Detection passes its threshold, and the kernel then computes d exactly
 only for the pairs that can reach it: a length bound rules some out with
 no DP, and the rest run in a diagonal band (see ``dp_pairs`` and
@@ -276,15 +280,15 @@ def dp_pairs(codes, a_end: int, b_start: int, brk: int, pairs: int, m: int, cost
     scored pair's distance d, else 0; ``cells`` the lattice cells
     computed: (n1 - q) x (n2 - q) for a pair run in full, q being the
     prefix its lines share when the block passes ``_kernel.c``'s check
-    and else 0, fewer in a band, none for identical lines, a line the
-    prefix empties, or a pair ruled out with no DP.  Both routes skip
-    the same prefixes and count the same cells at threshold 0.
+    or the lines are identical and else 0, fewer in a band, none for a
+    line the prefix empties or a pair ruled out with no DP.  Both routes
+    skip the same prefixes and count the same cells at threshold 0.
 
     ``threshold``, in [0, 1], is detection's: a scored pair reads status 3
     and d -1 exactly when its ``1.0 - d / D`` falls below it, and d is
     exact for every other pair.  Threshold 0 rules nothing out.  Runs the
     compiled kernel on the block as one array('q') when it is available
-    and no path sum can exceed int64, else ``_interpreted.score_pairs``:
+    and no path sum can reach 2^63 - 1, else ``_interpreted.score_pairs``:
     ``dp_interpreted`` on each scored pair past its skipped prefix, in
     full, over Python ints.  A pair's path sums, its weights among them,
     are at most n1 + n2 steps of the dearest cost, and n1 + n2 is at most
@@ -299,8 +303,9 @@ def dp_pairs(codes, a_end: int, b_start: int, brk: int, pairs: int, m: int, cost
     lib = _compiled_library()
     k = len(costs) // (m + 4)
     bound = max(ncodes, 1) * max(costs, default=0)
-    # a cost beyond int64 stays interpreted anyway
-    if lib is None or bound > _INT64_MAX:
+    # a cost beyond int64 stays interpreted anyway; a d of 2^63 - 1 would
+    # reach the C kernel's limit for no cutoff and read -1
+    if lib is None or bound >= _INT64_MAX:
         from ._interpreted import score_pairs
 
         status, heavier, dists, cells = score_pairs(codes, a_end, b_start, brk, pairs, m, costs,
@@ -326,16 +331,23 @@ def dp_pairs(codes, a_end: int, b_start: int, brk: int, pairs: int, m: int, cost
     return bytes(status), heavier, dists, cells
 
 
-def write_rows(dists, head: str, before: str, between: str, after: str, sep: str,
-               tail: str) -> str:
-    """``head``, then row i for each cost of ``dists``, the array('q') that
-    ``dp_pairs``'s compiled route returns -- ``before``, i, ``between``,
-    ``dists[i]``, ``after``, each row but the first led by ``sep`` -- then
-    ``tail``; the numbers in decimal, the pieces ASCII with no NUL.  One
-    ``wsadist_rows`` call sizes the text and a second writes it, which is
-    then decoded once."""
+def write_rows(costs, head: str, row, tail: str) -> str:
+    """``head``, then row i for each cost of ``costs`` -- the pieces of
+    ``row``, ``(before, between, after, sep)``, as ``before``, i,
+    ``between``, ``costs[i]``, ``after``, each row but the first led by
+    ``sep`` -- then ``tail``; the numbers in decimal, the pieces ASCII
+    with no NUL.  The array('q') that ``dp_pairs``'s compiled route
+    returns is written by ``wsadist_rows``: one call sizes the text and a
+    second writes it, which is then decoded once.  Any other costs -- the
+    interpreted and beyond-int64 routes' ints, the naive oracle's -- take
+    one plain join of the same pieces, exact at any size, and never load
+    the library."""
+    before, between, after, sep = row
+    if not isinstance(costs, array):
+        return head + sep.join([f"{before}{i}{between}{cost}{after}"
+                                for i, cost in enumerate(costs)]) + tail
     lib = _compiled_library()
-    address, n = dists.buffer_info()
+    address, n = costs.buffer_info()
     pieces = [piece.encode("ascii") for piece in (head, before, between, after, sep, tail)]
     size = lib.wsadist_rows(address, n, *pieces, None, 0)
     out = array("B", b"\0") * size

@@ -79,9 +79,8 @@ def _runs(joins: bytes, span: int):
 
 
 # the kernel's status of a pair -- 0 for a blank line, 1 scored, 2 over the
-# cell limit, 3 scored below the threshold -- as a join at threshold 0, and
-# above it
-_JOINS_AT_0 = bytes.maketrans(b"\2\3", b"\1\1")
+# cell limit, 3 scored below the threshold, which threshold 0 never gives --
+# as a join: a scored pair joins, and an over-limit pair is read on its own
 _JOINS = bytes.maketrans(b"\2\3", b"\0\0")
 
 
@@ -113,9 +112,9 @@ def _regions(text: str, brk: str, pairs: int, config: DetectConfig) -> list[Tabl
     status, heavier, dists, _ = score_document(text, len(text), text.find(brk) + 1, brk, pairs,
                                                config.model, True, threshold, config.mode,
                                                blank=True, max_cells=DEFAULT_MAX_CELLS)
-    joins = status.translate(_JOINS if threshold > 0 else _JOINS_AT_0)
-    if threshold > 0 and 2 in status:  # an over-limit pair of weightless lines scores 1.0
-        joins = bytes(joined or scored == 2 and not heavier[j]
+    joins = status.translate(_JOINS)
+    if 2 in status:  # an over-limit pair scores 0.0, or 1.0 when both lines weigh nothing
+        joins = bytes(joined or scored == 2 and (0.0 if heavier[j] else 1.0) >= threshold
                       for j, (joined, scored) in enumerate(zip(joins, status)))
     regions: list[TableRegion] = []
     # pair j joins lines j and j + 1, and a run of min_rows - 1 joined pairs
@@ -139,9 +138,9 @@ def detect_tables(lines, config: DetectConfig | None = None) -> list[TableRegion
     similarities, summed in order.
 
     The joins come off the kernel's verdict, with no per-pair Python
-    unless a pair is over the cell limit: at threshold 0 every pair of
-    filled lines joins, and above it a scored pair joins unless it falls
-    below the threshold.  A scan of the join flags finds the regions, and
-    only their pairs' similarities are computed."""
+    unless a pair is over the cell limit: a scored pair joins unless it
+    falls below the threshold, which at threshold 0 none does.  A scan of
+    the join flags finds the regions, and only their pairs' similarities
+    are computed."""
     config = config if config is not None else DetectConfig()
     return _regions(*_joined(lines, config.tab_width), config)

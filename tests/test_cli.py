@@ -33,7 +33,7 @@ from wsadist import (
 )
 import wsadist.cli as cli
 import wsadist.kernel as kernel
-from wsadist.cli import COMMANDS, _regions_json, _rows, fold_lines, main, parse_args
+from wsadist.cli import COMMANDS, _regions_json, fold_lines, main, parse_args
 from wsadist.distance import _DISPATCH
 from test_cost_model import UNPARSABLE_JSON
 from test_kernel import LIST_TABLES
@@ -879,14 +879,15 @@ class TestFileModeOneKernelCall:
 @example([0, 9, 10, (1 << 63) - 1], "")
 @given(st.lists(st.integers(-(1 << 63), (1 << 63) - 1)), st.text("ab9 ]}", max_size=4))
 def test_c_rows_are_the_percent_template(costs, tail):
-    """The C library's rows, written from an array('q'), are byte for byte
-    the % template's, written from the same costs as a list, with JSON's
-    pieces and with text's, for no rows, one row and many, costs at the
-    int64 extremes included."""
+    """``write_rows``' text from an array('q'), which the C library writes,
+    is byte for byte its text from the same costs as a list, which a plain
+    join writes, with JSON's pieces and with text's, for no rows, one row
+    and many, costs at the int64 extremes included."""
     if kernel_backend() != "compiled":
         pytest.skip("no compiled kernel")
     for head, row in (('{"pairs": [', cli._JSON_ROW), ("", cli._TEXT_ROW)):
-        assert _rows(array("q", costs), head, row, tail) == _rows(costs, head, row, tail)
+        assert (kernel.write_rows(array("q", costs), head, row, tail)
+                == kernel.write_rows(costs, head, row, tail))
 
 
 DIST_TEXTS = ["", "\n", "aaa\nAb 9\n\n\tx\n", "bbbb\nAb 9\nx\ty", "Ab 9 \n  \n"]
@@ -894,11 +895,11 @@ DIST_TEXTS = ["", "\n", "aaa\nAb 9\n\n\tx\n", "bbbb\nAb 9\nx\ty", "Ab 9 \n  \n"]
 
 def test_dist_output_on_both_kernel_routes(capsys, tmp_path, monkeypatch):
     r"""``dist``'s stdout is byte for byte the same whether the C library
-    writes it, from the compiled kernel's int64 costs, or the % template
+    writes it, from the compiled kernel's int64 costs, or a plain join
     does, from the interpreted kernel's ints: in both formats, on empty
     files, files of unequal line counts, last lines with no "\n", single
     pairs, and a model whose sums pass int64, which takes the interpreted
-    route and the template on both."""
+    route and the plain join on both."""
     if kernel_backend() != "compiled":
         pytest.skip("no compiled kernel")
     argvs = []
@@ -915,13 +916,14 @@ def test_dist_output_on_both_kernel_routes(capsys, tmp_path, monkeypatch):
                             path.write_bytes(text.encode())
                         argvs.append(["dist", "--files", *flags, "--format", fmt, "--mode", mode,
                                       *map(str, paths)])
-    written = []
-    monkeypatch.setattr(cli, "write_rows", lambda *args: written.append(args) or
-                        kernel.write_rows(*args))
+    written, rows = [], kernel._compiled.wsadist_rows
+    monkeypatch.setattr(kernel._compiled, "wsadist_rows",
+                        lambda *args: written.append(args) or rows(*args))
     compiled = [run(capsys, *argv) for argv in argvs]
-    # at least every --files run and JSON single pair under the two int64 models
+    # at least every --files run and JSON single pair under the two int64
+    # models reaches C, in two calls: one sizes the text, one writes it
     calls = len(written)
-    assert calls >= 2 * 2 * (2 * len(DIST_TEXTS) ** 2 + 1)
+    assert calls >= 2 * 2 * 2 * (2 * len(DIST_TEXTS) ** 2 + 1)
     monkeypatch.setattr(kernel, "_compiled", None)
     assert kernel_backend() == "interpreted"
     for argv, output in zip(argvs, compiled):

@@ -348,6 +348,27 @@ def test_int64_guard_at_its_edge(monkeypatch, cost, interpreted):
 
 
 @needs_compiler
+def test_int64_guard_keeps_d_below_the_no_cutoff_limit(monkeypatch):
+    """One code at 2 ** 63 - 1 against an empty line: its d would equal
+    the C kernel's limit when it has no cutoff, and read -1 there, so the
+    pair runs interpreted and scores status 1 and that d at threshold 0."""
+    assert kernel_backend() == "compiled"
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return dp_interpreted(*args)
+
+    monkeypatch.setattr("wsadist._interpreted.dp_interpreted", counted)
+    top = (1 << 63) - 1
+    model = CostModel(indel_default=top, replace_default=top)
+    for ws_agnostic in (True, False):
+        status, _, dists, _ = kernel.score_document("a", 1, 1, None, 1, model, ws_agnostic, 0.0)
+        assert (status, list(dists)) == (b"\1", [top])
+    assert len(calls) == 2
+
+
+@needs_compiler
 def test_int64_guard_counts_every_code(monkeypatch):
     """Three 1-character lines at 2 ** 62 - 1: each pair alone would fit
     int64, but the guard bounds every pair by the document's 5 codes,
@@ -965,7 +986,9 @@ UNSKIPPABLE = [("xaxaa", "xa", 11), ("  a  ", "  ", 4)]
 
 def assert_unskippable_prefix_is_scored():
     """Under ``UNEVEN_INDELS`` both distances equal the oracle, and the
-    kernel computes every cell of each pair, its shared prefix too."""
+    kernel computes every cell of each pair, its shared prefix too; a pair
+    of identical lines, an empty one too, still costs 0 in no cells, at
+    threshold 0 and 0.5."""
     for s1, s2, classical in UNSKIPPABLE:
         for ws_agnostic, padding in ((True, {}), (False, {"pad_limit": 0})):
             _, _, dists, cells = kernel.score_document(s1 + s2, len(s1), len(s1), None, 1,
@@ -973,6 +996,16 @@ def assert_unskippable_prefix_is_scored():
             assert dists[0] == ws_agnostic_naive(s1, s2, UNEVEN_INDELS, **padding), (s1, s2)
             assert cells == len(s1) * len(s2), (s1, s2)
         assert levenshtein_standard(s1, s2, UNEVEN_INDELS) == classical
+    # lines of both uneven symbols, each against itself: a block that fails
+    # the check on UNSKIPPABLE's alphabets fails it on this larger one too
+    text = "xaxaa\nxa\n\n  a x"
+    for ws_agnostic in (True, False):
+        for threshold in (0.0, 0.5):
+            status, _, dists, cells = kernel.score_document(text + text, len(text), len(text),
+                                                            "\n", 4, UNEVEN_INDELS, ws_agnostic,
+                                                            threshold)
+            assert (status, list(dists), cells) == (b"\1" * 4, [0] * 4, 0), (ws_agnostic,
+                                                                          threshold)
 
 
 @needs_compiler
@@ -1149,12 +1182,14 @@ print(wsadist.SizeLimitError is wsadist.oracles.SizeLimitError)
 
 NAIVE_ORACLE_CLI = """
 import sys
+from wsadist import kernel
 from wsadist.cli import main
 assert "wsadist.oracles" not in sys.modules
 left, right = sys.argv[1:]
 assert main(["dist", "--mode", "naive-oracle", "Ab 9  ", "Ab  99"]) == 0
 assert main(["dist", "--mode", "naive-oracle", "--files", "--format", "json", left, right]) == 0
 print("wsadist.oracles" in sys.modules)
+print(kernel._compiled is kernel._UNTRIED)
 """
 
 
@@ -1162,7 +1197,8 @@ def test_oracles_load_on_first_use(tmp_path):
     """In a fresh process, the package's oracles resolve on first access,
     ``from wsadist import *`` still gives every name of ``__all__``, there
     is one ``SizeLimitError``, and ``dist --mode naive-oracle`` prints what
-    it did when the oracles were imported with the package."""
+    it did when the oracles were imported with the package, and never
+    builds or loads the compiled kernel, its output included."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run([sys.executable, "-c", ORACLES_ON_FIRST_USE], env=env,
                          capture_output=True, text=True, check=True).stdout
@@ -1176,6 +1212,7 @@ def test_oracles_load_on_first_use(tmp_path):
         "2",
         '{"pairs": [{"line": 0, "cost": 0}, {"line": 1, "cost": 1}, {"line": 2, "cost": 1}], '
         '"total": 2}',
+        "True",
         "True",
     ]
 
